@@ -1,8 +1,9 @@
 """Command-line front end: solve, reduce, count, verify, gen.
 
 Exit codes: 0 = YES/true, 1 = NO/false, 2 = input error, 3 = cap exceeded
-without a decision. Output is deterministic for identical inputs and
-flags, regardless of --threads.
+without a decision, 4 = internal error (a failed self-check or an
+unexpected exception; never a decision). Output is deterministic for
+identical inputs and flags, regardless of --threads.
 """
 
 from __future__ import annotations
@@ -10,15 +11,16 @@ from __future__ import annotations
 import argparse
 import random
 import sys as _sys
+import traceback
 from typing import List, Optional
 
 from . import dagtrack, generate, oracle, shortest
-from .errors import CapExceeded, NoPathError
+from .errors import CapExceeded, InternalError, NoPathError
 from .graph import Digraph, Graph
 from .instance_io import (ParseError, format_digraph, format_graph,
                           format_instance, parse_instance)
 from .report import SolveReport
-from .setsystem import SetSystem, solve_tracking_set, tracking_lower_bound, tracks
+from .setsystem import solve_set_system, tracks
 
 DEFAULT_MODE = {"graph": "shortest", "dag": "dag", "setsystem": "setsystem"}
 
@@ -33,22 +35,6 @@ def _emit(report: SolveReport, as_json: bool) -> int:
     return 0 if report.result == "YES" else 1
 
 
-def _solve_setsystem(sys: SetSystem, k: int) -> SolveReport:
-    m = len(sys.family)
-    if m <= 1:
-        return SolveReport("YES", witness=(), paths=m,
-                           reason="at most one set; empty tracking set suffices")
-    lb = tracking_lower_bound(m)
-    if k < lb:
-        return SolveReport("NO", paths=m,
-                           reason=f"lower bound ceil(lg {m}) = {lb} exceeds k = {k}")
-    witness = solve_tracking_set(sys, k)
-    if witness is None:
-        return SolveReport("NO", paths=m,
-                           reason=f"no tracking set of size <= {k} (branching exhausted)")
-    return SolveReport("YES", witness=tuple(sorted(witness)), paths=m)
-
-
 def _oracle_check(report: SolveReport, family, universe: int, k: int):
     """Cross-check a solve decision against the brute-force oracle."""
     best = oracle.brute_min_tracking(family, universe, max_k=k)
@@ -57,7 +43,7 @@ def _oracle_check(report: SolveReport, family, universe: int, k: int):
         agree = agree and len(report.witness) >= (best or 0)
         agree = agree and oracle.brute_is_tracking(family, report.witness)
     if not agree:
-        raise AssertionError("oracle disagrees with solver decision")
+        raise InternalError("oracle disagrees with solver decision")
     print("oracle: agree")
 
 
@@ -97,10 +83,10 @@ def _cmd_solve(args) -> int:
             return _emit(SolveReport("YES", witness=(), paths=0,
                                      reason="no s-t path; zero paths are vacuously tracked"),
                          args.json)
-        default_cap = 2 ** args.k + 1
+        k = min(args.k, inst.n)  # all n vertices always track
         try:
             paths = shortest.enumerate_shortest_paths(
-                lg, args.cap if args.cap is not None else default_cap)
+                lg, args.cap if args.cap is not None else 2 ** k + 1)
         except CapExceeded as exc:
             if args.cap is not None:
                 print(f"cap exceeded without decision ({exc.count} paths)",
@@ -108,10 +94,10 @@ def _cmd_solve(args) -> int:
                 return 3
             return _emit(SolveReport(
                 "NO", paths=exc.count, paths_saturated=True,
-                reason=f"more than 2^{args.k} shortest paths need more than "
-                       f"{args.k} trackers"), args.json)
+                reason=f"more than 2^{k} shortest paths need more than "
+                       f"{k} trackers"), args.json)
         sys_ = shortest.to_set_system(paths, lg.base.n)
-        report = _solve_setsystem(sys_, args.k)
+        report = solve_set_system(sys_, args.k)
         if report.witness is not None:
             report.witness = tuple(sorted(relab.map_set(report.witness)))
         code = _emit(report, args.json)
@@ -121,7 +107,7 @@ def _cmd_solve(args) -> int:
     if kind != "setsystem":
         print("mode setsystem requires a setsystem or graph instance", file=_sys.stderr)
         return 2
-    report = _solve_setsystem(inst, args.k)
+    report = solve_set_system(inst, args.k)
     code = _emit(report, args.json)
     if args.oracle:
         _oracle_check(report, inst.family, inst.universe_size, args.k)
@@ -223,16 +209,20 @@ def _cmd_verify(args) -> int:
         inv = {old: new for new, old in enumerate(relab.to_original)}
         mapped = frozenset(inv[v] for v in trackers if v in inv)
         ok = dagtrack.verify_tracking_condition(pruned, mapped)
-        paths = [tuple(sorted(p)) for p in oracle.enumerate_all_paths(inst, cap=args.cap)]
+        # paths are enumerated only to print a violating pair or to consult
+        # the oracle; a true answer needs none of them
+        if args.oracle or not ok:
+            paths = [tuple(sorted(p))
+                     for p in oracle.enumerate_all_paths(inst, cap=args.cap)]
         if args.oracle:
-            agree = oracle.brute_is_tracking(paths, trackers) == ok
-            if not agree:
-                raise AssertionError("oracle disagrees with tracking-condition verifier")
+            if oracle.brute_is_tracking(paths, trackers) != ok:
+                raise InternalError("oracle disagrees with tracking-condition verifier")
             print("oracle: agree")
     print(f"tracking: {'true' if ok else 'false'}")
     if not ok:
         pair = _find_violating_pair(paths, trackers)
-        assert pair is not None
+        if pair is None:
+            raise InternalError("no violating pair among the paths of a non-tracking set")
         print("violating paths:")
         for p in pair:
             print("  " + " ".join(str(v) for v in p))
@@ -309,6 +299,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "k", 0) is not None and getattr(args, "k", 0) < 0:
         print("k must be nonnegative", file=_sys.stderr)
         return 2
+    if getattr(args, "cap", None) is not None and args.cap < 0:
+        print("cap must be nonnegative", file=_sys.stderr)
+        return 2
     if getattr(args, "threads", 1) < 1:
         print("threads must be at least 1", file=_sys.stderr)
         return 2
@@ -320,6 +313,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded without decision ({exc.count} paths)", file=_sys.stderr)
         return 3
+    except Exception:  # a crash must never read as a decision
+        traceback.print_exc(file=_sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

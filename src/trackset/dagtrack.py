@@ -1,19 +1,23 @@
 """Tracking all s-t paths in a DAG.
 
 Pipeline: prune to the fixpoint of three reduction rules, gate on path
-count lower bounds, then scan vertex subsets by increasing size for one
-whose intersection with every s-t path is distinct. The per-pair path
-verifier gives an equivalent polynomial check for a candidate set.
+count lower bounds, then turn the s-t paths into vertex bitmasks and hand
+their minimal pairwise symmetric differences to the hitting-set search in
+:mod:`trackset.setsystem`: a vertex set tracks the paths iff it hits every
+difference. The per-pair path verifier gives an equivalent polynomial
+check for a candidate set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import FrozenSet, List, Optional, Tuple
 
+from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
 from .report import SolveReport
+from .setsystem import (from_mask, hitting_search, minimal_differences,
+                        tracking_lower_bound)
 
 
 @dataclass
@@ -137,7 +141,8 @@ def _apply_rule_4(w: _Work) -> bool:
             w.remove_vertex(y)
             # no x-z arc can pre-exist: it would imply a cycle or an
             # unpruned in-degree-0 vertex
-            assert z not in w.out[x]
+            if z in w.out[x]:
+                raise InternalError(f"rule 4 found arc {x}-{z} beside {x}-{y}-{z}")
             w.add_arc(x, z)
             changed = True
             progress = True
@@ -254,9 +259,11 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
     """Tracking set of size <= k for all s-t paths of a DAG, or NO.
 
     After reduction, more than 2^k paths (or n > 5 * 2^k, which implies it)
-    is an immediate NO. Otherwise subsets are scanned by size then
-    lexicographic order, so the witness is the minimum one. The witness is
-    reported in the input graph's vertex ids.
+    is an immediate NO. Otherwise the paths become vertex bitmasks, and the
+    hitting-set search over their minimal pairwise symmetric differences
+    deepens from ceil(lg p). The witness is the minimum tracking set that
+    is lexicographically least among the reduced DAG's vertices, reported
+    in the input graph's vertex ids.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -265,6 +272,7 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
         return SolveReport("YES", witness=(), reductions=deleted,
                            reason="reduced to a singleton")
     base = reduced.base
+    k = min(k, base.n)  # all n vertices always track, so a larger k changes nothing
     cap = 2 ** k
     if base.n > 5 * cap:
         return SolveReport("NO", reductions=deleted, paths=-(-base.n // 5),
@@ -280,19 +288,16 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
                            reason=f"more than 2^{k} paths need more than {k} trackers")
     masks = _path_masks(base)
     p = len(masks)
-    assert p == pc.value
-    tried = 0
-    for size in range(k + 1):
-        for combo in combinations(range(base.n), size):
-            tried += 1
-            tmask = 0
-            for v in combo:
-                tmask |= 1 << v
-            seen = {m & tmask for m in masks}
-            if len(seen) == p:
-                assert verify_tracking_condition(base, frozenset(combo))
-                witness = tuple(sorted(reduced.relabeling.map_set(combo)))
-                return SolveReport("YES", witness=witness, paths=p,
-                                   reductions=deleted, subsets_tried=tried)
-    return SolveReport("NO", paths=p, reductions=deleted, subsets_tried=tried,
-                       reason=f"no tracking set of size <= {k} (subset scan exhausted)")
+    if p != pc.value:
+        raise InternalError(f"{p} paths enumerated but {pc.value} counted")
+    found, tried = hitting_search(minimal_differences(masks), k,
+                                  lower=tracking_lower_bound(p))
+    if found is None:
+        return SolveReport("NO", paths=p, reductions=deleted, subsets_tried=tried,
+                           reason=f"no tracking set of size <= {k} (search exhausted)")
+    trackers = from_mask(found)
+    if not verify_tracking_condition(base, trackers):
+        raise InternalError("search witness fails the tracking condition")
+    witness = tuple(sorted(reduced.relabeling.map_set(trackers)))
+    return SolveReport("YES", witness=witness, paths=p,
+                       reductions=deleted, subsets_tried=tried)

@@ -19,3 +19,7 @@ class CapExceeded(Exception):
     def __init__(self, count: int):
         super().__init__(f"path cap exceeded: {count} paths materialized")
         self.count = count
+
+
+class InternalError(Exception):
+    """Raised when a solver self-check fails: the program, not the input, is wrong."""

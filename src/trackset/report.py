@@ -20,7 +20,7 @@ class SolveReport:
     paths: Optional[int] = None       # paths/sets counted, None if not counted
     paths_saturated: bool = False     # True when `paths` is a saturated lower estimate
     reductions: int = 0               # vertices deleted by reduction rules
-    subsets_tried: int = 0
+    subsets_tried: int = 0            # candidate sets the hitting-set search tested
     reason: str = ""                  # NO reason, or a YES note (e.g. zero paths)
 
     @property

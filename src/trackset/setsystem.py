@@ -9,7 +9,10 @@ hitting them is equivalent to tracking the family.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+from .errors import InternalError
+from .report import SolveReport
 
 
 class SetSystem:
@@ -42,9 +45,12 @@ class SetSystem:
 
 
 class HittingInstance:
-    """Hitting-set instance built from the pairwise symmetric differences."""
+    """Hitting-set instance built from the pairwise symmetric differences.
 
-    __slots__ = ("universe_size", "family", "bound")
+    ``masks`` holds the same sets as ``family``, as int bitmasks.
+    """
+
+    __slots__ = ("universe_size", "family", "masks", "bound")
 
     def __init__(self, universe_size: int, family: Iterable[Iterable[int]],
                  bound: Optional[int] = None):
@@ -54,7 +60,26 @@ class HittingInstance:
                 raise ValueError("hitting family contains an empty set (infeasible)")
         self.universe_size = universe_size
         self.family = fam
+        self.masks = tuple(to_mask(s) for s in fam)
         self.bound = bound
+
+
+def to_mask(elements: Iterable[int]) -> int:
+    """Bitmask with bit e set for every element e."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
+
+
+def from_mask(mask: int) -> FrozenSet[int]:
+    """The elements whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def tracks(family: Sequence[FrozenSet[int]], trackers: FrozenSet[int]) -> bool:
@@ -75,76 +100,165 @@ def tracking_lower_bound(m: int) -> int:
     return (m - 1).bit_length()
 
 
+def minimal_differences(masks: Sequence[int]) -> List[int]:
+    """Inclusion-minimal pairwise symmetric differences of bitmask sets.
+
+    A set hits every difference iff it hits every minimal one, so the
+    superset-free family is an equivalent hitting instance. The family is
+    kept minimal while the pairs stream past, so memory stays at its size,
+    not at the number of distinct differences, which can approach the
+    number of pairs. Sorted by size, then by mask value.
+    """
+    minimal: List[int] = []
+    for a, b in combinations(masks, 2):
+        f = a ^ b
+        for g in minimal:
+            if g & f == g:
+                break
+        else:
+            minimal = [g for g in minimal if g & f != f]
+            minimal.append(f)
+    minimal.sort(key=lambda f: (f.bit_count(), f))
+    return minimal
+
+
 def reduce_to_hitting(sys: SetSystem) -> HittingInstance:
     """Symmetric-difference reduction: T tracks sys iff T hits the output.
 
-    Identical difference sets are deduplicated; this is semantics-preserving
-    for hitting.
+    Only the inclusion-minimal differences are kept; hitting those is
+    equivalent to hitting all of them.
     """
-    diffs = []
-    seen = set()
-    for r, s in combinations(sys.family, 2):
-        f = r ^ s
-        if f not in seen:
-            seen.add(f)
-            diffs.append(f)
-    diffs.sort(key=lambda f: (len(f), sorted(f)))
     bound = 2 * sys.d if sys.d is not None else None
-    return HittingInstance(sys.universe_size, diffs, bound)
+    diffs = minimal_differences([to_mask(s) for s in sys.family])
+    return HittingInstance(sys.universe_size, (from_mask(f) for f in diffs), bound)
+
+
+def hitting_search(sets: Sequence[int], k: int, lower: int = 0
+                   ) -> Tuple[Optional[int], int]:
+    """Minimum hitting set of size <= k of bitmask sets, or None.
+
+    Returns (mask, nodes), where nodes counts the candidate sets tested.
+    Deepens the size from ``lower`` (a valid lower bound on the minimum) to
+    min(k, |union of sets|), since a minimum hitting set lies inside the
+    union. Each pass picks elements in ascending order, so the first
+    hitting set found is the minimum one that is lexicographically least.
+    """
+    union = 0
+    for s in sets:
+        union |= s
+    nodes = 0
+    for size in range(lower, min(k, union.bit_count()) + 1):
+        found, tested = _search_size(sets, size)
+        nodes += tested
+        if found is not None:
+            return found, nodes
+    return None, nodes
+
+
+def _search_size(sets: Sequence[int], size: int) -> Tuple[Optional[int], int]:
+    """Lexicographically least hitting set of at most ``size`` ascending picks.
+
+    Depth-first with an explicit stack, so the depth is not bounded by the
+    recursion limit. A node is (sets its parent left unhit, picks so far,
+    last pick as a bit, picks left). Every remaining pick lies above the
+    last one, which gives three prunes: an unhit set with no element above
+    the last pick can no longer be hit; disjoint unhit sets need one pick
+    each (greedy packing); and the set with the smallest highest element
+    must be hit, so the next pick is at most that element. An element in no
+    unhit set is never picked, since a minimum set would not need it, and
+    the last pick must lie in every unhit set.
+    """
+    nodes = 0
+    stack = [(sets, 0, 0, size)]
+    while stack:
+        parent, chosen, pick, budget = stack.pop()
+        nodes += 1
+        unhit = [s for s in parent if not s & pick] if pick else parent
+        if not unhit:
+            return chosen, nodes
+        if not budget:
+            continue
+        above = -1 << pick.bit_length()
+        union = packed = 0
+        common = -1
+        need = 0
+        top = unhit[0].bit_length()
+        for s in unhit:
+            s &= above
+            if not s:
+                break
+            union |= s
+            common &= s
+            if not s & packed:
+                packed |= s
+                need += 1
+            if s.bit_length() < top:
+                top = s.bit_length()
+        else:
+            if need > budget:
+                continue
+            cand = union & ((1 << top) - 1)
+            if budget == 1:
+                cand &= common
+            kids = []
+            while cand:
+                low = cand & -cand
+                kids.append((unhit, chosen | low, low, budget - 1))
+                cand ^= low
+            stack.extend(reversed(kids))
+    return None, nodes
 
 
 def solve_hitting(h: HittingInstance, k: int) -> Optional[FrozenSet[int]]:
-    """Bounded-depth branching: hitting set of size <= k, or None.
-
-    Branches on the elements of the smallest unhit set, ascending, so the
-    witness is deterministic.
-    """
+    """Minimum, lexicographically least hitting set of size <= k, or None."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    family = sorted(h.family, key=lambda f: (len(f), sorted(f)))
-
-    def search(chosen: set, budget: int) -> Optional[FrozenSet[int]]:
-        unhit = None
-        for f in family:
-            if not (f & chosen):
-                if unhit is None or len(f) < len(unhit):
-                    unhit = f
-        if unhit is None:
-            return frozenset(chosen)
-        if budget == 0:
-            return None
-        for e in sorted(unhit):
-            chosen.add(e)
-            found = search(chosen, budget - 1)
-            chosen.discard(e)
-            if found is not None:
-                return found
+    found, _ = hitting_search(h.masks, k)
+    if found is None:
         return None
-
-    witness = search(set(), k)
-    if witness is not None:
-        assert all(witness & f for f in h.family)
+    witness = from_mask(found)
+    if not all(witness & f for f in h.family):
+        raise InternalError("hitting-set search returned a set that misses a member")
     return witness
 
 
-def solve_tracking_set(sys: SetSystem, k: int) -> Optional[FrozenSet[int]]:
-    """Tracking set of size <= k for the set system, or None.
+def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
+    """Minimum tracking set of size <= k for the set system, or NO.
 
     Families of size <= 1 are tracked by the empty set. Otherwise the
-    ceil(lg m) lower bound gates immediately, then the hitting-set route
-    decides. Any witness is re-verified against the definition.
+    ceil(lg m) lower bound gates immediately, then the hitting-set search
+    over the minimal symmetric differences decides. The witness is the
+    minimum one that is lexicographically least, and it is re-verified
+    against the definition.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = len(sys.family)
     if m <= 1:
-        return frozenset()
-    if k < tracking_lower_bound(m):
-        return None
-    witness = solve_hitting(reduce_to_hitting(sys), k)
-    if witness is not None:
-        assert tracks(sys.family, witness)
-    return witness
+        return SolveReport("YES", witness=(), paths=m,
+                           reason="at most one set; empty tracking set suffices")
+    lb = tracking_lower_bound(m)
+    if k < lb:
+        return SolveReport("NO", paths=m,
+                           reason=f"lower bound ceil(lg {m}) = {lb} exceeds k = {k}")
+    found, tried = hitting_search(reduce_to_hitting(sys).masks, k, lower=lb)
+    if found is None:
+        return SolveReport("NO", paths=m, subsets_tried=tried,
+                           reason=f"no tracking set of size <= {k} (search exhausted)")
+    witness = from_mask(found)
+    if not tracks(sys.family, witness):
+        raise InternalError("hitting-set witness does not track the family")
+    return SolveReport("YES", witness=tuple(sorted(witness)), paths=m,
+                       subsets_tried=tried)
+
+
+def solve_tracking_set(sys: SetSystem, k: int) -> Optional[FrozenSet[int]]:
+    """Tracking set of size <= k for the set system, or None.
+
+    The witness of :func:`solve_set_system` as a set.
+    """
+    report = solve_set_system(sys, k)
+    return frozenset(report.witness) if report.result == "YES" else None
 
 
 def dualize(sys: SetSystem) -> SetSystem:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .dagtrack import solve_dag
-from .errors import CapExceeded, NoPathError
+from .errors import CapExceeded, InternalError, NoPathError
 from .graph import Digraph, Graph, VertexRelabeling, bfs_distances
 from .report import SolveReport
 from .setsystem import SetSystem, tracks
@@ -114,6 +114,7 @@ def solve_shortest_paths(g: Graph, k: int, cap: Optional[int] = None) -> SolveRe
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    k = min(k, g.n)  # all n vertices always track, so a larger k changes nothing
     try:
         lg, relab = reduce_rule_1(g)
     except NoPathError:
@@ -124,9 +125,11 @@ def solve_shortest_paths(g: Graph, k: int, cap: Optional[int] = None) -> SolveRe
     if witness is not None:
         try:
             paths = enumerate_shortest_paths(lg, cap if cap is not None else 2 ** k + 1)
-            assert tracks([frozenset(p) for p in paths], frozenset(witness))
         except CapExceeded:
             pass
+        else:
+            if not tracks([frozenset(p) for p in paths], frozenset(witness)):
+                raise InternalError("witness does not track the shortest paths")
         witness = tuple(sorted(relab.map_set(witness)))
     return SolveReport(rep.result, witness=witness, paths=rep.paths,
                        paths_saturated=rep.paths_saturated,

@@ -169,3 +169,65 @@ class TestGen:
         _, out1, _ = run(capsys, "gen", "--kind", "dag", "--seed", "9")
         _, out2, _ = run(capsys, "gen", "--kind", "dag", "--seed", "9")
         assert out1 == out2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("text,mode,module", [
+        (DIAMOND_DAG, "dag", "trackset.dagtrack"),
+        (FIVE_SETS, "setsystem", "trackset.setsystem"),
+    ], ids=["dag", "setsystem"])
+    def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch,
+                                       text, mode, module):
+        # the search hands back the empty set, which tracks neither instance
+        monkeypatch.setattr(f"{module}.hitting_search",
+                            lambda sets, k, lower=0: (0, 1))
+        path = write(tmp_path, "x.txt", text)
+        code, out, err = run(capsys, "solve", path, "--k", "3", "--mode", mode)
+        assert code == 4 and out == ""
+        assert "InternalError" in err
+
+    def test_unexpected_exception_exits_4(self, tmp_path, capsys, monkeypatch):
+        def crash(d, k):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("trackset.dagtrack.solve_dag", crash)
+        path = write(tmp_path, "d.dag", DIAMOND_DAG)
+        code, out, _ = run(capsys, "solve", path, "--k", "1")
+        assert code == 4 and out == ""
+
+    def test_verify_long_chain_without_enumeration(self, tmp_path, capsys):
+        # a true answer needs no path enumeration, whose recursion a
+        # 3,000-vertex chain would overflow
+        n = 3000
+        text = f"dag {n} 0 {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        path = write(tmp_path, "chain.dag", text)
+        code, out, _ = run(capsys, "verify", path, "--trackers", "1")
+        assert code == 0 and out == "tracking: true\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--k", "1", "--cap", "-1"],
+        ["solve", "--k", "1", "--mode", "setsystem", "--cap", "-1"],
+        ["count", "--cap", "-1"],
+        ["verify", "--trackers", "1", "--cap", "-1"],
+    ], ids=["solve", "solve-setsystem", "count", "verify"])
+    def test_negative_cap_is_input_error(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "d.graph", DIAMOND)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and out == "" and "cap must be nonnegative" in err
+
+    def test_setsystem_route_clamps_k_before_default_cap(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import trackset.shortest as shortest
+        caps = []
+        real = shortest.enumerate_shortest_paths
+
+        def spy(lg, cap=None):
+            caps.append(cap)
+            return real(lg, cap)
+
+        monkeypatch.setattr(shortest, "enumerate_shortest_paths", spy)
+        path = write(tmp_path, "d.graph", DIAMOND)
+        code, out, _ = run(capsys, "solve", path, "--k", "100000",
+                           "--mode", "setsystem")
+        assert code == 0 and "witness: 1\n" in out
+        assert caps == [2 ** 4 + 1]

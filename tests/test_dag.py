@@ -205,3 +205,18 @@ class TestSolveDag:
             assert rep.result == "YES"
             assert len(rep.witness) == best
             assert brute_is_tracking(paths, rep.witness)
+
+
+def test_solve_dag_clamps_k_before_the_path_gate(monkeypatch):
+    import trackset.dagtrack as dagtrack
+    caps = []
+    real = dagtrack.count_paths
+
+    def spy(d, cap=None):
+        caps.append(cap)
+        return real(d, cap)
+
+    monkeypatch.setattr(dagtrack, "count_paths", spy)
+    rep = solve_dag(diamond_dag(), 100000)
+    assert rep.result == "YES" and rep.witness == (1,)
+    assert caps == [2 ** 4]

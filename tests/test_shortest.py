@@ -168,3 +168,18 @@ class TestSolveShortestPaths:
             assert rep.result == "YES" and len(rep.witness) == r - 1
             if r >= 2:
                 assert solve_shortest_paths(g, r - 2).result == "NO"
+
+
+def test_solve_shortest_paths_clamps_k_before_the_default_cap(monkeypatch):
+    import trackset.shortest as shortest
+    caps = []
+    real = shortest.enumerate_shortest_paths
+
+    def spy(lg, cap=None):
+        caps.append(cap)
+        return real(lg, cap)
+
+    monkeypatch.setattr(shortest, "enumerate_shortest_paths", spy)
+    rep = solve_shortest_paths(diamond_graph(), 100000)
+    assert rep.result == "YES" and rep.witness == (1,)
+    assert caps == [2 ** 4 + 1]

@@ -2,7 +2,7 @@
 
 from .dagtrack import (PathCount, ReducedDag, count_paths, path_lower_bound,
                        reduce_dag, reduce_rule_2, reduce_rule_3, reduce_rule_4,
-                       solve_dag, verify_tracking_condition)
+                       solve_dag, verify_tracking_condition, violating_pair)
 from .errors import CapExceeded, CycleError, InternalError, NoPathError
 from .graph import (Digraph, Graph, VertexRelabeling, bfs_distances, level_of,
                     topological_order)
@@ -23,7 +23,7 @@ __all__ = [
     "solve_dag", "solve_hitting", "solve_set_system",
     "solve_shortest_paths", "solve_tracking_set", "to_dag", "to_set_system",
     "topological_order", "tracking_lower_bound", "tracks",
-    "verify_tracking_condition",
+    "verify_tracking_condition", "violating_pair",
 ]
 
 __version__ = "0.1.0"

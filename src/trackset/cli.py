@@ -9,6 +9,7 @@ identical inputs and flags, regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys as _sys
 import traceback
@@ -20,7 +21,7 @@ from .graph import Digraph, Graph
 from .instance_io import (ParseError, format_digraph, format_graph,
                           format_instance, parse_instance)
 from .report import SolveReport
-from .setsystem import solve_set_system, tracks
+from .setsystem import solve_set_system
 
 DEFAULT_MODE = {"graph": "shortest", "dag": "dag", "setsystem": "setsystem"}
 
@@ -47,33 +48,30 @@ def _oracle_check(report: SolveReport, family, universe: int, k: int):
     print("oracle: agree")
 
 
+def _oracle_paths(kind: str, inst, cap: Optional[int]):
+    """The DAG's s-t paths or the graph's shortest ones, in input ids, for the oracle."""
+    if kind == "dag":
+        return oracle.enumerate_all_paths(inst, cap=cap)
+    try:
+        lg, relab = shortest.reduce_rule_1(inst)
+    except NoPathError:
+        return []
+    return [relab.map_set(p) for p in shortest.enumerate_shortest_paths(lg, cap=cap)]
+
+
 def _cmd_solve(args) -> int:
     kind, inst = _load(args.input)
     mode = args.mode or DEFAULT_MODE[kind]
-    if mode == "shortest":
-        if kind != "graph":
-            print("mode shortest requires a graph instance", file=_sys.stderr)
+    if mode in ("shortest", "dag"):
+        needs = "graph" if mode == "shortest" else "dag"
+        if kind != needs:
+            print(f"mode {mode} requires a {needs} instance", file=_sys.stderr)
             return 2
-        report = shortest.solve_shortest_paths(inst, args.k, cap=args.cap)
+        report = (shortest.solve_shortest_paths(inst, args.k, cap=args.cap)
+                  if kind == "graph" else dagtrack.solve_dag(inst, args.k))
         code = _emit(report, args.json)
         if args.oracle:
-            try:
-                lg, relab = shortest.reduce_rule_1(inst)
-                paths = shortest.enumerate_shortest_paths(lg, cap=args.cap)
-                family = [relab.map_set(p) for p in paths]
-            except NoPathError:
-                family = []
-            _oracle_check(report, family, inst.n, args.k)
-        return code
-    if mode == "dag":
-        if kind != "dag":
-            print("mode dag requires a dag instance", file=_sys.stderr)
-            return 2
-        report = dagtrack.solve_dag(inst, args.k)
-        code = _emit(report, args.json)
-        if args.oracle:
-            family = oracle.enumerate_all_paths(inst, cap=args.cap)
-            _oracle_check(report, family, inst.n, args.k)
+            _oracle_check(report, _oracle_paths(kind, inst, args.cap), inst.n, args.k)
         return code
     # setsystem mode: native set systems, or graphs via path enumeration
     if kind == "graph":
@@ -89,9 +87,7 @@ def _cmd_solve(args) -> int:
                 lg, args.cap if args.cap is not None else 2 ** k + 1)
         except CapExceeded as exc:
             if args.cap is not None:
-                print(f"cap exceeded without decision ({exc.count} paths)",
-                      file=_sys.stderr)
-                return 3
+                raise  # main reports it as exit 3
             return _emit(SolveReport(
                 "NO", paths=exc.count, paths_saturated=True,
                 reason=f"more than 2^{k} shortest paths need more than "
@@ -163,16 +159,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _find_violating_pair(paths, trackers):
-    seen = {}
-    for p in paths:
-        key = frozenset(p) & trackers
-        if key in seen:
-            return seen[key], p
-        seen[key] = p
-    return None
-
-
 def _cmd_verify(args) -> int:
     kind, inst = _load(args.input)
     trackers = frozenset(args.trackers)
@@ -182,18 +168,15 @@ def _cmd_verify(args) -> int:
             print(f"tracker id out of range: {v}", file=_sys.stderr)
             return 2
     if kind == "setsystem":
-        ok = tracks(inst.family, trackers)
-        print(f"tracking: {'true' if ok else 'false'}")
-        if not ok:
-            seen = {}
-            for idx, s in enumerate(inst.family):
-                key = s & trackers
-                if key in seen:
-                    print(f"violating sets: {seen[key]} {idx}")
-                    break
-                seen[key] = idx
-        return 0 if ok else 1
+        first = {}
+        for idx, s in enumerate(inst.family):
+            if (j := first.setdefault(s & trackers, idx)) != idx:
+                print(f"tracking: false\nviolating sets: {j} {idx}")
+                return 1
+        print("tracking: true")
+        return 0
 
+    # the tracking condition decides and builds the pair; only the oracle lists paths
     if kind == "graph":
         try:
             lg, relab = shortest.reduce_rule_1(inst)
@@ -201,31 +184,21 @@ def _cmd_verify(args) -> int:
             print("tracking: true")
             print("# no s-t path: vacuously tracked")
             return 0
-        paths = [tuple(sorted(relab.map_set(p)))
-                 for p in shortest.enumerate_shortest_paths(lg, cap=args.cap)]
-        ok = _find_violating_pair(paths, trackers) is None
+        pruned = shortest.to_dag(lg)
     else:
         pruned, relab = dagtrack.reduce_rule_2(inst)
-        inv = {old: new for new, old in enumerate(relab.to_original)}
-        mapped = frozenset(inv[v] for v in trackers if v in inv)
-        ok = dagtrack.verify_tracking_condition(pruned, mapped)
-        # paths are enumerated only to print a violating pair or to consult
-        # the oracle; a true answer needs none of them
-        if args.oracle or not ok:
-            paths = [tuple(sorted(p))
-                     for p in oracle.enumerate_all_paths(inst, cap=args.cap)]
-        if args.oracle:
-            if oracle.brute_is_tracking(paths, trackers) != ok:
-                raise InternalError("oracle disagrees with tracking-condition verifier")
-            print("oracle: agree")
+    inv = {old: new for new, old in enumerate(relab.to_original)}
+    pair = dagtrack.violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv))
+    ok = pair is None
+    if args.oracle:
+        if oracle.brute_is_tracking(_oracle_paths(kind, inst, args.cap), trackers) != ok:
+            raise InternalError("oracle disagrees with tracking-condition verifier")
+        print("oracle: agree")
     print(f"tracking: {'true' if ok else 'false'}")
     if not ok:
-        pair = _find_violating_pair(paths, trackers)
-        if pair is None:
-            raise InternalError("no violating pair among the paths of a non-tracking set")
         print("violating paths:")
         for p in pair:
-            print("  " + " ".join(str(v) for v in p))
+            print("  " + " ".join(str(v) for v in sorted(relab.map_set(p))))
     return 0 if ok else 1
 
 
@@ -243,6 +216,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# built on the first call, not at import; calls share its defaults, so never mutate args
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trackset",
@@ -276,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check whether a given set is a tracking set")
     p.add_argument("input")
     p.add_argument("--trackers", type=int, nargs="*", default=[])
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, help="path enumeration cap for --oracle")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_verify)

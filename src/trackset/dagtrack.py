@@ -4,8 +4,8 @@ Pipeline: prune to the fixpoint of three reduction rules, gate on path
 count lower bounds, then turn the s-t paths into vertex bitmasks and hand
 their minimal pairwise symmetric differences to the hitting-set search in
 :mod:`trackset.setsystem`: a vertex set tracks the paths iff it hits every
-difference. The per-pair path verifier gives an equivalent polynomial
-check for a candidate set.
+difference. For a candidate set, the tracking condition gives an
+equivalent polynomial check that also builds a violating pair of paths.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class _Work:
     """Mutable arc-set view of a digraph used while applying rules."""
 
     def __init__(self, d: Digraph):
-        self.n_orig = d.n
         self.alive = set(range(d.n))
         self.out = {v: set(d.out_adj[v]) for v in range(d.n)}
         self.inc = {v: set(d.in_adj[v]) for v in range(d.n)}
@@ -126,24 +125,26 @@ def _apply_rule_3(w: _Work) -> Tuple[bool, bool]:
 
 
 def _apply_rule_4(w: _Work) -> bool:
-    """Contract arcs between adjacent interior degree-2 vertices."""
+    """Contract adjacent interior degree-2 vertices into the smaller id."""
     changed = False
     progress = True
     while progress:
         progress = False
         for x in sorted(w.alive):
-            if x in (w.s, w.t) or w.degree(x) != 2 or not w.out[x]:
+            if x in (w.s, w.t) or w.degree(x) != 2 or len(w.out[x]) != 1:
                 continue
             y = next(iter(w.out[x]))
             if y in (w.s, w.t) or w.degree(y) != 2 or not w.out[y]:
                 continue
-            z = next(iter(w.out[y]))
-            w.remove_vertex(y)
-            # no x-z arc can pre-exist: it would imply a cycle or an
+            a, z = next(iter(w.inc[x])), next(iter(w.out[y]))
+            # x and y lie on the same paths: keep the smaller id, as witnesses are lex-least
+            drop, (u, v) = (y, (x, z)) if x < y else (x, (a, y))
+            w.remove_vertex(drop)
+            # no u-v arc can pre-exist: it would imply a cycle or an
             # unpruned in-degree-0 vertex
-            if z in w.out[x]:
-                raise InternalError(f"rule 4 found arc {x}-{z} beside {x}-{y}-{z}")
-            w.add_arc(x, z)
+            if v in w.out[u]:
+                raise InternalError(f"rule 4 found arc {u}-{v} beside {a}-{x}-{y}-{z}")
+            w.add_arc(u, v)
             changed = True
             progress = True
     return changed
@@ -166,7 +167,7 @@ def reduce_rule_3(d: Digraph) -> Tuple[Optional[Digraph], VertexRelabeling]:
 
 
 def reduce_rule_4(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
-    """Remove the second of two adjacent interior degree-2 vertices."""
+    """Contract adjacent interior degree-2 vertices, keeping the smaller id."""
     w = _Work(d)
     _apply_rule_4(w)
     return w.to_digraph()
@@ -214,31 +215,56 @@ def path_lower_bound(rd: ReducedDag) -> int:
 
 
 def verify_tracking_condition(d: Digraph, trackers: FrozenSet[int]) -> bool:
-    """Polynomial tracking-set check for a DAG whose every vertex and arc
-    lies on an s-t path.
+    """True iff ``trackers`` track every s-t path of ``d``; see :func:`violating_pair`."""
+    return violating_pair(d, frozenset(trackers)) is None
 
-    True iff for every pair u, v drawn from trackers plus {s, t}, at most
-    one u-v path survives once all other trackers are removed.
-    """
-    trackers = frozenset(trackers)
-    nodes = sorted(trackers | {d.s, d.t})
-    topo = topological_order(d)
-    for u in nodes:
-        for v in nodes:
-            if u == v:
-                continue
-            blocked = trackers - {u, v}
-            counts = [0] * d.n
-            counts[u] = 1
-            for w in topo:
-                if counts[w] == 0 or w in blocked:
-                    continue
+
+def violating_pair(d: Digraph, trackers: FrozenSet[int]
+                   ) -> Optional[Tuple[List[int], List[int]]]:
+    """Two s-t paths of ``d`` that meet ``trackers`` in the same set, or None.
+
+    ``d`` is a DAG whose every vertex lies on an s-t path. A saturating count
+    pass per u in trackers + {s} counts the u-v paths with no tracker inside;
+    two for a v in trackers + {t} is a violation. O(|trackers| (n + m)) time."""
+    topo, ends = topological_order(d), sorted(trackers | {d.t})
+    for u in sorted(trackers | {d.s}):
+        counts = [0] * d.n
+        counts[u] = 1
+        for w in topo:
+            if counts[w] and (w == u or w not in trackers):
                 for x in d.out_adj[w]:
-                    if x not in blocked:
-                        counts[x] = min(2, counts[x] + counts[w])
-            if counts[v] >= 2:
-                return False
-    return True
+                    counts[x] = min(2, counts[x] + counts[w])
+        v = next((v for v in ends if counts[v] == 2), None)
+        if v is not None:
+            p, q = _pair_through(d, counts, trackers, u, v)
+            if p == q or trackers.intersection(p) != trackers.intersection(q):
+                raise InternalError(f"built pair {p} / {q} is not a violating pair")
+            return p, q
+    return None
+
+
+def _pair_through(d: Digraph, counts: List[int], trackers: FrozenSet[int],
+                  u: int, v: int) -> Tuple[List[int], ...]:
+    """Two s-t paths with a shared s-u prefix and v-t suffix whose u-v parts
+    differ and avoid the trackers inside, from a pass out of u that gave v two."""
+    def carriers(x):  # in-neighbours that passed u-paths on to x
+        return [w for w in d.in_adj[x] if counts[w] and (w == u or w not in trackers)]
+
+    def walk(path, step, stop):
+        while path[-1] != stop:
+            path.append(step(path[-1]))
+        return path
+
+    # a lone carrier of a vertex with two paths has two paths itself, so
+    # walking back from v reaches a vertex where two carriers branch off
+    join = [v]
+    while len(branch := carriers(join[-1])) == 1:
+        join.append(branch[0])
+    # in a pruned DAG any in-arc leads back to s and any out-arc on to t
+    head = walk([u], lambda x: d.in_adj[x][0], d.s)[:0:-1]
+    tail = walk(join[::-1], lambda x: d.out_adj[x][0], d.t)
+    return tuple(head + walk([w], lambda x: carriers(x)[0], u)[::-1] + tail
+                 for w in branch[:2])
 
 
 def _path_masks(d: Digraph) -> List[int]:

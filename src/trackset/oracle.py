@@ -16,25 +16,24 @@ MAX_UNIVERSE = 20
 
 
 def enumerate_all_paths(d: Digraph, cap: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """All s-t paths of a DAG by plain DFS, as vertex tuples.
+    """All s-t paths of a DAG by DFS with an explicit stack, as vertex tuples.
 
     Raises CapExceeded once more than ``cap`` paths materialize.
     """
     paths: List[Tuple[int, ...]] = []
-    stack = [d.s]
-
-    def dfs(v: int):
-        if v == d.t:
-            paths.append(tuple(stack))
+    path, todo = [d.s], [iter(d.out_adj[d.s])]
+    while todo:
+        w = next(todo[-1], None)
+        if w is None:
+            todo.pop()
+            path.pop()
+        elif w == d.t:
+            paths.append(tuple(path) + (w,))
             if cap is not None and len(paths) > cap:
                 raise CapExceeded(len(paths))
-            return
-        for w in d.out_adj[v]:
-            stack.append(w)
-            dfs(w)
-            stack.pop()
-
-    dfs(d.s)
+        else:
+            path.append(w)
+            todo.append(iter(d.out_adj[w]))
     return paths
 
 

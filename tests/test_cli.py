@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import trackset
 
 from trackset.cli import main
 from trackset.instance_io import parse_instance
 
 DIAMOND = "graph 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
 DIAMOND_DAG = "dag 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
+CHAIN_DAG = "dag 3000 0 2999\n" + "".join(f"{i} {i + 1}\n" for i in range(2999))
 FIVE_SETS = "setsystem 3 5\n\n0\n1\n2\n0 1\n"
 
 
@@ -94,6 +100,13 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", path, "--k", "1", "--oracle")
         assert code == 0 and "oracle: agree" in out
 
+    def test_witness_is_least_over_input_ids(self, tmp_path, capsys):
+        # rule 4 must keep 0, not 5, of the degree-2 chain 0-3-4-5
+        path = write(tmp_path, "g.graph",
+                      "graph 7 2 3\n0 3\n0 6\n2 5\n2 6\n3 4\n4 5\n")
+        code, out, _ = run(capsys, "solve", path, "--k", "1")
+        assert code == 0 and "witness: 0\n" in out
+
 
 class TestReduce:
     def test_pendant_removed(self, tmp_path, capsys):
@@ -156,6 +169,50 @@ class TestCountVerify:
         code, out, _ = run(capsys, "verify", path, "--trackers", "1", "--oracle")
         assert code == 0 and "oracle: agree" in out
 
+    def test_verify_setsystem(self, tmp_path, capsys):
+        path = write(tmp_path, "f.ss", FIVE_SETS)
+        assert run(capsys, "verify", path, "--trackers", "0") == \
+            (1, "tracking: false\nviolating sets: 0 2\n", "")
+        assert run(capsys, "verify", path, "--trackers", "0", "1", "2") == \
+            (0, "tracking: true\n", "")
+
+    @pytest.mark.parametrize("trackers,code", [(["1"], 0), ([], 1)],
+                             ids=["true", "false"])
+    def test_verify_graph_oracle(self, tmp_path, capsys, trackers, code):
+        path = write(tmp_path, "d.graph", DIAMOND)
+        got, out, _ = run(capsys, "verify", path, "--oracle", "--trackers", *trackers)
+        assert got == code and out.startswith("oracle: agree\n")
+
+    def test_verify_oracle_on_long_chain(self, tmp_path, capsys):
+        # the oracle's path listing must not recurse once per vertex
+        path = write(tmp_path, "chain.dag", CHAIN_DAG)
+        code, out, _ = run(capsys, "verify", path, "--oracle", "--trackers", "1")
+        assert code == 0 and out == "oracle: agree\ntracking: true\n"
+
+    def test_verify_cap_bounds_only_the_oracle(self, tmp_path, capsys):
+        path = write(tmp_path, "d.graph", DIAMOND)
+        code, out, _ = run(capsys, "verify", path, "--cap", "1", "--trackers")
+        assert code == 1 and "tracking: false" in out
+        code, _, err = run(capsys, "verify", path, "--cap", "1", "--oracle", "--trackers")
+        assert code == 3 and "cap exceeded" in err
+
+    @pytest.mark.parametrize("text,trackers,code", [
+        (DIAMOND, ["1"], 0), (DIAMOND, ["0", "3"], 1),
+        (DIAMOND_DAG, ["2"], 0), (DIAMOND_DAG, [], 1),
+    ], ids=["graph-true", "graph-false", "dag-true", "dag-false"])
+    def test_verify_lists_no_paths(self, tmp_path, capsys, monkeypatch,
+                                   text, trackers, code):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify listed the paths")
+
+        monkeypatch.setattr("trackset.oracle.enumerate_all_paths", refuse)
+        monkeypatch.setattr("trackset.shortest.enumerate_shortest_paths", refuse)
+        path = write(tmp_path, "x.txt", text)
+        got, out, _ = run(capsys, "verify", path, "--trackers", *trackers)
+        assert got == code
+        if code:
+            assert out.splitlines()[1:] == ["violating paths:", "  0 1 3", "  0 2 3"]
+
 
 class TestGen:
     def test_gen_parses_back(self, tmp_path, capsys):
@@ -196,13 +253,26 @@ class TestExitCodes:
         assert code == 4 and out == ""
 
     def test_verify_long_chain_without_enumeration(self, tmp_path, capsys):
-        # a true answer needs no path enumeration, whose recursion a
-        # 3,000-vertex chain would overflow
-        n = 3000
-        text = f"dag {n} 0 {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
-        path = write(tmp_path, "chain.dag", text)
+        # a true answer lists no paths
+        path = write(tmp_path, "chain.dag", CHAIN_DAG)
         code, out, _ = run(capsys, "verify", path, "--trackers", "1")
         assert code == 0 and out == "tracking: true\n"
+
+    def test_verify_pair_check_survives_optimize(self, tmp_path):
+        # the built pair is checked by code that python -O keeps, not an assert
+        path = write(tmp_path, "d.dag", DIAMOND_DAG)
+        script = ("import sys\n"
+                  "import trackset.dagtrack as dagtrack\n"
+                  "from trackset.cli import main\n"
+                  "if not sys.flags.optimize:\n"
+                  "    sys.exit(99)\n"
+                  "dagtrack._pair_through = lambda *args: ([0, 1, 3], [0, 1, 3])\n"
+                  f"sys.exit(main(['verify', {path!r}]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trackset.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "InternalError" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--k", "1", "--cap", "-1"],
@@ -231,3 +301,18 @@ class TestExitCodes:
                            "--mode", "setsystem")
         assert code == 0 and "witness: 1\n" in out
         assert caps == [2 ** 4 + 1]
+
+
+def test_parser_is_built_on_the_first_call_only():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trackset.__file__)))
+    script = ("import io, contextlib\n"
+              "import trackset.cli as cli\n"
+              "before = cli.build_parser.cache_info().currsize\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    cli.main(['gen', '--kind', 'dag'])\n"
+              "    cli.main(['gen', '--kind', 'graph'])\n"
+              "info = cli.build_parser.cache_info()\n"
+              "print(before, info.misses, info.hits)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "0 1 1\n"

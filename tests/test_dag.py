@@ -87,6 +87,13 @@ class TestRule4:
         assert originals == {0, 1, 6, 7}
         assert (1, 7) in as_original_arcs(out, relab)
 
+    def test_chain_keeps_its_smallest_id(self):
+        # chain 0-4-3-2-1 beside 0-5-1: 2 stays, whatever the path order
+        arcs = [(0, 4), (4, 3), (3, 2), (2, 1), (0, 5), (5, 1)]
+        out, relab = reduce_rule_4(Digraph(6, arcs, 0, 1))
+        assert set(relab.to_original) == {0, 1, 2, 5}
+        assert {(0, 2), (2, 1)} <= set(as_original_arcs(out, relab))
+
 
 def test_reduce_dag_invariants():
     rng = random.Random(11)

@@ -5,13 +5,11 @@ For each random instance and every k, the decision must match
 of minimum size in ``itertools.combinations`` order, found here by brute
 force over the instance's own family.
 
-The DAG solver reports the least witness among the vertices its
-reductions keep. Rule 4 keeps the first vertex of each chain of interior
-degree-2 vertices, and every vertex of a chain lies on the same paths. So
-when every arc points from a smaller id to a larger one, the kept vertex
-is the chain's smallest, and the witness is also the least over all ids.
-The DAGs below are drawn with such ids, and the graphs are relabelled in
-breadth-first order from s, which gives their oriented DAGs such ids.
+Rule 4 keeps the smallest id of each chain of interior degree-2
+vertices, and every vertex of a chain lies on the same paths, so the
+witness is the least over all input ids, whatever the labelling. The
+``verify`` command is checked the same way: its exit code against the
+definition, and a printed violating pair against the path family.
 """
 
 import contextlib
@@ -21,14 +19,14 @@ import os
 import tempfile
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackset.cli import main
 from trackset.dagtrack import solve_dag
-from trackset.graph import Digraph, Graph, bfs_distances
-from trackset.instance_io import format_graph
-from trackset.oracle import brute_min_tracking, enumerate_all_paths
+from trackset.graph import Digraph, Graph
+from trackset.instance_io import format_digraph, format_graph
+from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
 from trackset.setsystem import SetSystem, reduce_to_hitting, solve_tracking_set
 from trackset.shortest import solve_shortest_paths
 
@@ -61,28 +59,30 @@ def check_route(family, universe, solve):
 
 
 @st.composite
-def forward_dags(draw):
-    """DAGs on at most 12 vertices whose arcs all point to a larger id."""
+def dags(draw):
+    """DAGs on at most 12 vertices, topologically ordered by a random permutation."""
     n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    s, t = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
-                                unique=True)))
-    return Digraph(n, [a for a, k in zip(pairs, keep) if k], s, t)
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return Digraph(n, [(order[a], order[b]) for (a, b), k in zip(pairs, keep) if k], s, t)
 
 
 @st.composite
-def bfs_labelled_graphs(draw):
-    """Graphs on at most 10 vertices, ids in breadth-first order from s."""
+def graphs(draw):
+    """Graphs on at most 10 vertices."""
     n = draw(st.integers(2, 10))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [a for a, k in zip(pairs, keep) if k]
-    t = draw(st.integers(1, n - 1))
-    dist = bfs_distances(Graph(n, edges, 0, t), 0)
-    order = sorted(range(n), key=lambda v: (dist[v] is None, dist[v] or 0, v))
-    new = {old: i for i, old in enumerate(order)}
-    return Graph(n, [(new[u], new[v]) for u, v in edges], 0, new[t])
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return Graph(n, [a for a, k in zip(pairs, keep) if k], s, t)
+
+
+@st.composite
+def with_trackers(draw, instances):
+    inst = draw(instances)
+    return inst, draw(st.sets(st.integers(0, inst.n - 1)))
 
 
 @st.composite
@@ -95,7 +95,8 @@ def set_systems(draw):
 
 
 @SETTINGS
-@given(forward_dags())
+@given(dags())
+@example(Digraph(6, [(0, 4), (4, 3), (3, 2), (2, 1), (0, 5), (5, 1)], 0, 1))
 def test_dag_route_matches_brute_force(d):
     def solve(k):
         rep = solve_dag(d, k)
@@ -105,7 +106,8 @@ def test_dag_route_matches_brute_force(d):
 
 
 @SETTINGS
-@given(bfs_labelled_graphs())
+@given(graphs())
+@example(Graph(7, [(0, 3), (0, 6), (2, 5), (2, 6), (3, 4), (4, 5)], 2, 3))
 def test_shortest_route_matches_brute_force(g):
     def solve(k):
         rep = solve_shortest_paths(g, k)
@@ -115,7 +117,7 @@ def test_shortest_route_matches_brute_force(g):
 
 
 @SETTINGS
-@given(bfs_labelled_graphs())
+@given(graphs())
 def test_cli_setsystem_route_on_graphs_matches_brute_force(g):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.txt")
@@ -150,3 +152,38 @@ def test_hitting_family_is_superset_free(sys):
     family = reduce_to_hitting(sys).family
     for a, b in combinations(family, 2):
         assert not a <= b and not b <= a
+
+
+def check_verify(text, paths, trackers):
+    """``verify`` decides as the definition does, and on false prints two
+    distinct members of ``paths`` that meet the trackers in the same set."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", path, "--trackers", *map(str, sorted(trackers))])
+    ok = brute_is_tracking(paths, trackers)
+    assert code == (0 if ok else 1)
+    if not ok:
+        lines = out.getvalue().splitlines()
+        pair = [frozenset(map(int, ln.split()))
+                for ln in lines[lines.index("violating paths:") + 1:]]
+        assert len(pair) == 2 and pair[0] != pair[1]
+        assert set(pair) <= {frozenset(p) for p in paths}
+        assert pair[0] & trackers == pair[1] & trackers
+
+
+@SETTINGS
+@given(with_trackers(dags()))
+def test_cli_verify_on_dags_matches_definition(case):
+    d, trackers = case
+    check_verify(format_digraph(d), enumerate_all_paths(d), trackers)
+
+
+@SETTINGS
+@given(with_trackers(graphs()))
+def test_cli_verify_on_graphs_matches_definition(case):
+    g, trackers = case
+    check_verify(format_graph(g), brute_shortest_path_sets(g), trackers)

@@ -168,37 +168,38 @@ def _cmd_verify(args) -> int:
             print(f"tracker id out of range: {v}", file=_sys.stderr)
             return 2
     if kind == "setsystem":
-        first = {}
+        first, pair = {}, None
         for idx, s in enumerate(inst.family):
             if (j := first.setdefault(s & trackers, idx)) != idx:
-                print(f"tracking: false\nviolating sets: {j} {idx}")
-                return 1
-        print("tracking: true")
-        return 0
-
-    # the tracking condition decides and builds the pair; only the oracle lists paths
-    if kind == "graph":
-        try:
-            lg, relab = shortest.reduce_rule_1(inst)
-        except NoPathError:
-            print("tracking: true")
-            print("# no s-t path: vacuously tracked")
-            return 0
-        pruned = shortest.to_dag(lg)
+                pair = (j, idx)
+                break
+        family = inst.family
+        shown = [f"violating sets: {j} {idx}"] if pair else []
     else:
-        pruned, relab = dagtrack.reduce_rule_2(inst)
-    inv = {old: new for new, old in enumerate(relab.to_original)}
-    pair = dagtrack.violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv))
+        # the tracking condition decides and builds the pair; only the oracle lists paths
+        if kind == "graph":
+            try:
+                lg, relab = shortest.reduce_rule_1(inst)
+            except NoPathError:
+                print("tracking: true")
+                print("# no s-t path: vacuously tracked")
+                return 0
+            pruned = shortest.to_dag(lg)
+        else:
+            pruned, relab = dagtrack.reduce_rule_2(inst)
+        inv = {old: new for new, old in enumerate(relab.to_original)}
+        pair = dagtrack.violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv))
+        family = _oracle_paths(kind, inst, args.cap) if args.oracle else None
+        shown = ["violating paths:", *("  " + " ".join(str(v) for v in sorted(relab.map_set(p)))
+                                       for p in pair)] if pair else []
     ok = pair is None
     if args.oracle:
-        if oracle.brute_is_tracking(_oracle_paths(kind, inst, args.cap), trackers) != ok:
-            raise InternalError("oracle disagrees with tracking-condition verifier")
+        if oracle.brute_is_tracking(family, trackers) != ok:
+            raise InternalError("oracle disagrees with the verifier")
         print("oracle: agree")
     print(f"tracking: {'true' if ok else 'false'}")
-    if not ok:
-        print("violating paths:")
-        for p in pair:
-            print("  " + " ".join(str(v) for v in sorted(relab.map_set(p))))
+    for line in shown:
+        print(line)
     return 0 if ok else 1
 
 
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check whether a given set is a tracking set")
     p.add_argument("input")
     p.add_argument("--trackers", type=int, nargs="*", default=[])
-    p.add_argument("--cap", type=int, help="path enumeration cap for --oracle")
+    p.add_argument("--cap", type=int, help="path enumeration cap for --oracle (graphs and DAGs)")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_verify)

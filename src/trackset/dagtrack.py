@@ -11,7 +11,7 @@ equivalent polynomial check that also builds a violating pair of paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
@@ -40,14 +40,16 @@ class PathCount:
 
 
 class _Work:
-    """Mutable arc-set view of a digraph used while applying rules."""
+    """Mutable arc-set view of a digraph's ``alive`` vertices used while applying rules."""
 
-    def __init__(self, d: Digraph):
-        self.alive = set(range(d.n))
-        self.out = {v: set(d.out_adj[v]) for v in range(d.n)}
-        self.inc = {v: set(d.in_adj[v]) for v in range(d.n)}
-        self.s = d.s
-        self.t = d.t
+    def __init__(self, alive: Iterable[int], arcs: Iterable[Tuple[int, int]], s: int, t: int):
+        self.alive = set(alive)
+        self.out = {v: set() for v in self.alive}
+        self.inc = {v: set() for v in self.alive}
+        for u, v in arcs:
+            self.add_arc(u, v)
+        self.s = s
+        self.t = t
 
     def remove_arc(self, u: int, v: int):
         self.out[u].discard(v)
@@ -64,9 +66,6 @@ class _Work:
             self.remove_arc(v, w)
         self.alive.discard(v)
 
-    def degree(self, v: int) -> int:
-        return len(self.out[v]) + len(self.inc[v])
-
     def to_digraph(self) -> Tuple[Digraph, VertexRelabeling]:
         keep = sorted(self.alive)
         newid = {old: i for i, old in enumerate(keep)}
@@ -75,119 +74,119 @@ class _Work:
         return d, VertexRelabeling(keep)
 
 
-def _apply_rule_2(w: _Work) -> bool:
-    """Delete everything not on an s-t path. Returns True if anything changed."""
-    changed = False
-    for u in list(w.inc[w.s]):
-        w.remove_arc(u, w.s)
-        changed = True
-    for v in list(w.out[w.t]):
-        w.remove_arc(w.t, v)
-        changed = True
-    queue = [v for v in w.alive
-             if v not in (w.s, w.t) and (not w.out[v] or not w.inc[v])]
-    while queue:
-        v = queue.pop()
-        if v not in w.alive:
-            continue
-        neighbors = w.inc[v] | w.out[v]
-        w.remove_vertex(v)
-        changed = True
-        for u in neighbors:
-            if u in w.alive and u not in (w.s, w.t) and (not w.out[u] or not w.inc[u]):
-                queue.append(u)
-    return changed
+def _reach(adj: Tuple[Tuple[int, ...], ...], src: int, stop: int, allowed: bytearray) -> bytearray:
+    """Marks of the vertices reached from ``src`` through allowed ones, not going past ``stop``."""
+    seen = bytearray(len(adj))
+    seen[src] = 1
+    stack = [src]
+    while stack:
+        for x in adj[stack.pop()]:
+            if allowed[x] and not seen[x]:
+                seen[x] = 1
+                if x != stop:
+                    stack.append(x)
+    return seen
 
 
-def _apply_rule_3(w: _Work) -> Tuple[bool, bool]:
+def _pruned(d: Digraph) -> _Work:
+    """Rule 2 as reachability: the vertices and arcs of ``d`` on s-t paths, plus s and t.
+
+    A vertex lies on an s-t path iff s reaches it without passing t and it
+    reaches t without passing s; the backward search goes only through the
+    forward one's vertices, so it marks exactly those. In a DAG every arc
+    between marked vertices, except one into s or out of t, lies on an s-t
+    path. O(n + m) time.
+    """
+    s, t = d.s, d.t
+    on = _reach(d.in_adj, t, s, _reach(d.out_adj, s, t, bytearray(b"\1") * d.n))
+    keep = [v for v in range(d.n) if on[v] or v == s]
+    arcs = [(u, v) for u in keep if u != t for v in d.out_adj[u] if on[v] and v != s]
+    return _Work(keep, arcs, s, t)
+
+
+def _apply_rule_3(w: _Work) -> bool:
     """Move a degree-1 endpoint onto its neighbor.
 
-    Returns (changed, singleton); singleton means the graph collapsed to
-    one vertex, which is a trivial YES instance.
+    Returns True when the graph collapsed to one vertex, which is a trivial
+    YES instance.
     """
-    changed = False
-    while True:
-        if w.s == w.t:
-            return changed, True
-        if w.degree(w.s) == 1 and w.out[w.s]:
+    while w.s != w.t:
+        if len(w.out[w.s]) == 1 and not w.inc[w.s]:
             u = next(iter(w.out[w.s]))
             w.remove_vertex(w.s)
             w.s = u
-            changed = True
-            continue
-        if w.degree(w.t) == 1 and w.inc[w.t]:
+        elif len(w.inc[w.t]) == 1 and not w.out[w.t]:
             v = next(iter(w.inc[w.t]))
             w.remove_vertex(w.t)
             w.t = v
-            changed = True
+        else:
+            return False
+    return True
+
+
+def _apply_rule_4(w: _Work):
+    """Collapse each maximal chain of interior in-1/out-1 vertices onto its least id.
+
+    A chain's vertices lie on the same paths, so keeping the least keeps
+    witnesses lex-least. One pass: each chain is walked once, from its
+    head, the member whose in-neighbour is no member. A collapse leaves the
+    degrees of every other vertex as they were, so no new chain forms.
+    """
+    def inner(v):
+        return v != w.s and v != w.t and len(w.inc[v]) == 1 and len(w.out[v]) == 1
+
+    for head in list(w.alive):
+        if not inner(head) or inner(a := next(iter(w.inc[head]))):
             continue
-        return changed, False
-
-
-def _apply_rule_4(w: _Work) -> bool:
-    """Contract adjacent interior degree-2 vertices into the smaller id."""
-    changed = False
-    progress = True
-    while progress:
-        progress = False
-        for x in sorted(w.alive):
-            if x in (w.s, w.t) or w.degree(x) != 2 or len(w.out[x]) != 1:
-                continue
-            y = next(iter(w.out[x]))
-            if y in (w.s, w.t) or w.degree(y) != 2 or not w.out[y]:
-                continue
-            a, z = next(iter(w.inc[x])), next(iter(w.out[y]))
-            # x and y lie on the same paths: keep the smaller id, as witnesses are lex-least
-            drop, (u, v) = (y, (x, z)) if x < y else (x, (a, y))
-            w.remove_vertex(drop)
-            # no u-v arc can pre-exist: it would imply a cycle or an
-            # unpruned in-degree-0 vertex
-            if v in w.out[u]:
-                raise InternalError(f"rule 4 found arc {u}-{v} beside {a}-{x}-{y}-{z}")
-            w.add_arc(u, v)
-            changed = True
-            progress = True
-    return changed
+        chain = [head]
+        while inner(z := next(iter(w.out[chain[-1]]))):
+            chain.append(z)
+        keep = min(chain)
+        for v in chain:
+            if v != keep:
+                w.remove_vertex(v)
+        w.add_arc(a, keep)
+        w.add_arc(keep, z)
+        # a and z lie outside the chain in a DAG, so keep now sits between them alone
+        if w.inc[keep] != {a} or w.out[keep] != {z}:
+            raise InternalError(f"rule 4 left {keep} between {w.inc[keep]} and {w.out[keep]}")
 
 
 def reduce_rule_2(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
     """Delete vertices and arcs on no s-t path (s and t always survive)."""
-    w = _Work(d)
-    _apply_rule_2(w)
-    return w.to_digraph()
+    return _pruned(d).to_digraph()
 
 
 def reduce_rule_3(d: Digraph) -> Tuple[Optional[Digraph], VertexRelabeling]:
     """Collapse degree-1 endpoints; None means reduced to a singleton."""
-    w = _Work(d)
-    _, singleton = _apply_rule_3(w)
-    if singleton:
+    w = _Work(range(d.n), d.arcs, d.s, d.t)
+    if _apply_rule_3(w):
         return None, VertexRelabeling([w.s])
     return w.to_digraph()
 
 
 def reduce_rule_4(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
-    """Contract adjacent interior degree-2 vertices, keeping the smaller id."""
-    w = _Work(d)
+    """Contract chains of interior in-1/out-1 vertices, keeping the least id."""
+    w = _Work(range(d.n), d.arcs, d.s, d.t)
     _apply_rule_4(w)
     return w.to_digraph()
 
 
 def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
-    """Apply rules 2, 3, 4 in a loop until a full pass changes nothing.
+    """Apply rules 2, 3 and 4 once each, in that order, which reaches their fixpoint.
+
+    Rule 2 leaves only vertices on s-t paths and rules 3 and 4 keep it so.
+    Rule 3 only deletes s or t and makes its neighbour the new endpoint, so
+    it changes no interior vertex's degree, and rule 4 changes neither
+    deg(s) nor deg(t): neither makes the other fire again.
 
     Returns (reduced, vertices_deleted); reduced is None when the graph
     collapsed to a singleton (trivially YES).
     """
-    w = _Work(d)
-    while True:
-        c2 = _apply_rule_2(w)
-        c3, singleton = _apply_rule_3(w)
-        if singleton:
-            return None, d.n - 1
-        c4 = _apply_rule_4(w)
-        if not (c2 or c3 or c4):
-            break
+    w = _pruned(d)
+    if _apply_rule_3(w):
+        return None, d.n - 1
+    _apply_rule_4(w)
     base, relab = w.to_digraph()
     return ReducedDag(base, relab), d.n - base.n
 

@@ -9,6 +9,14 @@ class NoPathError(Exception):
     """Raised when no s-t path exists where one is required."""
 
 
+class EdgeError(ValueError):
+    """Raised by a graph constructor for one bad input edge; ``index`` is its position."""
+
+    def __init__(self, index: int, msg: str):
+        super().__init__(msg)
+        self.index = index
+
+
 class CapExceeded(Exception):
     """Raised when an enumeration produces more paths than the caller's cap.
 

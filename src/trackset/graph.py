@@ -9,46 +9,58 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import CycleError
+from .errors import CycleError, EdgeError
+
+
+def _sorted_pairs(n: int, pairs: Iterable[Tuple[int, int]], undirected: bool) -> list:
+    """Check the pairs in input order; return them ascending, undirected ones as (min, max).
+
+    Raises EdgeError with the index of the first bad pair.
+    """
+    seen = set()
+    for i, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeError(i, f"endpoint out of range: {u} {v}")
+        if u == v:
+            raise EdgeError(i, f"self-loop at vertex {u}")
+        e = (v, u) if undirected and v < u else (u, v)
+        if e in seen:
+            raise EdgeError(i, f"duplicate {'edge' if undirected else 'arc'} {u} {v}")
+        seen.add(e)
+    return sorted(seen)
+
+
+def _check_ends(n: int, s: int, t: int):
+    if n < 2:
+        raise ValueError("need at least two vertices (s and t)")
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError("s and t must be vertex ids below n")
+    if s == t:
+        raise ValueError("s and t must differ")
 
 
 class Graph:
     """Simple undirected s-t graph.
 
     Rejects self-loops, duplicate edges, out-of-range endpoints and s == t
-    at construction time.
+    at construction time; edges are checked first, in input order.
     """
 
     __slots__ = ("n", "edges", "s", "t", "adj")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]], s: int, t: int):
-        if n < 2:
-            raise ValueError("need at least two vertices (s and t)")
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError("s and t must be vertex ids below n")
-        if s == t:
-            raise ValueError("s and t must differ")
-        seen = set()
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: {u} {v}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e[0]} {e[1]}")
-            seen.add(e)
-            norm.append(e)
+        self.edges = tuple(_sorted_pairs(n, edges, undirected=True))
+        _check_ends(n, s, t)
         self.n = n
-        self.edges = tuple(sorted(norm))
         self.s = s
         self.t = t
+        # edges ascend with u < v, so adj[x] gets its smaller neighbours (edges
+        # (u, x)) in order before its larger ones: no list needs a sort
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -58,7 +70,7 @@ class Graph:
 
 
 class Digraph:
-    """Simple directed s-t graph with in/out adjacency.
+    """Simple directed s-t graph with in/out adjacency, validated as Graph is.
 
     Acyclicity is not enforced here; use :func:`topological_order`, which
     reports a cycle, so that parsers can reject cyclic input explicitly.
@@ -67,32 +79,19 @@ class Digraph:
     __slots__ = ("n", "arcs", "s", "t", "out_adj", "in_adj")
 
     def __init__(self, n: int, arcs: Iterable[Tuple[int, int]], s: int, t: int):
-        if n < 2:
-            raise ValueError("need at least two vertices (s and t)")
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError("s and t must be vertex ids below n")
-        if s == t:
-            raise ValueError("s and t must differ")
-        seen = set()
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc endpoint out of range: {u} {v}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc {u} {v}")
-            seen.add((u, v))
+        self.arcs = tuple(_sorted_pairs(n, arcs, undirected=False))
+        _check_ends(n, s, t)
         self.n = n
-        self.arcs = tuple(sorted(seen))
         self.s = s
         self.t = t
+        # arcs ascend, so every list fills in ascending order and needs no sort
         out_adj = [[] for _ in range(n)]
         in_adj = [[] for _ in range(n)]
         for u, v in self.arcs:
             out_adj[u].append(v)
             in_adj[v].append(u)
-        self.out_adj = tuple(tuple(sorted(a)) for a in out_adj)
-        self.in_adj = tuple(tuple(sorted(a)) for a in in_adj)
+        self.out_adj = tuple(map(tuple, out_adj))
+        self.in_adj = tuple(map(tuple, in_adj))
 
     def out_degree(self, v: int) -> int:
         return len(self.out_adj[v])

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from typing import Tuple, Union
 
-from .errors import CycleError
+from .errors import CycleError, EdgeError
 from .graph import Digraph, Graph, topological_order
 from .setsystem import SetSystem
 
 Instance = Union[Graph, Digraph, SetSystem]
+
+# Largest n a header may name: a graph allocates 64 bytes or more per vertex
+# whatever its edge count, so a one-line file could ask for gigabytes.
+MAX_IDS = 10**6
 
 
 class ParseError(Exception):
@@ -28,9 +32,9 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _int_fields(payload: str, line_no: int) -> list[int]:
+def _int_fields(tokens: list[str], line_no: int) -> list[int]:
     fields = []
-    for tok in payload.split():
+    for tok in tokens:
         try:
             fields.append(int(tok))
         except ValueError:
@@ -42,8 +46,8 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
     """Parse an instance file; returns (kind, instance).
 
     Raises ParseError with a 1-based line number on malformed input,
-    including duplicate edges, self-loops, cyclic 'dag' payloads and
-    duplicate family sets.
+    including duplicate edges, self-loops, cyclic 'dag' payloads, duplicate
+    family sets and headers naming more than MAX_IDS ids.
     """
     lines = text.splitlines()
     header_no = None
@@ -58,34 +62,29 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
     if kind in ("graph", "dag"):
         if len(header) != 4:
             raise ParseError(header_no, f"expected '{kind} n s t'")
-        n, s, t = _int_fields(" ".join(header[1:]), header_no)
-        edges = []
+        n, s, t = _int_fields(header[1:], header_no)
+        if n > MAX_IDS:
+            raise ParseError(header_no, f"n = {n} is above the limit of {MAX_IDS}")
+        # the constructor checks the pairs and names the first bad one by index
+        pairs, line_nos = [], []
         for i in range(header_no, len(lines)):
-            payload = _strip(lines[i])
-            if not payload:
-                continue
-            fields = _int_fields(payload, i + 1)
-            if len(fields) != 2:
-                raise ParseError(i + 1, "expected 'u v'")
-            edges.append((fields[0], fields[1], i + 1))
-        seen = set()
-        pairs = []
-        for u, v, line_no in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(line_no, f"endpoint out of range: {u} {v}")
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            key = (u, v) if kind == "dag" else (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(line_no, f"duplicate {'arc' if kind == 'dag' else 'edge'} {u} {v}")
-            seen.add(key)
-            pairs.append((u, v))
+            tokens = lines[i].split("#", 1)[0].split()
+            if tokens:
+                try:
+                    u, v = tokens
+                    pairs.append((int(u), int(v)))
+                except ValueError:
+                    _int_fields(tokens, i + 1)  # names a token that is no integer
+                    raise ParseError(i + 1, "expected 'u v'")
+                line_nos.append(i + 1)
         try:
             if kind == "graph":
                 return kind, Graph(n, pairs, s, t)
             d = Digraph(n, pairs, s, t)
             topological_order(d)
             return kind, d
+        except EdgeError as exc:
+            raise ParseError(line_nos[exc.index], str(exc))
         except CycleError:
             raise ParseError(header_no, "digraph contains a cycle")
         except ValueError as exc:
@@ -93,7 +92,9 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
     if kind == "setsystem":
         if len(header) != 3:
             raise ParseError(header_no, "expected 'setsystem n m'")
-        n, m = _int_fields(" ".join(header[1:]), header_no)
+        n, m = _int_fields(header[1:], header_no)
+        if not (0 <= n <= MAX_IDS and m >= 0):
+            raise ParseError(header_no, f"need 0 <= n <= {MAX_IDS} and m >= 0")
         family = []
         seen_sets = {}
         taken = 0
@@ -105,7 +106,7 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
             raw = lines[i].split("#", 1)[0]
             if not raw.strip() and "#" in lines[i]:
                 continue  # pure comment line; a fully blank line is an empty set
-            elems = _int_fields(raw, i + 1)
+            elems = _int_fields(raw.split(), i + 1)
             for e in elems:
                 if not (0 <= e < n):
                     raise ParseError(i + 1, f"element out of range: {e}")

@@ -176,6 +176,15 @@ class TestCountVerify:
         assert run(capsys, "verify", path, "--trackers", "0", "1", "2") == \
             (0, "tracking: true\n", "")
 
+    @pytest.mark.parametrize("trackers,code,rest", [
+        (["0", "1", "2"], 0, ""), (["0"], 1, "violating sets: 0 2\n"),
+    ], ids=["true", "false"])
+    def test_verify_setsystem_oracle(self, tmp_path, capsys, trackers, code, rest):
+        path = write(tmp_path, "f.ss", FIVE_SETS)
+        verdict = "true" if code == 0 else "false"
+        assert run(capsys, "verify", path, "--oracle", "--trackers", *trackers) == \
+            (code, f"oracle: agree\ntracking: {verdict}\n{rest}", "")
+
     @pytest.mark.parametrize("trackers,code", [(["1"], 0), ([], 1)],
                              ids=["true", "false"])
     def test_verify_graph_oracle(self, tmp_path, capsys, trackers, code):

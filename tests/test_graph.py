@@ -88,3 +88,27 @@ def test_bfs_triangle_step(g):
     for u, v in g.edges:
         assert dist[u] is not None and dist[v] is not None
         assert abs(dist[u] - dist[v]) <= 1
+
+
+@st.composite
+def shuffled_pairs(draw):
+    """Distinct pairs on at most 12 vertices, each in a random orientation, in random order."""
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] < e[1])))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, draw(st.permutations([(v, u) if f else (u, v)
+                                    for (u, v), f in zip(sorted(pairs), flips)]))
+
+
+@given(shuffled_pairs())
+def test_adjacency_lists_ascend(case):
+    n, pairs = case
+    g = Graph(n, pairs, 0, 1)
+    assert g.edges == tuple(sorted((min(e), max(e)) for e in pairs))
+    assert g.adj == tuple(tuple(sorted({u, v}.difference([x]).pop() for u, v in pairs
+                                       if x in (u, v))) for x in range(n))
+    d = Digraph(n, pairs, 0, 1)
+    assert d.arcs == tuple(sorted(pairs))
+    assert d.out_adj == tuple(tuple(sorted(v for u, v in pairs if u == x)) for x in range(n))
+    assert d.in_adj == tuple(tuple(sorted(u for u, v in pairs if v == x)) for x in range(n))

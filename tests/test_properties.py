@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackset.cli import main
-from trackset.dagtrack import solve_dag
+from trackset.dagtrack import reduce_dag, reduce_rule_2, reduce_rule_3, solve_dag
 from trackset.graph import Digraph, Graph
 from trackset.instance_io import format_digraph, format_graph
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
@@ -103,6 +103,43 @@ def test_dag_route_matches_brute_force(d):
         return rep.result == "YES", rep.witness
 
     check_route(enumerate_all_paths(d), d.n, solve)
+
+
+@SETTINGS
+@given(dags())
+def test_rule_2_keeps_exactly_the_path_vertices(d):
+    out, relab = reduce_rule_2(d)
+    paths = enumerate_all_paths(d)
+    assert set(relab.to_original) == {d.s, d.t}.union(*paths)
+    assert {(relab.original(u), relab.original(v)) for u, v in out.arcs} == \
+        {arc for p in paths for arc in zip(p, p[1:])}
+
+
+@SETTINGS
+@given(dags())
+@example(Digraph(6, [(0, 4), (4, 3), (3, 2), (2, 1), (0, 5), (5, 1)], 0, 1))
+def test_reduce_dag_keeps_each_chains_least_id(d):
+    """After rules 2 and 3, each maximal chain of interior in-1/out-1
+    vertices keeps only its least id, and the result is a fixpoint."""
+    pruned, relab2 = reduce_rule_2(d)
+    p, relab3 = reduce_rule_3(pruned)
+    reduced, _ = reduce_dag(d)
+    if p is None:
+        assert reduced is None
+        return
+    inner = {v for v in range(p.n)
+             if v not in (p.s, p.t) and p.in_degree(v) == 1 == p.out_degree(v)}
+    chain = {v: {v} for v in inner}
+    for u, v in p.arcs:
+        if u in inner and v in inner:
+            merged = chain[u] | chain[v]
+            for x in merged:
+                chain[x] = merged
+    # relabelings keep the order of ids, so the least id is least in p too
+    kept = sorted(v for v in range(p.n) if v not in inner or v == min(chain[v]))
+    assert reduced.relabeling.to_original == \
+        tuple(relab2.original(relab3.original(v)) for v in kept)
+    assert reduce_dag(reduced.base)[1] == 0
 
 
 @SETTINGS

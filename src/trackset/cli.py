@@ -15,13 +15,11 @@ import sys as _sys
 import traceback
 from typing import List, Optional
 
-from . import dagtrack, generate, oracle, shortest
+from . import dagtrack, generate, oracle, setsystem, shortest
 from .errors import CapExceeded, InternalError, NoPathError
-from .graph import Digraph, Graph
 from .instance_io import (ParseError, format_digraph, format_graph,
                           format_instance, parse_instance)
 from .report import SolveReport
-from .setsystem import solve_set_system
 
 DEFAULT_MODE = {"graph": "shortest", "dag": "dag", "setsystem": "setsystem"}
 
@@ -48,8 +46,10 @@ def _oracle_check(report: SolveReport, family, universe: int, k: int):
     print("oracle: agree")
 
 
-def _oracle_paths(kind: str, inst, cap: Optional[int]):
-    """The DAG's s-t paths or the graph's shortest ones, in input ids, for the oracle."""
+def _oracle_family(kind: str, inst, cap: Optional[int]):
+    """What the oracle checks, in input ids: a family, a DAG's s-t paths or shortest paths."""
+    if kind == "setsystem":
+        return inst.family
     if kind == "dag":
         return oracle.enumerate_all_paths(inst, cap=cap)
     try:
@@ -62,51 +62,22 @@ def _oracle_paths(kind: str, inst, cap: Optional[int]):
 def _cmd_solve(args) -> int:
     kind, inst = _load(args.input)
     mode = args.mode or DEFAULT_MODE[kind]
-    if mode in ("shortest", "dag"):
-        needs = "graph" if mode == "shortest" else "dag"
-        if kind != needs:
-            print(f"mode {mode} requires a {needs} instance", file=_sys.stderr)
-            return 2
-        report = (shortest.solve_shortest_paths(inst, args.k, cap=args.cap)
-                  if kind == "graph" else dagtrack.solve_dag(inst, args.k))
-        code = _emit(report, args.json)
-        if args.oracle:
-            _oracle_check(report, _oracle_paths(kind, inst, args.cap), inst.n, args.k)
-        return code
-    # setsystem mode: native set systems, or graphs via path enumeration
-    if kind == "graph":
-        try:
-            lg, relab = shortest.reduce_rule_1(inst)
-        except NoPathError:
-            return _emit(SolveReport("YES", witness=(), paths=0,
-                                     reason="no s-t path; zero paths are vacuously tracked"),
-                         args.json)
-        k = min(args.k, inst.n)  # all n vertices always track
-        try:
-            paths = shortest.enumerate_shortest_paths(
-                lg, args.cap if args.cap is not None else 2 ** k + 1)
-        except CapExceeded as exc:
-            if args.cap is not None:
-                raise  # main reports it as exit 3
-            return _emit(SolveReport(
-                "NO", paths=exc.count, paths_saturated=True,
-                reason=f"more than 2^{k} shortest paths need more than "
-                       f"{k} trackers"), args.json)
-        sys_ = shortest.to_set_system(paths, lg.base.n)
-        report = solve_set_system(sys_, args.k)
-        if report.witness is not None:
-            report.witness = tuple(sorted(relab.map_set(report.witness)))
-        code = _emit(report, args.json)
-        if args.oracle:
-            _oracle_check(report, [relab.map_set(p) for p in paths], inst.n, args.k)
-        return code
-    if kind != "setsystem":
-        print("mode setsystem requires a setsystem or graph instance", file=_sys.stderr)
+    # looked up per call, so a solver replaced on its module is the one called
+    solvers = {
+        ("shortest", "graph"): lambda: shortest.solve_shortest_paths(inst, args.k),
+        ("dag", "dag"): lambda: dagtrack.solve_dag(inst, args.k),
+        ("setsystem", "graph"): lambda: shortest.solve_via_set_system(inst, args.k, args.cap),
+        ("setsystem", "setsystem"): lambda: setsystem.solve_set_system(inst, args.k),
+    }
+    if (mode, kind) not in solvers:
+        needs = {"shortest": "a graph", "dag": "a dag", "setsystem": "a setsystem or graph"}
+        print(f"mode {mode} requires {needs[mode]} instance", file=_sys.stderr)
         return 2
-    report = solve_set_system(inst, args.k)
+    report = solvers[mode, kind]()
     code = _emit(report, args.json)
     if args.oracle:
-        _oracle_check(report, inst.family, inst.universe_size, args.k)
+        universe = inst.universe_size if kind == "setsystem" else inst.n
+        _oracle_check(report, _oracle_family(kind, inst, args.cap), universe, args.k)
     return code
 
 
@@ -173,7 +144,6 @@ def _cmd_verify(args) -> int:
             if (j := first.setdefault(s & trackers, idx)) != idx:
                 pair = (j, idx)
                 break
-        family = inst.family
         shown = [f"violating sets: {j} {idx}"] if pair else []
     else:
         # the tracking condition decides and builds the pair; only the oracle lists paths
@@ -189,12 +159,11 @@ def _cmd_verify(args) -> int:
             pruned, relab = dagtrack.reduce_rule_2(inst)
         inv = {old: new for new, old in enumerate(relab.to_original)}
         pair = dagtrack.violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv))
-        family = _oracle_paths(kind, inst, args.cap) if args.oracle else None
         shown = ["violating paths:", *("  " + " ".join(str(v) for v in sorted(relab.map_set(p)))
                                        for p in pair)] if pair else []
     ok = pair is None
     if args.oracle:
-        if oracle.brute_is_tracking(family, trackers) != ok:
+        if oracle.brute_is_tracking(_oracle_family(kind, inst, args.cap), trackers) != ok:
             raise InternalError("oracle disagrees with the verifier")
         print("oracle: agree")
     print(f"tracking: {'true' if ok else 'false'}")
@@ -230,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["shortest", "dag", "setsystem"])
-    p.add_argument("--cap", type=int, help="path enumeration cap (default 2^k + 1)")
+    p.add_argument("--cap", type=int,
+                   help="bound on the paths --oracle lists (graphs and DAGs) and, in "
+                        "setsystem mode on a graph, on the paths counted (default 2^k + 1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the decision against the brute-force oracle")

@@ -1,11 +1,10 @@
 """Tracking all s-t paths in a DAG.
 
 Pipeline: prune to the fixpoint of three reduction rules, gate on path
-count lower bounds, then turn the s-t paths into vertex bitmasks and hand
-their minimal pairwise symmetric differences to the hitting-set search in
-:mod:`trackset.setsystem`: a vertex set tracks the paths iff it hits every
-difference. For a candidate set, the tracking condition gives an
-equivalent polynomial check that also builds a violating pair of paths.
+count lower bounds, then turn the s-t paths into vertex bitmasks for the
+decision core :func:`trackset.setsystem.solve_masks`. For a candidate set,
+the tracking condition gives an equivalent polynomial check that also
+builds a violating pair of paths.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
-from .report import SolveReport
-from .setsystem import (from_mask, hitting_search, minimal_differences,
-                        tracking_lower_bound)
+from .report import NO_PATH_REASON, SolveReport
+from .setsystem import solve_masks
 
 
 @dataclass
@@ -266,7 +264,7 @@ def _pair_through(d: Digraph, counts: List[int], trackers: FrozenSet[int],
                  for w in branch[:2])
 
 
-def _path_masks(d: Digraph) -> List[int]:
+def path_masks(d: Digraph) -> List[int]:
     """All s-t paths as vertex bitmasks, DFS order."""
     masks: List[int] = []
     stack = [(d.s, 1 << d.s)]
@@ -284,9 +282,9 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
     """Tracking set of size <= k for all s-t paths of a DAG, or NO.
 
     After reduction, more than 2^k paths (or n > 5 * 2^k, which implies it)
-    is an immediate NO. Otherwise the paths become vertex bitmasks, and the
-    hitting-set search over their minimal pairwise symmetric differences
-    deepens from ceil(lg p). The witness is the minimum tracking set that
+    is an immediate NO. Otherwise :func:`trackset.setsystem.solve_masks`
+    decides on the paths as vertex bitmasks; as 2 <= p <= 2^k, neither of
+    its early answers fires. The witness is the minimum tracking set that
     is lexicographically least among the reduced DAG's vertices, reported
     in the input graph's vertex ids.
     """
@@ -306,23 +304,15 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
     pc = count_paths(base, cap=cap)
     if pc.value == 0:
         return SolveReport("YES", witness=(), paths=0, reductions=deleted,
-                           reason="no s-t path; zero paths are vacuously tracked")
+                           reason=NO_PATH_REASON)
     if pc.saturated:
         return SolveReport("NO", paths=pc.value, paths_saturated=True,
                            reductions=deleted,
                            reason=f"more than 2^{k} paths need more than {k} trackers")
-    masks = _path_masks(base)
-    p = len(masks)
-    if p != pc.value:
-        raise InternalError(f"{p} paths enumerated but {pc.value} counted")
-    found, tried = hitting_search(minimal_differences(masks), k,
-                                  lower=tracking_lower_bound(p))
-    if found is None:
-        return SolveReport("NO", paths=p, reductions=deleted, subsets_tried=tried,
-                           reason=f"no tracking set of size <= {k} (search exhausted)")
-    trackers = from_mask(found)
-    if not verify_tracking_condition(base, trackers):
-        raise InternalError("search witness fails the tracking condition")
-    witness = tuple(sorted(reduced.relabeling.map_set(trackers)))
-    return SolveReport("YES", witness=witness, paths=p,
-                       reductions=deleted, subsets_tried=tried)
+    masks = path_masks(base)
+    if len(masks) != pc.value:
+        raise InternalError(f"{len(masks)} paths enumerated but {pc.value} counted")
+    report = solve_masks(masks, k)
+    report.relabel(reduced.relabeling)
+    report.reductions = deleted
+    return report

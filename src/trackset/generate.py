@@ -1,18 +1,27 @@
-"""Seeded random instance generators for fuzzing and tests."""
+"""Seeded random instance generators for fuzzing and tests; sizes are checked first."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .graph import Digraph, Graph
 from .setsystem import SetSystem
 
+MAX_SIZE = 1000  # vertex pairs are drawn one by one, so time grows as size^2
+
+
+def _check(what: str, value: int, low: int, high: int = MAX_SIZE):
+    if not low <= value <= high:
+        raise ValueError(f"{what} must be between {low} and {high}, got {value}")
+
 
 def random_connected_graph(rng: random.Random, n: int,
                            extra_edge_prob: float = 0.25) -> Graph:
     """Connected graph on n >= 2 vertices: random spanning tree plus extras."""
+    _check("vertex count", n, 2)
     edges = set()
     order = list(range(n))
     rng.shuffle(order)
@@ -28,7 +37,8 @@ def random_connected_graph(rng: random.Random, n: int,
 
 
 def random_dag(rng: random.Random, n: int, arc_prob: float = 0.35) -> Digraph:
-    """Random DAG: arcs point forward along a random vertex order."""
+    """Random DAG on n >= 2 vertices: arcs point forward along a random vertex order."""
+    _check("vertex count", n, 2)
     order = list(range(n))
     rng.shuffle(order)
     arcs = []
@@ -42,6 +52,8 @@ def random_dag(rng: random.Random, n: int, arc_prob: float = 0.35) -> Digraph:
 def random_layered_graph(rng: random.Random, layers: int, width: int) -> Graph:
     """Undirected layered s-t graph: s, `layers` layers of up to `width`
     vertices, then t, with every vertex wired to both adjacent layers."""
+    _check("layer count", layers, 0)
+    _check("layer width", width, 1, MAX_SIZE // max(layers, 1))
     sizes = [1] + [rng.randint(1, width) for _ in range(layers)] + [1]
     ids = []
     next_id = 0
@@ -65,9 +77,12 @@ def random_layered_graph(rng: random.Random, layers: int, width: int) -> Graph:
 
 def random_set_system(rng: random.Random, universe: int, m: int,
                       d: Optional[int] = None) -> SetSystem:
-    """m distinct random subsets of a `universe`-element ground set."""
-    if m > 2 ** universe:
-        raise ValueError("cannot draw that many distinct subsets")
+    """m distinct random subsets of a `universe`-element ground set, of size <= d if given."""
+    _check("universe size", universe, 0)
+    _check("number of sets", m, 0)
+    top = universe if d is None else min(d, universe)
+    if m > sum(comb(universe, size) for size in range(top + 1)):
+        raise ValueError(f"cannot draw {m} distinct subsets of that size")
     family = set()
     while len(family) < m:
         if d is None:

@@ -116,22 +116,8 @@ class VertexRelabeling:
         if len(set(self.to_original)) != len(self.to_original):
             raise ValueError("relabeling must be injective")
 
-    @staticmethod
-    def identity(n: int) -> "VertexRelabeling":
-        return VertexRelabeling(range(n))
-
-    def original(self, v: int) -> int:
-        return self.to_original[v]
-
     def map_set(self, vertices: Iterable[int]) -> frozenset:
         return frozenset(self.to_original[v] for v in vertices)
-
-    def compose(self, inner: "VertexRelabeling") -> "VertexRelabeling":
-        """self maps mid->orig, inner maps new->mid; result maps new->orig."""
-        return VertexRelabeling(self.to_original[v] for v in inner.to_original)
-
-    def __len__(self):
-        return len(self.to_original)
 
     def __repr__(self):
         return f"VertexRelabeling({list(self.to_original)})"
@@ -166,8 +152,3 @@ def topological_order(d: Digraph) -> list[int]:
     if len(order) != d.n:
         raise CycleError("digraph contains a cycle")
     return order
-
-
-def level_of(g: Graph) -> list[Optional[int]]:
-    """Level of each vertex: its BFS distance from s."""
-    return bfs_distances(g, g.s)

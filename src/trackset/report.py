@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+NO_PATH_REASON = "no s-t path; zero paths are vacuously tracked"
+
 
 @dataclass
 class SolveReport:
@@ -22,6 +24,11 @@ class SolveReport:
     reductions: int = 0               # vertices deleted by reduction rules
     subsets_tried: int = 0            # candidate sets the hitting-set search tested
     reason: str = ""                  # NO reason, or a YES note (e.g. zero paths)
+
+    def relabel(self, relab) -> None:
+        """Map the witness through a ``VertexRelabeling`` to the ids it came from."""
+        if self.witness is not None:
+            self.witness = tuple(sorted(relab.map_set(self.witness)))
 
     @property
     def size(self) -> Optional[int]:

@@ -3,7 +3,8 @@
 A tracking set T for a family of sets has a distinct intersection with
 every set in the family. The solve route goes through hitting set: the
 pairwise symmetric differences of the family must all be hit by T, and
-hitting them is equivalent to tracking the family.
+hitting them is equivalent to tracking the family. Every mode's family
+ends in :func:`solve_masks`, as vertex or element bitmasks.
 """
 
 from __future__ import annotations
@@ -45,23 +46,17 @@ class SetSystem:
 
 
 class HittingInstance:
-    """Hitting-set instance built from the pairwise symmetric differences.
+    """Hitting-set instance built from the pairwise symmetric differences."""
 
-    ``masks`` holds the same sets as ``family``, as int bitmasks.
-    """
+    __slots__ = ("universe_size", "family")
 
-    __slots__ = ("universe_size", "family", "masks", "bound")
-
-    def __init__(self, universe_size: int, family: Iterable[Iterable[int]],
-                 bound: Optional[int] = None):
+    def __init__(self, universe_size: int, family: Iterable[Iterable[int]]):
         fam = tuple(frozenset(s) for s in family)
         for s in fam:
             if not s:
                 raise ValueError("hitting family contains an empty set (infeasible)")
         self.universe_size = universe_size
         self.family = fam
-        self.masks = tuple(to_mask(s) for s in fam)
-        self.bound = bound
 
 
 def to_mask(elements: Iterable[int]) -> int:
@@ -82,8 +77,8 @@ def from_mask(mask: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def tracks(family: Sequence[FrozenSet[int]], trackers: FrozenSet[int]) -> bool:
-    """True iff ``trackers`` intersects every family set in a distinct set."""
+def tracks(family: Sequence, trackers) -> bool:
+    """True iff ``trackers`` meets every family set in a distinct set (sets or int masks)."""
     seen = set()
     for s in family:
         key = s & trackers
@@ -128,9 +123,8 @@ def reduce_to_hitting(sys: SetSystem) -> HittingInstance:
     Only the inclusion-minimal differences are kept; hitting those is
     equivalent to hitting all of them.
     """
-    bound = 2 * sys.d if sys.d is not None else None
     diffs = minimal_differences([to_mask(s) for s in sys.family])
-    return HittingInstance(sys.universe_size, (from_mask(f) for f in diffs), bound)
+    return HittingInstance(sys.universe_size, (from_mask(f) for f in diffs))
 
 
 def hitting_search(sets: Sequence[int], k: int, lower: int = 0
@@ -213,7 +207,7 @@ def solve_hitting(h: HittingInstance, k: int) -> Optional[FrozenSet[int]]:
     """Minimum, lexicographically least hitting set of size <= k, or None."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    found, _ = hitting_search(h.masks, k)
+    found, _ = hitting_search([to_mask(f) for f in h.family], k)
     if found is None:
         return None
     witness = from_mask(found)
@@ -222,18 +216,18 @@ def solve_hitting(h: HittingInstance, k: int) -> Optional[FrozenSet[int]]:
     return witness
 
 
-def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
-    """Minimum tracking set of size <= k for the set system, or NO.
+def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
+    """Minimum tracking set of size <= k for distinct bitmask sets, or NO.
 
-    Families of size <= 1 are tracked by the empty set. Otherwise the
-    ceil(lg m) lower bound gates immediately, then the hitting-set search
-    over the minimal symmetric differences decides. The witness is the
-    minimum one that is lexicographically least, and it is re-verified
-    against the definition.
+    The decision core every solve route feeds. Families of size <= 1 are
+    tracked by the empty set. Otherwise the ceil(lg m) lower bound gates,
+    then the hitting-set search over the minimal symmetric differences
+    decides. The witness, minimum and then lexicographically least, gets
+    the one definition-level check of any route here. ``paths`` reports m.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    m = len(sys.family)
+    m = len(masks)
     if m <= 1:
         return SolveReport("YES", witness=(), paths=m,
                            reason="at most one set; empty tracking set suffices")
@@ -241,15 +235,19 @@ def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
     if k < lb:
         return SolveReport("NO", paths=m,
                            reason=f"lower bound ceil(lg {m}) = {lb} exceeds k = {k}")
-    found, tried = hitting_search(reduce_to_hitting(sys).masks, k, lower=lb)
+    found, tried = hitting_search(minimal_differences(masks), k, lower=lb)
     if found is None:
         return SolveReport("NO", paths=m, subsets_tried=tried,
                            reason=f"no tracking set of size <= {k} (search exhausted)")
-    witness = from_mask(found)
-    if not tracks(sys.family, witness):
+    if not tracks(masks, found):
         raise InternalError("hitting-set witness does not track the family")
-    return SolveReport("YES", witness=tuple(sorted(witness)), paths=m,
+    return SolveReport("YES", witness=tuple(sorted(from_mask(found))), paths=m,
                        subsets_tried=tried)
+
+
+def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
+    """Minimum tracking set of size <= k for the set system, or NO; see :func:`solve_masks`."""
+    return solve_masks([to_mask(s) for s in sys.family], k)
 
 
 def solve_tracking_set(sys: SetSystem, k: int) -> Optional[FrozenSet[int]]:
@@ -259,19 +257,3 @@ def solve_tracking_set(sys: SetSystem, k: int) -> Optional[FrozenSet[int]]:
     """
     report = solve_set_system(sys, k)
     return frozenset(report.witness) if report.result == "YES" else None
-
-
-def dualize(sys: SetSystem) -> SetSystem:
-    """Incidence-matrix transpose: one output set per input element.
-
-    Element i maps to the set of indices of the family sets containing it.
-    A size-k tracking set of the input corresponds to a size-k test cover
-    of the output. Raises if two elements have identical incidence (the
-    transpose would not be a valid set system).
-    """
-    fam: list[frozenset] = []
-    for i in range(sys.universe_size):
-        fam.append(frozenset(j for j, s in enumerate(sys.family) if i in s))
-    if len(set(fam)) != len(fam):
-        raise ValueError("duplicate element incidence: dual family would repeat sets")
-    return SetSystem(len(sys.family), fam)

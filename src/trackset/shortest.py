@@ -1,8 +1,8 @@
 """Tracking shortest s-t paths in undirected graphs.
 
 The pipeline prunes everything off shortest paths (which leaves a layered
-graph), then either enumerates the paths into a set system or orients the
-edges towards t and hands the resulting DAG to the DAG solver.
+graph) and orients the edges towards t, for the DAG solver or, in
+set-system mode, straight to the decision core as path bitmasks.
 """
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .dagtrack import solve_dag
-from .errors import CapExceeded, InternalError, NoPathError
+from .dagtrack import count_paths, path_masks, solve_dag
+from .errors import CapExceeded, NoPathError
 from .graph import Digraph, Graph, VertexRelabeling, bfs_distances
-from .report import SolveReport
-from .setsystem import SetSystem, tracks
+from .report import NO_PATH_REASON, SolveReport
+from .setsystem import SetSystem, solve_masks
 
 
 @dataclass
@@ -105,33 +105,46 @@ def to_dag(lg: LayeredGraph) -> Digraph:
     return Digraph(g.n, arcs, g.s, g.t)
 
 
-def solve_shortest_paths(g: Graph, k: int, cap: Optional[int] = None) -> SolveReport:
+def solve_shortest_paths(g: Graph, k: int) -> SolveReport:
     """Tracking set of size <= k for all shortest s-t paths, or NO.
 
-    Dispatches through the DAG solver. When the shortest paths can be
-    enumerated within the cap (default 2^k + 1), any YES witness is
-    re-checked against the enumerated family. Witness ids are original.
+    Rule 1, then the DAG solver on the orientation towards t. Witness ids
+    are original.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    k = min(k, g.n)  # all n vertices always track, so a larger k changes nothing
     try:
         lg, relab = reduce_rule_1(g)
     except NoPathError:
-        return SolveReport("YES", witness=(), paths=0,
-                           reason="no s-t path; zero paths are vacuously tracked")
-    rep = solve_dag(to_dag(lg), k)
-    witness = rep.witness
-    if witness is not None:
-        try:
-            paths = enumerate_shortest_paths(lg, cap if cap is not None else 2 ** k + 1)
-        except CapExceeded:
-            pass
-        else:
-            if not tracks([frozenset(p) for p in paths], frozenset(witness)):
-                raise InternalError("witness does not track the shortest paths")
-        witness = tuple(sorted(relab.map_set(witness)))
-    return SolveReport(rep.result, witness=witness, paths=rep.paths,
-                       paths_saturated=rep.paths_saturated,
-                       reductions=rep.reductions + (g.n - lg.base.n),
-                       subsets_tried=rep.subsets_tried, reason=rep.reason)
+        return SolveReport("YES", witness=(), paths=0, reason=NO_PATH_REASON)
+    report = solve_dag(to_dag(lg), k)
+    report.relabel(relab)
+    report.reductions += g.n - lg.base.n
+    return report
+
+
+def solve_via_set_system(g: Graph, k: int, cap: Optional[int] = None) -> SolveReport:
+    """:func:`solve_shortest_paths` with every shortest path handed to the decision core.
+
+    Rules 2-4 are skipped and ``reductions`` reads 0. More than ``cap``
+    paths raise CapExceeded; without a cap, more than 2^k + 1 (k clamped to
+    n) answer NO. Witness ids are original.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    try:
+        lg, relab = reduce_rule_1(g)
+    except NoPathError:
+        return SolveReport("YES", witness=(), paths=0, reason=NO_PATH_REASON)
+    d = to_dag(lg)
+    clamped = min(k, g.n)  # all n vertices always track
+    pc = count_paths(d, cap=2 ** clamped + 1 if cap is None else cap)
+    if pc.saturated:
+        if cap is not None:
+            raise CapExceeded(pc.value)
+        return SolveReport("NO", paths=pc.value, paths_saturated=True,
+                           reason=f"more than 2^{clamped} shortest paths need more "
+                                  f"than {clamped} trackers")
+    report = solve_masks(path_masks(d), k)
+    report.relabel(relab)
+    return report

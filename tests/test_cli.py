@@ -14,6 +14,12 @@ DIAMOND = "graph 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
 DIAMOND_DAG = "dag 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
 CHAIN_DAG = "dag 3000 0 2999\n" + "".join(f"{i} {i + 1}\n" for i in range(2999))
 FIVE_SETS = "setsystem 3 5\n\n0\n1\n2\n0 1\n"
+TWO_DIAMONDS = "graph 7 0 6\n0 1\n0 2\n1 3\n2 3\n3 4\n3 5\n4 6\n5 6\n"
+NO_PATH = "graph 4 0 3\n0 1\n2 3\n"
+# s and t joined through five middles: five paths, four trackers needed
+STAR_EDGES = "".join(f"0 {m}\n{m} 6\n" for m in range(1, 6))
+STAR, STAR_DAG = "graph 7 0 6\n" + STAR_EDGES, "dag 7 0 6\n" + STAR_EDGES
+SINGLETONS = "setsystem 5 5\n0\n1\n2\n3\n4\n"
 
 
 def write(tmp_path, name, text):
@@ -84,6 +90,14 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", path, "--k", "1",
                            "--mode", "setsystem", "--oracle")
         assert code == 0 and "oracle: agree" in out
+
+    @pytest.mark.parametrize("text,k", [(TWO_DIAMONDS, "1"), (NO_PATH, "0")],
+                             ids=["gated-no", "no-path"])
+    @pytest.mark.parametrize("mode", ["shortest", "setsystem"])
+    def test_oracle_runs_after_every_graph_solve(self, tmp_path, capsys, text, k, mode):
+        path = write(tmp_path, "g.graph", text)
+        _, out, _ = run(capsys, "solve", path, "--k", k, "--mode", mode, "--oracle")
+        assert out.endswith("\noracle: agree\n")
 
     def test_cap_exceeded_without_decision(self, tmp_path, capsys):
         path = write(tmp_path, "d.graph", DIAMOND)
@@ -231,6 +245,18 @@ class TestGen:
             assert code == 0
             parse_instance(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "dag", "--n", "0"],
+        ["--kind", "setsystem", "--n", "2", "--sets", "-1"],
+        ["--kind", "graph", "--n", "20000"],
+        ["--kind", "setsystem", "--n", "3", "--sets", "5", "--d", "1"],
+        ["--kind", "layered", "--layers", "100", "--width", "100"],
+    ], ids=["dag-empty", "negative-sets", "graph-too-large", "sets-over-d",
+            "layered-too-large"])
+    def test_gen_out_of_range_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == "" and err
+
     def test_gen_deterministic(self, capsys):
         _, out1, _ = run(capsys, "gen", "--kind", "dag", "--seed", "9")
         _, out2, _ = run(capsys, "gen", "--kind", "dag", "--seed", "9")
@@ -238,14 +264,13 @@ class TestGen:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("text,mode,module", [
-        (DIAMOND_DAG, "dag", "trackset.dagtrack"),
-        (FIVE_SETS, "setsystem", "trackset.setsystem"),
-    ], ids=["dag", "setsystem"])
-    def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch,
-                                       text, mode, module):
-        # the search hands back the empty set, which tracks neither instance
-        monkeypatch.setattr(f"{module}.hitting_search",
+    @pytest.mark.parametrize("text,mode", [
+        (DIAMOND_DAG, "dag"), (FIVE_SETS, "setsystem"),
+        (DIAMOND, "shortest"), (DIAMOND, "setsystem"),
+    ], ids=["dag", "setsystem", "shortest", "graph-setsystem"])
+    def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch, text, mode):
+        # the search hands back the empty set, which tracks none of the instances
+        monkeypatch.setattr("trackset.setsystem.hitting_search",
                             lambda sets, k, lower=0: (0, 1))
         path = write(tmp_path, "x.txt", text)
         code, out, err = run(capsys, "solve", path, "--k", "3", "--mode", mode)
@@ -298,18 +323,37 @@ class TestExitCodes:
                                                          monkeypatch):
         import trackset.shortest as shortest
         caps = []
-        real = shortest.enumerate_shortest_paths
+        real = shortest.count_paths
 
-        def spy(lg, cap=None):
+        def spy(d, cap=None):
             caps.append(cap)
-            return real(lg, cap)
+            return real(d, cap)
 
-        monkeypatch.setattr(shortest, "enumerate_shortest_paths", spy)
+        monkeypatch.setattr(shortest, "count_paths", spy)
         path = write(tmp_path, "d.graph", DIAMOND)
         code, out, _ = run(capsys, "solve", path, "--k", "100000",
                            "--mode", "setsystem")
         assert code == 0 and "witness: 1\n" in out
         assert caps == [2 ** 4 + 1]
+
+
+@pytest.mark.parametrize("text,mode", [
+    (STAR, "shortest"), (STAR_DAG, "dag"), (SINGLETONS, "setsystem"), (STAR, "setsystem"),
+], ids=["shortest", "dag", "setsystem", "graph-setsystem"])
+def test_one_witness_check_per_searched_yes(tmp_path, capsys, monkeypatch, text, mode):
+    import trackset.setsystem as setsystem
+    checks = []
+    real = setsystem.tracks
+    monkeypatch.setattr(setsystem, "tracks",
+                        lambda family, trackers: checks.append(trackers) or
+                        real(family, trackers))
+    path = write(tmp_path, "x.txt", text)
+    # k=4: YES after the search; k=3: NO after it; k=1: NO at a gate
+    for k, code, searched, checked in [(4, 0, True, 1), (3, 1, True, 0), (1, 1, False, 0)]:
+        checks.clear()
+        got, out, _ = run(capsys, "solve", path, "--k", str(k), "--mode", mode)
+        assert (got, "subsets_tried: 0\n" not in out, len(checks)) == \
+            (code, searched, checked), k
 
 
 def test_parser_is_built_on_the_first_call_only():

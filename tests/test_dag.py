@@ -13,7 +13,7 @@ from conftest import diamond_dag, serial_diamond_dag
 
 
 def as_original_arcs(d, relab):
-    return {(relab.original(u), relab.original(v)) for u, v in d.arcs}
+    return {(relab.to_original[u], relab.to_original[v]) for u, v in d.arcs}
 
 
 class TestRule2:
@@ -54,7 +54,7 @@ class TestRule3:
         arcs = [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)]
         out, relab = reduce_rule_3(Digraph(6, arcs, 0, 5))
         assert out.n == 4
-        assert relab.original(out.s) == 2
+        assert relab.to_original[out.s] == 2
 
     def test_diamond_unchanged(self):
         out, relab = reduce_rule_3(diamond_dag())

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trackset.errors import CycleError
-from trackset.graph import (Digraph, Graph, VertexRelabeling, bfs_distances,
-                            level_of, topological_order)
+from trackset.graph import Digraph, Graph, VertexRelabeling, bfs_distances, topological_order
 
 
 def test_bfs_line_graph():
@@ -19,11 +18,6 @@ def test_bfs_unreachable():
 def test_bfs_diamond():
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
     assert bfs_distances(g, 0)[3] == 2
-
-
-def test_level_of_source_is_zero():
-    g = Graph(3, [(0, 1), (1, 2)], 0, 2)
-    assert level_of(g)[0] == 0
 
 
 def test_topological_single_arc():
@@ -60,10 +54,8 @@ def test_graph_rejects_equal_endpoints():
         Graph(3, [], 1, 1)
 
 
-def test_relabeling_injective_and_compose():
-    outer = VertexRelabeling([3, 5, 7])   # mid -> orig
-    inner = VertexRelabeling([2, 0])      # new -> mid
-    assert outer.compose(inner).to_original == (7, 3)
+def test_relabeling_injective_and_map_set():
+    outer = VertexRelabeling([3, 5, 7])
     assert outer.map_set([0, 2]) == {3, 7}
     with pytest.raises(ValueError):
         VertexRelabeling([1, 1])

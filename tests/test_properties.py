@@ -111,7 +111,7 @@ def test_rule_2_keeps_exactly_the_path_vertices(d):
     out, relab = reduce_rule_2(d)
     paths = enumerate_all_paths(d)
     assert set(relab.to_original) == {d.s, d.t}.union(*paths)
-    assert {(relab.original(u), relab.original(v)) for u, v in out.arcs} == \
+    assert {(relab.to_original[u], relab.to_original[v]) for u, v in out.arcs} == \
         {arc for p in paths for arc in zip(p, p[1:])}
 
 
@@ -138,7 +138,7 @@ def test_reduce_dag_keeps_each_chains_least_id(d):
     # relabelings keep the order of ids, so the least id is least in p too
     kept = sorted(v for v in range(p.n) if v not in inner or v == min(chain[v]))
     assert reduced.relabeling.to_original == \
-        tuple(relab2.original(relab3.original(v)) for v in kept)
+        tuple(relab2.to_original[relab3.to_original[v]] for v in kept)
     assert reduce_dag(reduced.base)[1] == 0
 
 

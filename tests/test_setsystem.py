@@ -3,9 +3,9 @@ from itertools import combinations, product
 import pytest
 
 from trackset.oracle import brute_min_tracking
-from trackset.setsystem import (HittingInstance, SetSystem, dualize,
-                                reduce_to_hitting, solve_hitting,
-                                solve_tracking_set, tracking_lower_bound, tracks)
+from trackset.setsystem import (HittingInstance, SetSystem, reduce_to_hitting,
+                                solve_hitting, solve_tracking_set,
+                                tracking_lower_bound, tracks)
 
 
 def triangle_system():
@@ -28,8 +28,9 @@ def test_reduce_to_hitting_single_set():
 
 
 def test_reduce_to_hitting_carries_2d_bound():
-    sys = SetSystem(4, [{1, 2}, {2, 3}, {1, 3}], d=2)
-    assert reduce_to_hitting(sys).bound == 4
+    # sets of size <= d differ in at most 2d elements
+    sys = SetSystem(6, [{0, 1}, {2, 3}, {4, 5}, {0}], d=2)
+    assert max(len(f) for f in reduce_to_hitting(sys).family) == 4
 
 
 def test_hitting_instance_rejects_empty_set():
@@ -75,35 +76,6 @@ def test_tracking_lower_bound():
         tracking_lower_bound(0)
 
 
-def test_dualize_trivial():
-    sys = SetSystem(1, [{0}, set()])
-    dual = dualize(sys)
-    assert dual.universe_size == 2
-    assert dual.family == (frozenset({0}),)
-
-
-def test_dualize_triangle_transpose():
-    sys = triangle_system()
-    dual = dualize(sys)
-    assert dual.universe_size == 3
-    # element i of the input appears in the input sets listed at index i
-    expected = [frozenset(j for j, s in enumerate(sys.family) if i in s)
-                for i in range(4)]
-    assert list(dual.family) == expected
-
-
-def test_dualize_involution():
-    sys = SetSystem(3, [{0, 1}, {1, 2}, {0, 2}, {0}])
-    dd = dualize(dualize(sys))
-    assert dd.universe_size == sys.universe_size
-    assert dd.family == sys.family
-
-
-def test_dualize_rejects_identical_incidence():
-    with pytest.raises(ValueError):
-        dualize(SetSystem(2, [{0, 1}, set()]))
-
-
 def test_exhaustive_equivalence_small():
     # every set system with <= 4 elements and <= 4 sets of a fixed shape pool,
     # every k <= 4: solver decision == brute force
@@ -116,28 +88,6 @@ def test_exhaustive_equivalence_small():
             got = solve_tracking_set(sys, k)
             expect_yes = best is not None and best <= k
             assert (got is not None) == expect_yes, (fam, k)
-
-
-def test_duality_preserves_minimum():
-    # tracking minimum of sys == test-cover minimum of dual, by brute force
-    sys = SetSystem(4, [{0, 1}, {1, 2}, {2, 3}, {0, 3}, {0}])
-    dual = dualize(sys)
-    best = brute_min_tracking(sys.family, sys.universe_size)
-
-    def separates(test_idx):
-        # test cover: every pair of dual-universe vertices split by some test
-        for i, j in combinations(range(dual.universe_size), 2):
-            if not any((i in dual.family[x]) != (j in dual.family[x])
-                       for x in test_idx):
-                return False
-        return True
-
-    dual_best = None
-    for size in range(len(dual.family) + 1):
-        if any(separates(c) for c in combinations(range(len(dual.family)), size)):
-            dual_best = size
-            break
-    assert dual_best == best
 
 
 def test_lower_bound_soundness_exhaustive():

@@ -171,15 +171,15 @@ class TestSolveShortestPaths:
 
 
 def test_solve_shortest_paths_clamps_k_before_the_default_cap(monkeypatch):
-    import trackset.shortest as shortest
+    import trackset.dagtrack as dagtrack
     caps = []
-    real = shortest.enumerate_shortest_paths
+    real = dagtrack.count_paths
 
-    def spy(lg, cap=None):
+    def spy(d, cap=None):
         caps.append(cap)
-        return real(lg, cap)
+        return real(d, cap)
 
-    monkeypatch.setattr(shortest, "enumerate_shortest_paths", spy)
+    monkeypatch.setattr(dagtrack, "count_paths", spy)
     rep = solve_shortest_paths(diamond_graph(), 100000)
     assert rep.result == "YES" and rep.witness == (1,)
-    assert caps == [2 ** 4 + 1]
+    assert caps == [2 ** 4]

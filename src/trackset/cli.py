@@ -13,7 +13,7 @@ import functools
 import random
 import sys as _sys
 import traceback
-from typing import List, Optional
+from typing import FrozenSet, List, Optional
 
 from . import dagtrack, generate, oracle, setsystem, shortest
 from .errors import CapExceeded, InternalError, NoPathError
@@ -130,6 +130,23 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _violating_paths(kind: str, inst, trackers: FrozenSet[int]):
+    """A graph's or DAG's violating pair of s-t paths, or None, and its stdout lines."""
+    if kind == "graph":
+        try:
+            lg, relab = shortest.reduce_rule_1(inst)
+        except NoPathError:
+            return None, ["# no s-t path: vacuously tracked"]
+        pruned = shortest.to_dag(lg)
+    else:
+        pruned, relab = dagtrack.reduce_rule_2(inst)
+    inv = {old: new for new, old in enumerate(relab.to_original)}
+    pair = dagtrack.violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv))
+    shown = ["violating paths:", *("  " + " ".join(str(v) for v in sorted(relab.map_set(p)))
+                                   for p in pair)] if pair else []
+    return pair, shown
+
+
 def _cmd_verify(args) -> int:
     kind, inst = _load(args.input)
     trackers = frozenset(args.trackers)
@@ -147,20 +164,7 @@ def _cmd_verify(args) -> int:
         shown = [f"violating sets: {j} {idx}"] if pair else []
     else:
         # the tracking condition decides and builds the pair; only the oracle lists paths
-        if kind == "graph":
-            try:
-                lg, relab = shortest.reduce_rule_1(inst)
-            except NoPathError:
-                print("tracking: true")
-                print("# no s-t path: vacuously tracked")
-                return 0
-            pruned = shortest.to_dag(lg)
-        else:
-            pruned, relab = dagtrack.reduce_rule_2(inst)
-        inv = {old: new for new, old in enumerate(relab.to_original)}
-        pair = dagtrack.violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv))
-        shown = ["violating paths:", *("  " + " ".join(str(v) for v in sorted(relab.map_set(p)))
-                                       for p in pair)] if pair else []
+        pair, shown = _violating_paths(kind, inst, trackers)
     ok = pair is None
     if args.oracle:
         if oracle.brute_is_tracking(_oracle_family(kind, inst, args.cap), trackers) != ok:

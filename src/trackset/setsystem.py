@@ -9,11 +9,14 @@ ends in :func:`solve_masks`, as vertex or element bitmasks.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalError
 from .report import SolveReport
+
+# Pairs of sets whose differences minimal_differences holds at once.
+PAIR_CHUNK = 1 << 14
 
 
 class SetSystem:
@@ -99,22 +102,30 @@ def minimal_differences(masks: Sequence[int]) -> List[int]:
     """Inclusion-minimal pairwise symmetric differences of bitmask sets.
 
     A set hits every difference iff it hits every minimal one, so the
-    superset-free family is an equivalent hitting instance. The family is
-    kept minimal while the pairs stream past, so memory stays at its size,
-    not at the number of distinct differences, which can approach the
-    number of pairs. Sorted by size, then by mask value.
+    superset-free family is an equivalent hitting instance. Sorted by size,
+    then by mask value.
+
+    The pairs are taken ``PAIR_CHUNK`` at a time, so memory stays at one
+    chunk of distinct differences plus the minimal family, not at the
+    number of pairs. Each chunk's differences join the family found so far
+    and are filtered in that order: a set is kept unless a kept set is a
+    subset of it, and no kept set can be a superset of a later one.
     """
+    pairs = combinations(masks, 2)
     minimal: List[int] = []
-    for a, b in combinations(masks, 2):
-        f = a ^ b
-        for g in minimal:
-            if g & f == g:
-                break
-        else:
-            minimal = [g for g in minimal if g & f != f]
-            minimal.append(f)
-    minimal.sort(key=lambda f: (f.bit_count(), f))
-    return minimal
+    while True:
+        diffs = {a ^ b for a, b in islice(pairs, PAIR_CHUNK)}
+        if not diffs:
+            return minimal
+        diffs.update(minimal)
+        minimal = []
+        for f in sorted(sorted(diffs), key=int.bit_count):
+            outside = ~f
+            for g in minimal:
+                if not g & outside:
+                    break
+            else:
+                minimal.append(f)
 
 
 def reduce_to_hitting(sys: SetSystem) -> HittingInstance:

@@ -206,6 +206,13 @@ class TestCountVerify:
         got, out, _ = run(capsys, "verify", path, "--oracle", "--trackers", *trackers)
         assert got == code and out.startswith("oracle: agree\n")
 
+    @pytest.mark.parametrize("flags,head", [([], ""), (["--oracle"], "oracle: agree\n")],
+                             ids=["plain", "oracle"])
+    def test_verify_graph_without_path(self, tmp_path, capsys, flags, head):
+        path = write(tmp_path, "nopath.txt", NO_PATH)
+        assert run(capsys, "verify", path, *flags, "--trackers") == \
+            (0, head + "tracking: true\n# no s-t path: vacuously tracked\n", "")
+
     def test_verify_oracle_on_long_chain(self, tmp_path, capsys):
         # the oracle's path listing must not recurse once per vertex
         path = write(tmp_path, "chain.dag", CHAIN_DAG)

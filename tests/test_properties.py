@@ -18,16 +18,20 @@ import json
 import os
 import tempfile
 from itertools import combinations
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trackset import setsystem
 from trackset.cli import main
 from trackset.dagtrack import reduce_dag, reduce_rule_2, reduce_rule_3, solve_dag
 from trackset.graph import Digraph, Graph
 from trackset.instance_io import format_digraph, format_graph
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
-from trackset.setsystem import SetSystem, reduce_to_hitting, solve_tracking_set
+from trackset.setsystem import (SetSystem, minimal_differences, reduce_to_hitting,
+                                solve_tracking_set)
 from trackset.shortest import solve_shortest_paths
 
 from conftest import brute_shortest_path_sets
@@ -189,6 +193,39 @@ def test_hitting_family_is_superset_free(sys):
     family = reduce_to_hitting(sys).family
     for a, b in combinations(family, 2):
         assert not a <= b and not b <= a
+
+
+@st.composite
+def mask_lists(draw):
+    """Distinct masks over a universe of at most 10: drawn freely, or as
+    sums of a few generators, so that most differences repeat."""
+    universe = draw(st.integers(0, 10))
+    mask = st.integers(0, 2 ** universe - 1)
+    if draw(st.booleans()):
+        return draw(st.lists(mask, max_size=20, unique=True))
+    gens = draw(st.lists(mask, min_size=1, max_size=4))
+    masks = {0}
+    for g in gens:
+        masks |= {m ^ g for m in masks}
+    return draw(st.permutations(sorted(masks)))
+
+
+def reference_minimal_differences(masks):
+    diffs = {a ^ b for a, b in combinations(masks, 2)}
+    minimal = [f for f in diffs if not any(g != f and g & f == g for g in diffs)]
+    return sorted(minimal, key=lambda f: (f.bit_count(), f))
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["as-is", "tiny-chunks"])
+@SETTINGS
+@given(masks=mask_lists(), chunk=st.integers(1, 3))
+@example(masks=[0, 1, 2, 3], chunk=1)
+@example(masks=[0], chunk=1)
+def test_minimal_differences_matches_reference(patched, masks, chunk):
+    """Chunks of 1-3 pairs make every chunk merge into the family so far."""
+    with mock.patch.object(setsystem, "PAIR_CHUNK",
+                           chunk if patched else setsystem.PAIR_CHUNK):
+        assert minimal_differences(masks) == reference_minimal_differences(masks)
 
 
 def check_verify(text, paths, trackers):

@@ -156,12 +156,8 @@ def _cmd_verify(args) -> int:
             print(f"tracker id out of range: {v}", file=_sys.stderr)
             return 2
     if kind == "setsystem":
-        first, pair = {}, None
-        for idx, s in enumerate(inst.family):
-            if (j := first.setdefault(s & trackers, idx)) != idx:
-                pair = (j, idx)
-                break
-        shown = [f"violating sets: {j} {idx}"] if pair else []
+        pair = setsystem.violating_sets(inst.family, trackers)
+        shown = [f"violating sets: {pair[0]} {pair[1]}"] if pair else []
     else:
         # the tracking condition decides and builds the pair; only the oracle lists paths
         pair, shown = _violating_paths(kind, inst, trackers)

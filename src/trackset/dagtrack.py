@@ -9,8 +9,9 @@ builds a violating pair of paths.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
@@ -37,41 +38,6 @@ class PathCount:
     saturated: bool
 
 
-class _Work:
-    """Mutable arc-set view of a digraph's ``alive`` vertices used while applying rules."""
-
-    def __init__(self, alive: Iterable[int], arcs: Iterable[Tuple[int, int]], s: int, t: int):
-        self.alive = set(alive)
-        self.out = {v: set() for v in self.alive}
-        self.inc = {v: set() for v in self.alive}
-        for u, v in arcs:
-            self.add_arc(u, v)
-        self.s = s
-        self.t = t
-
-    def remove_arc(self, u: int, v: int):
-        self.out[u].discard(v)
-        self.inc[v].discard(u)
-
-    def add_arc(self, u: int, v: int):
-        self.out[u].add(v)
-        self.inc[v].add(u)
-
-    def remove_vertex(self, v: int):
-        for u in list(self.inc[v]):
-            self.remove_arc(u, v)
-        for w in list(self.out[v]):
-            self.remove_arc(v, w)
-        self.alive.discard(v)
-
-    def to_digraph(self) -> Tuple[Digraph, VertexRelabeling]:
-        keep = sorted(self.alive)
-        newid = {old: i for i, old in enumerate(keep)}
-        arcs = [(newid[u], newid[v]) for u in keep for v in self.out[u]]
-        d = Digraph(len(keep), arcs, newid[self.s], newid[self.t])
-        return d, VertexRelabeling(keep)
-
-
 def _reach(adj: Tuple[Tuple[int, ...], ...], src: int, stop: int, allowed: bytearray) -> bytearray:
     """Marks of the vertices reached from ``src`` through allowed ones, not going past ``stop``."""
     seen = bytearray(len(adj))
@@ -86,8 +52,9 @@ def _reach(adj: Tuple[Tuple[int, ...], ...], src: int, stop: int, allowed: bytea
     return seen
 
 
-def _pruned(d: Digraph) -> _Work:
-    """Rule 2 as reachability: the vertices and arcs of ``d`` on s-t paths, plus s and t.
+def _pruned(d: Digraph) -> Tuple[List[int], Dict[int, List[int]]]:
+    """Rule 2 as reachability: the vertices of ``d`` on s-t paths plus s and t,
+    ascending, and each one's out-neighbours along s-t paths.
 
     A vertex lies on an s-t path iff s reaches it without passing t and it
     reaches t without passing s; the backward search goes only through the
@@ -98,94 +65,70 @@ def _pruned(d: Digraph) -> _Work:
     s, t = d.s, d.t
     on = _reach(d.in_adj, t, s, _reach(d.out_adj, s, t, bytearray(b"\1") * d.n))
     keep = [v for v in range(d.n) if on[v] or v == s]
-    arcs = [(u, v) for u in keep if u != t for v in d.out_adj[u] if on[v] and v != s]
-    return _Work(keep, arcs, s, t)
+    return keep, {u: [v for v in d.out_adj[u] if on[v] and v != s] if u != t else []
+                  for u in keep}
 
 
-def _apply_rule_3(w: _Work) -> bool:
-    """Move a degree-1 endpoint onto its neighbor.
-
-    Returns True when the graph collapsed to one vertex, which is a trivial
-    YES instance.
-    """
-    while w.s != w.t:
-        if len(w.out[w.s]) == 1 and not w.inc[w.s]:
-            u = next(iter(w.out[w.s]))
-            w.remove_vertex(w.s)
-            w.s = u
-        elif len(w.inc[w.t]) == 1 and not w.out[w.t]:
-            v = next(iter(w.inc[w.t]))
-            w.remove_vertex(w.t)
-            w.t = v
-        else:
-            return False
-    return True
-
-
-def _apply_rule_4(w: _Work):
-    """Collapse each maximal chain of interior in-1/out-1 vertices onto its least id.
-
-    A chain's vertices lie on the same paths, so keeping the least keeps
-    witnesses lex-least. One pass: each chain is walked once, from its
-    head, the member whose in-neighbour is no member. A collapse leaves the
-    degrees of every other vertex as they were, so no new chain forms.
-    """
-    def inner(v):
-        return v != w.s and v != w.t and len(w.inc[v]) == 1 and len(w.out[v]) == 1
-
-    for head in list(w.alive):
-        if not inner(head) or inner(a := next(iter(w.inc[head]))):
-            continue
-        chain = [head]
-        while inner(z := next(iter(w.out[chain[-1]]))):
-            chain.append(z)
-        keep = min(chain)
-        for v in chain:
-            if v != keep:
-                w.remove_vertex(v)
-        w.add_arc(a, keep)
-        w.add_arc(keep, z)
-        # a and z lie outside the chain in a DAG, so keep now sits between them alone
-        if w.inc[keep] != {a} or w.out[keep] != {z}:
-            raise InternalError(f"rule 4 left {keep} between {w.inc[keep]} and {w.out[keep]}")
+def _digraph(keep: List[int], arcs: List[Tuple[int, int]], s: int, t: int
+             ) -> Tuple[Digraph, VertexRelabeling]:
+    """The digraph on ``keep`` (ascending ids) with ``arcs``, s and t in those ids."""
+    newid = {old: i for i, old in enumerate(keep)}
+    return (Digraph(len(keep), [(newid[u], newid[v]) for u, v in arcs], newid[s], newid[t]),
+            VertexRelabeling(keep))
 
 
 def reduce_rule_2(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
     """Delete vertices and arcs on no s-t path (s and t always survive)."""
-    return _pruned(d).to_digraph()
-
-
-def reduce_rule_3(d: Digraph) -> Tuple[Optional[Digraph], VertexRelabeling]:
-    """Collapse degree-1 endpoints; None means reduced to a singleton."""
-    w = _Work(range(d.n), d.arcs, d.s, d.t)
-    if _apply_rule_3(w):
-        return None, VertexRelabeling([w.s])
-    return w.to_digraph()
-
-
-def reduce_rule_4(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
-    """Contract chains of interior in-1/out-1 vertices, keeping the least id."""
-    w = _Work(range(d.n), d.arcs, d.s, d.t)
-    _apply_rule_4(w)
-    return w.to_digraph()
+    keep, out = _pruned(d)
+    return _digraph(keep, [(u, v) for u in keep for v in out[u]], d.s, d.t)
 
 
 def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
     """Apply rules 2, 3 and 4 once each, in that order, which reaches their fixpoint.
 
-    Rule 2 leaves only vertices on s-t paths and rules 3 and 4 keep it so.
-    Rule 3 only deletes s or t and makes its neighbour the new endpoint, so
-    it changes no interior vertex's degree, and rule 4 changes neither
-    deg(s) nor deg(t): neither makes the other fire again.
+    Rule 2 leaves only vertices on s-t paths, so s has no in-arc and t no
+    out-arc. Rule 3 walks s forward while it has one out-neighbour and t
+    back while it has one in-neighbour; in a DAG each vertex passed has no
+    other in-arc (out-arc), so the walks change no interior degree. Rule 4
+    maps each maximal chain of interior in-1/out-1 vertices to its least id,
+    which keeps witnesses lex-least as a chain's vertices lie on the same
+    paths, and drops the arcs left inside a chain. It changes neither
+    deg(s) nor deg(t) nor any other vertex's degree: no rule fires again.
 
     Returns (reduced, vertices_deleted); reduced is None when the graph
     collapsed to a singleton (trivially YES).
     """
-    w = _pruned(d)
-    if _apply_rule_3(w):
+    keep, out = _pruned(d)
+    inc: Dict[int, List[int]] = {v: [] for v in keep}
+    for u in keep:
+        for v in out[u]:
+            inc[v].append(u)
+    s, t, gone = d.s, d.t, set()
+    while s != t and len(out[s]) == 1:
+        gone.add(s)
+        s = out[s][0]
+    while t != s and len(inc[t]) == 1:
+        gone.add(t)
+        t = inc[t][0]
+    if s == t:
         return None, d.n - 1
-    _apply_rule_4(w)
-    base, relab = w.to_digraph()
+
+    live = [v for v in keep if v not in gone]
+    inner = {v for v in live if len(inc[v]) == 1 == len(out[v])} - {s, t}
+    least: Dict[int, int] = {}
+    for head in inner:  # a chain's head is the member whose in-neighbour is no member
+        if inc[head][0] not in inner:
+            chain = [head]
+            while (z := out[chain[-1]][0]) in inner:
+                chain.append(z)
+            least.update(dict.fromkeys(chain, min(chain)))
+    arcs = [(a, b) for u in live for v in out[u] if v not in gone
+            if (a := least.get(u, u)) != (b := least.get(v, v))]
+    ins, outs = Counter(b for _, b in arcs), Counter(a for a, _ in arcs)
+    bad = sorted(x for x in set(least.values()) if ins[x] != 1 or outs[x] != 1)
+    if bad:
+        raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
+    base, relab = _digraph([v for v in live if least.get(v, v) == v], arcs, s, t)
     return ReducedDag(base, relab), d.n - base.n
 
 
@@ -202,13 +145,6 @@ def count_paths(d: Digraph, cap: Optional[int] = None) -> PathCount:
                 counts[v] = cap + 1
     total = counts[d.t]
     return PathCount(total, cap is not None and total > cap)
-
-
-def path_lower_bound(rd: ReducedDag) -> int:
-    """Larger of the out-degree bound and the n/5 bound on the path count."""
-    d = rd.base
-    degree_bound = 1 + sum(d.out_degree(v) - 1 for v in range(d.n) if v != d.t)
-    return max(degree_bound, -(-d.n // 5))
 
 
 def verify_tracking_condition(d: Digraph, trackers: FrozenSet[int]) -> bool:

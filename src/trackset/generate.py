@@ -91,4 +91,4 @@ def random_set_system(rng: random.Random, universe: int, m: int,
             size = rng.randint(0, min(d, universe))
             s = frozenset(rng.sample(range(universe), size))
         family.add(s)
-    return SetSystem(universe, sorted(family, key=lambda s: (len(s), sorted(s))), d=d)
+    return SetSystem(universe, sorted(family, key=lambda s: (len(s), sorted(s))))

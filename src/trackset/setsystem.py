@@ -20,15 +20,11 @@ PAIR_CHUNK = 1 << 14
 
 
 class SetSystem:
-    """Universe of ``universe_size`` elements plus a family of distinct subsets.
+    """Universe of ``universe_size`` elements plus a family of distinct subsets."""
 
-    ``d``, when given, bounds the size of every set in the family.
-    """
+    __slots__ = ("universe_size", "family")
 
-    __slots__ = ("universe_size", "family", "d")
-
-    def __init__(self, universe_size: int, family: Iterable[Iterable[int]],
-                 d: Optional[int] = None):
+    def __init__(self, universe_size: int, family: Iterable[Iterable[int]]):
         if universe_size < 0:
             raise ValueError("universe_size must be nonnegative")
         fam = tuple(frozenset(s) for s in family)
@@ -36,16 +32,13 @@ class SetSystem:
             for e in s:
                 if not (0 <= e < universe_size):
                     raise ValueError(f"element {e} outside universe")
-            if d is not None and len(s) > d:
-                raise ValueError(f"set of size {len(s)} exceeds bound d={d}")
         if len(set(fam)) != len(fam):
             raise ValueError("family sets must be pairwise distinct")
         self.universe_size = universe_size
         self.family = fam
-        self.d = d
 
     def __repr__(self):
-        return f"SetSystem(universe_size={self.universe_size}, m={len(self.family)}, d={self.d})"
+        return f"SetSystem(universe_size={self.universe_size}, m={len(self.family)})"
 
 
 class HittingInstance:
@@ -80,15 +73,19 @@ def from_mask(mask: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
+def violating_sets(family: Sequence, trackers) -> Optional[Tuple[int, int]]:
+    """The first index pair (i, j), i < j, of family sets that meet ``trackers``
+    in the same set, or None (sets or int masks)."""
+    first: dict = {}
+    for j, s in enumerate(family):
+        if (i := first.setdefault(s & trackers, j)) != j:
+            return i, j
+    return None
+
+
 def tracks(family: Sequence, trackers) -> bool:
-    """True iff ``trackers`` meets every family set in a distinct set (sets or int masks)."""
-    seen = set()
-    for s in family:
-        key = s & trackers
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    """True iff ``trackers`` meets the family sets in distinct sets; see :func:`violating_sets`."""
+    return violating_sets(family, trackers) is None
 
 
 def tracking_lower_bound(m: int) -> int:

@@ -84,9 +84,7 @@ def enumerate_shortest_paths(lg: LayeredGraph, cap: Optional[int] = None
 
 def to_set_system(paths: List[Tuple[int, ...]], n: int) -> SetSystem:
     """One family set per shortest path's vertex set, over an n-element universe."""
-    family = [frozenset(p) for p in paths]
-    d = max((len(f) for f in family), default=None)
-    return SetSystem(n, family, d=d)
+    return SetSystem(n, (frozenset(p) for p in paths))
 
 
 def to_dag(lg: LayeredGraph) -> Digraph:

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from trackset.dagtrack import (count_paths, path_lower_bound, reduce_dag,
-                               reduce_rule_2, reduce_rule_3, reduce_rule_4,
-                               solve_dag, verify_tracking_condition)
+from trackset.dagtrack import (count_paths, reduce_dag, reduce_rule_2, solve_dag,
+                               verify_tracking_condition)
 from trackset.graph import Digraph
 from trackset.generate import random_dag
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
@@ -14,6 +13,17 @@ from conftest import diamond_dag, serial_diamond_dag
 
 def as_original_arcs(d, relab):
     return {(relab.to_original[u], relab.to_original[v]) for u, v in d.arcs}
+
+
+def reduced(d):
+    """reduce_dag's graph and relabeling, or (None, None) for a singleton.
+
+    Every rule 3 and rule 4 input below is already rule-2 pruned, and each
+    rule 4 input has deg(s) >= 2 and deg(t) >= 2, so only the rule under
+    test fires.
+    """
+    rd, _ = reduce_dag(d)
+    return (None, None) if rd is None else (rd.base, rd.relabeling)
 
 
 class TestRule2:
@@ -52,16 +62,16 @@ class TestRule3:
     def test_chain_collapses_onto_diamond(self):
         # s -> x -> diamond -> t: source moves twice
         arcs = [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)]
-        out, relab = reduce_rule_3(Digraph(6, arcs, 0, 5))
+        out, relab = reduced(Digraph(6, arcs, 0, 5))
         assert out.n == 4
         assert relab.to_original[out.s] == 2
 
     def test_diamond_unchanged(self):
-        out, relab = reduce_rule_3(diamond_dag())
+        out, relab = reduced(diamond_dag())
         assert out.n == 4
 
     def test_single_arc_collapses_to_singleton(self):
-        out, relab = reduce_rule_3(Digraph(2, [(0, 1)], 0, 1))
+        out, relab = reduced(Digraph(2, [(0, 1)], 0, 1))
         assert out is None
 
 
@@ -69,20 +79,20 @@ class TestRule4:
     def test_contracts_degree_two_pair(self):
         # s->x->y->t parallel to s->z->t: y removed, arc (x,t) introduced
         arcs = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]
-        out, relab = reduce_rule_4(Digraph(5, arcs, 0, 4))
+        out, relab = reduced(Digraph(5, arcs, 0, 4))
         assert out.n == 4
         assert 2 not in relab.to_original
         assert (1, 4) in as_original_arcs(out, relab)
 
     def test_diamond_unchanged(self):
-        out, _ = reduce_rule_4(diamond_dag())
+        out, _ = reduced(diamond_dag())
         assert out.n == 4
 
     def test_long_chain_collapses_to_one_vertex(self):
         # degree-2 chain of length 5 beside a parallel branch
         chain = [0, 1, 2, 3, 4, 5, 7]
         arcs = list(zip(chain, chain[1:])) + [(0, 6), (6, 7)]
-        out, relab = reduce_rule_4(Digraph(8, arcs, 0, 7))
+        out, relab = reduced(Digraph(8, arcs, 0, 7))
         originals = set(relab.to_original)
         assert originals == {0, 1, 6, 7}
         assert (1, 7) in as_original_arcs(out, relab)
@@ -90,7 +100,7 @@ class TestRule4:
     def test_chain_keeps_its_smallest_id(self):
         # chain 0-4-3-2-1 beside 0-5-1: 2 stays, whatever the path order
         arcs = [(0, 4), (4, 3), (3, 2), (2, 1), (0, 5), (5, 1)]
-        out, relab = reduce_rule_4(Digraph(6, arcs, 0, 1))
+        out, relab = reduced(Digraph(6, arcs, 0, 1))
         assert set(relab.to_original) == {0, 1, 2, 5}
         assert {(0, 2), (2, 1)} <= set(as_original_arcs(out, relab))
 
@@ -140,18 +150,6 @@ class TestCountPaths:
         for _ in range(100):
             d = random_dag(rng, rng.randint(4, 10))
             assert count_paths(d).value == len(enumerate_all_paths(d))
-
-
-class TestPathLowerBound:
-    def test_diamond_bound(self):
-        rd, _ = reduce_dag(diamond_dag())
-        assert path_lower_bound(rd) == 2
-        assert count_paths(rd.base).value == 2
-
-    def test_serial_diamonds_bound(self):
-        rd, _ = reduce_dag(serial_diamond_dag(3))
-        assert path_lower_bound(rd) == 4
-        assert count_paths(rd.base).value == 8
 
 
 class TestVerifyCondition:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from trackset import setsystem
 from trackset.cli import main
-from trackset.dagtrack import reduce_dag, reduce_rule_2, reduce_rule_3, solve_dag
+from trackset.dagtrack import reduce_dag, reduce_rule_2, solve_dag
 from trackset.graph import Digraph, Graph
 from trackset.instance_io import format_digraph, format_graph
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
@@ -123,26 +123,48 @@ def test_rule_2_keeps_exactly_the_path_vertices(d):
 @given(dags())
 @example(Digraph(6, [(0, 4), (4, 3), (3, 2), (2, 1), (0, 5), (5, 1)], 0, 1))
 def test_reduce_dag_keeps_each_chains_least_id(d):
-    """After rules 2 and 3, each maximal chain of interior in-1/out-1
-    vertices keeps only its least id, and the result is a fixpoint."""
-    pruned, relab2 = reduce_rule_2(d)
-    p, relab3 = reduce_rule_3(pruned)
-    reduced, _ = reduce_dag(d)
-    if p is None:
-        assert reduced is None
+    """After rule 2, rule 3 deletes s (t) while it has one out-arc (in-arc)
+    and no in-arc (out-arc); then each maximal chain of interior in-1/out-1
+    vertices keeps only its least id, its arcs in and out go to that id, and
+    the result is a fixpoint."""
+    p, relab2 = reduce_rule_2(d)
+    arcs, s, t = set(p.arcs), p.s, p.t
+
+    def ins(v):
+        return [a for a, b in arcs if b == v]
+
+    def outs(v):
+        return [b for a, b in arcs if a == v]
+
+    live = set(range(p.n))
+    while s != t:
+        if len(outs(s)) == 1 and not ins(s):
+            end, s = s, outs(s)[0]
+        elif len(ins(t)) == 1 and not outs(t):
+            end, t = t, ins(t)[0]
+        else:
+            break
+        live.discard(end)
+        arcs = {arc for arc in arcs if end not in arc}
+    reduced, deleted = reduce_dag(d)
+    if s == t:
+        assert reduced is None and deleted == d.n - 1
         return
-    inner = {v for v in range(p.n)
-             if v not in (p.s, p.t) and p.in_degree(v) == 1 == p.out_degree(v)}
+    inner = {v for v in live if v not in (s, t) and len(ins(v)) == 1 == len(outs(v))}
     chain = {v: {v} for v in inner}
-    for u, v in p.arcs:
+    for u, v in arcs:
         if u in inner and v in inner:
             merged = chain[u] | chain[v]
             for x in merged:
                 chain[x] = merged
     # relabelings keep the order of ids, so the least id is least in p too
-    kept = sorted(v for v in range(p.n) if v not in inner or v == min(chain[v]))
-    assert reduced.relabeling.to_original == \
-        tuple(relab2.to_original[relab3.to_original[v]] for v in kept)
+    orig = [relab2.to_original[min(chain.get(v, {v}))] for v in range(p.n)]
+    new = reduced.relabeling.to_original
+    assert new == tuple(sorted({orig[v] for v in live}))
+    assert {(new[u], new[v]) for u, v in reduced.base.arcs} == \
+        {(orig[u], orig[v]) for u, v in arcs if orig[u] != orig[v]}
+    assert (new[reduced.base.s], new[reduced.base.t]) == (orig[s], orig[t])
+    assert deleted == d.n - len(new)
     assert reduce_dag(reduced.base)[1] == 0
 
 

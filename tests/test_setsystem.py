@@ -5,7 +5,7 @@ import pytest
 from trackset.oracle import brute_min_tracking
 from trackset.setsystem import (HittingInstance, SetSystem, reduce_to_hitting,
                                 solve_hitting, solve_tracking_set,
-                                tracking_lower_bound, tracks)
+                                tracking_lower_bound, tracks, violating_sets)
 
 
 def triangle_system():
@@ -29,7 +29,7 @@ def test_reduce_to_hitting_single_set():
 
 def test_reduce_to_hitting_carries_2d_bound():
     # sets of size <= d differ in at most 2d elements
-    sys = SetSystem(6, [{0, 1}, {2, 3}, {4, 5}, {0}], d=2)
+    sys = SetSystem(6, [{0, 1}, {2, 3}, {4, 5}, {0}])
     assert max(len(f) for f in reduce_to_hitting(sys).family) == 4
 
 
@@ -105,3 +105,6 @@ def test_tracks_predicate():
     fam = [frozenset({1, 2}), frozenset({2, 3})]
     assert tracks(fam, frozenset({1}))
     assert not tracks(fam, frozenset({2}))
+    fam.append(frozenset({4}))
+    assert violating_sets(fam, frozenset({1})) == (1, 2)
+    assert violating_sets(fam, frozenset({1, 4})) is None

@@ -90,7 +90,7 @@ class TestToSetSystem:
         lg, _ = reduce_rule_1(diamond_graph())
         sys = to_set_system(enumerate_shortest_paths(lg), lg.base.n)
         assert set(sys.family) == {frozenset({0, 1, 3}), frozenset({0, 2, 3})}
-        assert sys.d == 3
+        assert max(map(len, sys.family)) == 3
 
     def test_single_path(self):
         sys = to_set_system([(0, 1, 2)], 3)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import random
 import sys as _sys
 import traceback
@@ -242,27 +243,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "k", 0) is not None and getattr(args, "k", 0) < 0:
-        print("k must be nonnegative", file=_sys.stderr)
-        return 2
-    if getattr(args, "cap", None) is not None and args.cap < 0:
-        print("cap must be nonnegative", file=_sys.stderr)
-        return 2
-    if getattr(args, "threads", 1) < 1:
-        print("threads must be at least 1", file=_sys.stderr)
-        return 2
+    # A large instance allocates tens of thousands of tuples and lists, which
+    # set off cyclic-collector passes; no route builds a reference cycle, so
+    # reference counting frees everything and the collector pauses for the call.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (ParseError, OSError, ValueError) as exc:
-        print(str(exc), file=_sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"cap exceeded without decision ({exc.count} paths)", file=_sys.stderr)
-        return 3
-    except Exception:  # a crash must never read as a decision
-        traceback.print_exc(file=_sys.stderr)
-        return 4
+        args = build_parser().parse_args(argv)
+        if getattr(args, "k", 0) is not None and getattr(args, "k", 0) < 0:
+            print("k must be nonnegative", file=_sys.stderr)
+            return 2
+        if getattr(args, "cap", None) is not None and args.cap < 0:
+            print("cap must be nonnegative", file=_sys.stderr)
+            return 2
+        if getattr(args, "threads", 1) < 1:
+            print("threads must be at least 1", file=_sys.stderr)
+            return 2
+        try:
+            return args.func(args)
+        except (ParseError, OSError, ValueError) as exc:
+            print(str(exc), file=_sys.stderr)
+            return 2
+        except CapExceeded as exc:
+            print(f"cap exceeded without decision ({exc.count} paths)", file=_sys.stderr)
+            return 3
+        except Exception:  # a crash must never read as a decision
+            traceback.print_exc(file=_sys.stderr)
+            return 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

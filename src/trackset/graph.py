@@ -6,7 +6,6 @@ after construction and all operations here are pure.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CycleError, EdgeError
@@ -17,7 +16,7 @@ def _sorted_pairs(n: int, pairs: Iterable[Tuple[int, int]], undirected: bool) ->
 
     Raises EdgeError with the index of the first bad pair.
     """
-    seen = set()
+    seen, keys = set(), []
     for i, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeError(i, f"endpoint out of range: {u} {v}")
@@ -27,7 +26,10 @@ def _sorted_pairs(n: int, pairs: Iterable[Tuple[int, int]], undirected: bool) ->
         if e in seen:
             raise EdgeError(i, f"duplicate {'edge' if undirected else 'arc'} {u} {v}")
         seen.add(e)
-    return sorted(seen)
+        keys.append(e)
+    # in input order, not the set's: a derived graph's pairs come sorted, or
+    # nearly, and sort in about linear time
+    return sorted(keys)
 
 
 def _check_ends(n: int, s: int, t: int):
@@ -62,9 +64,6 @@ class Graph:
             adj[v].append(u)
         self.adj = tuple(map(tuple, adj))
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)}, s={self.s}, t={self.t})"
 
@@ -93,15 +92,6 @@ class Digraph:
         self.out_adj = tuple(map(tuple, out_adj))
         self.in_adj = tuple(map(tuple, in_adj))
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
-
-    def degree(self, v: int) -> int:
-        return len(self.out_adj[v]) + len(self.in_adj[v])
-
     def __repr__(self):
         return f"Digraph(n={self.n}, m={len(self.arcs)}, s={self.s}, t={self.t})"
 
@@ -127,28 +117,29 @@ def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Shortest-path distance from ``source`` to every vertex, None if unreachable."""
     dist: list[Optional[int]] = [None] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    adj, frontier, level = g.adj, [source], 0
+    while frontier:  # one BFS level per round
+        level += 1
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] is None:
+                    dist[v] = level
+                    reached.append(v)
+        frontier = reached
     return dist
 
 
 def topological_order(d: Digraph) -> list[int]:
     """Kahn's algorithm; raises CycleError if the digraph is not a DAG."""
-    indeg = [d.in_degree(v) for v in range(d.n)]
-    queue = deque(v for v in range(d.n) if indeg[v] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in d.out_adj[u]:
+    indeg = list(map(len, d.in_adj))
+    order = [v for v in range(d.n) if not indeg[v]]
+    out_adj = d.out_adj
+    for u in order:  # order grows while it is read, as Kahn's FIFO queue
+        for v in out_adj[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
+            if not indeg[v]:
+                order.append(v)
     if len(order) != d.n:
         raise CycleError("digraph contains a cycle")
     return order

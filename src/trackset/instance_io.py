@@ -9,7 +9,8 @@ Formats ('#' starts a comment, ids are 0-based):
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from itertools import repeat
+from typing import Optional, Tuple, Union
 
 from .errors import CycleError, EdgeError
 from .graph import Digraph, Graph, topological_order
@@ -42,6 +43,23 @@ def _int_fields(tokens: list[str], line_no: int) -> list[int]:
     return fields
 
 
+def _canonical_pairs(rows: list[str]) -> Optional[list[Tuple[int, int]]]:
+    """The pairs of an edge body whose every line is 'digits SPACE digits', read
+    in bulk; None for any other body, which the line loop then reads."""
+    body = "\n".join(rows)
+    if (body.translate(str.maketrans("", "", "0123456789 \n"))
+            or set(map(str.count, rows, repeat(" "))) != {1}):
+        return None
+    tokens = body.split()
+    if len(tokens) != 2 * len(rows):  # a leading or trailing space on some line
+        return None
+    try:
+        ints = list(map(int, tokens))
+    except ValueError:  # more digits than int() takes: the line loop names the token
+        return None
+    return list(zip(ints[::2], ints[1::2]))
+
+
 def parse_instance(text: str) -> Tuple[str, Instance]:
     """Parse an instance file; returns (kind, instance).
 
@@ -65,18 +83,19 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
         n, s, t = _int_fields(header[1:], header_no)
         if n > MAX_IDS:
             raise ParseError(header_no, f"n = {n} is above the limit of {MAX_IDS}")
-        # the constructor checks the pairs and names the first bad one by index
-        pairs, line_nos = [], []
-        for i in range(header_no, len(lines)):
-            tokens = lines[i].split("#", 1)[0].split()
-            if tokens:
-                try:
-                    u, v = tokens
-                    pairs.append((int(u), int(v)))
-                except ValueError:
-                    _int_fields(tokens, i + 1)  # names a token that is no integer
-                    raise ParseError(i + 1, "expected 'u v'")
-                line_nos.append(i + 1)
+        rows = lines[header_no:]
+        pairs = _canonical_pairs(rows)
+        if pairs is None:
+            pairs = []
+            for i, raw in enumerate(rows, header_no + 1):
+                tokens = raw.split("#", 1)[0].split()
+                if tokens:
+                    try:
+                        u, v = tokens
+                        pairs.append((int(u), int(v)))
+                    except ValueError:
+                        _int_fields(tokens, i)  # names a token that is no integer
+                        raise ParseError(i, "expected 'u v'")
         try:
             if kind == "graph":
                 return kind, Graph(n, pairs, s, t)
@@ -84,7 +103,9 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
             topological_order(d)
             return kind, d
         except EdgeError as exc:
-            raise ParseError(line_nos[exc.index], str(exc))
+            # the constructor names the first bad pair by its index; find its line
+            pair_lines = [i for i, raw in enumerate(rows, header_no + 1) if _strip(raw)]
+            raise ParseError(pair_lines[exc.index], str(exc))
         except CycleError:
             raise ParseError(header_no, "digraph contains a cycle")
         except ValueError as exc:

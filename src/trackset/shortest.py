@@ -43,10 +43,11 @@ def reduce_rule_1(g: Graph) -> Tuple[LayeredGraph, VertexRelabeling]:
     if length is None:
         raise NoPathError("t is unreachable from s")
 
-    def on_shortest(a: int, b: int) -> bool:
-        return ds[a] is not None and dt[b] is not None and ds[a] + dt[b] + 1 == length
-
-    kept = [(a, b) for a, b in g.edges if on_shortest(a, b) or on_shortest(b, a)]
+    # t is reachable, so ds and dt read None at the same vertices, and so do
+    # both ends of an edge or neither: one test guards all four reads
+    last = length - 1
+    kept = [(a, b) for a, b in g.edges
+            if ds[a] is not None and (ds[a] + dt[b] == last or ds[b] + dt[a] == last)]
     alive = sorted({v for e in kept for v in e})
     newid = {old: i for i, old in enumerate(alive)}
     base = Graph(len(alive), [(newid[a], newid[b]) for a, b in kept],

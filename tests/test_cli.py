@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 import trackset
 
-from trackset.cli import main
+from trackset.cli import build_parser, main
 from trackset.instance_io import parse_instance
 
 DIAMOND = "graph 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
@@ -315,6 +316,26 @@ class TestExitCodes:
         assert proc.returncode == 4 and proc.stdout == ""
         assert "InternalError" in proc.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_rule_4_tally_fault_exits_4(self, tmp_path, flags):
+        # chains 1-2 and 3 collapse to 1 and 3; with the degree tally made
+        # empty, the check after rule 4 (no assert, so -O keeps it) must fire
+        path = write(tmp_path, "d.dag", "dag 5 0 4\n0 1\n1 2\n2 4\n0 3\n3 4\n")
+        script = ("import sys\n"
+                  "from collections import Counter\n"
+                  "import trackset.dagtrack as dagtrack\n"
+                  "from trackset.cli import main\n"
+                  f"if sys.flags.optimize != {len(flags)}:\n"
+                  "    sys.exit(99)\n"
+                  "dagtrack.Counter = lambda items: Counter()\n"
+                  f"sys.exit(main(['reduce', {path!r}]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trackset.__file__)))
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert ("InternalError: rule 4 left chain vertices [1, 3] off a single in- and "
+                "out-arc") in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--k", "1", "--cap", "-1"],
         ["solve", "--k", "1", "--mode", "setsystem", "--cap", "-1"],
@@ -342,6 +363,56 @@ class TestExitCodes:
                            "--mode", "setsystem")
         assert code == 0 and "witness: 1\n" in out
         assert caps == [2 ** 4 + 1]
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for the call: sound only while no
+    route leaves a reference cycle, and the caller's setting must come back."""
+
+    FILES = {"two.graph": TWO_DIAMONDS, "star.dag": STAR_DAG, "five.sets": FIVE_SETS}
+
+    def argv(self, tmp_path, *argv):
+        paths = {name: write(tmp_path, name, text) for name, text in self.FILES.items()}
+        return [paths.get(a, a) for a in argv]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["solve", "two.graph", "--k", "2"], 0),
+        (["solve", "two.graph", "--k", "2", "--mode", "setsystem", "--oracle"], 0),
+        (["solve", "star.dag", "--k", "4", "--oracle"], 0),
+        (["solve", "five.sets", "--k", "3"], 0),
+        (["reduce", "two.graph"], 0),
+        (["count", "star.dag"], 0),
+        (["verify", "two.graph", "--trackers", "1", "--oracle"], 1),
+        (["solve", "/nonexistent.graph", "--k", "1"], 2),
+        (["solve", "five.sets", "--k", "1", "--mode", "dag"], 2),
+    ], ids=["shortest", "graph-setsystem", "dag", "setsystem", "reduce", "count",
+            "verify", "missing-file", "wrong-mode"])
+    def test_no_route_leaves_cyclic_garbage(self, tmp_path, capsys, argv, code):
+        argv = self.argv(tmp_path, *argv)
+        build_parser()  # once per process; argparse leaves its help formatters in cycles
+        gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_setting_is_restored(self, tmp_path, capsys, monkeypatch, enabled):
+        # the search hands back the empty set, so a searched solve fails its self-check
+        monkeypatch.setattr("trackset.setsystem.hitting_search",
+                            lambda sets, k, lower=0: (0, 1))
+        calls = [(["solve", "two.graph", "--k", "1"], 1), (["solve", "five.sets", "--k", "3"], 4),
+                 (["count", "five.sets"], 2), (["solve", "two.graph"], SystemExit)]
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in calls:
+                argv = self.argv(tmp_path, *argv)
+                if code is SystemExit:
+                    with pytest.raises(SystemExit):
+                        main(argv)
+                else:
+                    assert main(argv) == code
+                assert gc.isenabled() == enabled, argv
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("text,mode", [

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackset
-from trackset.instance_io import MAX_IDS, ParseError, parse_instance
+from trackset.instance_io import MAX_IDS, ParseError, _canonical_pairs, parse_instance
 
 
 @pytest.mark.parametrize("text,line,msg", [
@@ -24,8 +24,13 @@ from trackset.instance_io import MAX_IDS, ParseError, parse_instance
     ("graph 4 0 3\n0 1\n1 1\n5 2\n", 3, "self-loop at vertex 1"),
     ("graph 1 0 0\n0 5\n", 2, "endpoint out of range: 0 5"),
     ("graph 3 0 7\n\n0 1\n", 1, "s and t must be vertex ids below n"),
+    # as many tokens as two per line, yet not two on each line
+    ("graph 5 0 1\n1 2 3\n4\n", 2, "expected 'u v'"),
+    # one space on every line, yet a lone token
+    ("graph 5 0 1\n1 2\n 3\n", 3, "expected 'u v'"),
 ], ids=["range", "self-loop", "duplicate-edge", "duplicate-arc", "cycle",
-        "first-bad-line", "edges-before-header", "header"])
+        "first-bad-line", "edges-before-header", "header", "three-then-one",
+        "leading-space"])
 def test_parse_error_names_the_line(text, line, msg):
     with pytest.raises(ParseError) as exc:
         parse_instance(text)
@@ -101,3 +106,52 @@ def test_only_parse_errors_escape(text):
         assert 1 <= exc.line_no <= len(text.splitlines())
     else:
         assert kind in ("graph", "dag", "setsystem")
+
+
+def _outcome(text):
+    """("ok", kind, n, s, t, pairs) of a graph or dag text, or ("error", line, message)."""
+    try:
+        kind, inst = parse_instance(text)
+    except ParseError as exc:
+        return "error", exc.line_no, str(exc).split(": ", 1)[1]
+    return "ok", kind, inst.n, inst.s, inst.t, inst.edges if kind == "graph" else inst.arcs
+
+
+@st.composite
+def edge_bodies(draw):
+    """A graph or dag with small ids, some out of range, self-loops and
+    duplicates among its pairs: its text written canonically, the same pairs
+    with noise that only the line loop reads, and each pair's line there."""
+    kind = draw(st.sampled_from(["graph", "dag"]))
+    n_s_t = draw(st.lists(st.integers(0, 6), min_size=3, max_size=3))
+    header = " ".join([kind, *map(str, n_s_t)])
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                          min_size=1, max_size=12))
+    noisy, line_of = [header], []
+    for u, v in pairs:
+        noisy += draw(st.lists(st.sampled_from(["", "# note", " \t"]), max_size=2))
+        line_of.append(len(noisy) + 1)
+        lead, sep, trail = (draw(st.sampled_from(choice)) for choice in
+                            (["", " ", "\t"], [" ", "  ", "\t", " \t "], ["", " # c", "\t"]))
+        noisy.append(f"{lead}{u}{sep}{v}{trail}")
+    canonical = "\n".join([header, *(f"{u} {v}" for u, v in pairs)]) + "\n"
+    return canonical, "\n".join([*noisy, "# end"]), line_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_bodies())
+def test_bulk_read_matches_line_loop(case):
+    canonical, noisy, line_of = case
+    assert _canonical_pairs(canonical.splitlines()[1:]) is not None
+    assert _canonical_pairs(noisy.splitlines()[1:]) is None
+    got = _outcome(canonical)
+    if got[0] == "error" and got[1] > 1:  # a bad pair: the same pair's line in the noisy text
+        got = ("error", line_of[got[1] - 2], got[2])
+    assert got == _outcome(noisy)
+
+
+def test_overlong_integer_reads_as_in_the_line_loop():
+    # more digits than int() may take: the bulk read hands the body back
+    big = "9" * 5000
+    got = _outcome(f"graph 3 0 1\n0 {big}\n")
+    assert got[:2] == ("error", 2) and got == _outcome(f"graph 3 0 1\n0  {big}\n")

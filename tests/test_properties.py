@@ -30,8 +30,8 @@ from trackset.dagtrack import reduce_dag, reduce_rule_2, solve_dag
 from trackset.graph import Digraph, Graph
 from trackset.instance_io import format_digraph, format_graph
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
-from trackset.setsystem import (SetSystem, minimal_differences, reduce_to_hitting,
-                                solve_tracking_set)
+from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
+                                reduce_to_hitting, solve_tracking_set)
 from trackset.shortest import solve_shortest_paths
 
 from conftest import brute_shortest_path_sets
@@ -248,6 +248,36 @@ def test_minimal_differences_matches_reference(patched, masks, chunk):
     with mock.patch.object(setsystem, "PAIR_CHUNK",
                            chunk if patched else setsystem.PAIR_CHUNK):
         assert minimal_differences(masks) == reference_minimal_differences(masks)
+
+
+def least_hitting_set(sets, n):
+    """First hitting set over elements 0..n-1 in combinations order, over
+    the smallest size, as a mask; None if there is none."""
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            t = sum(1 << e for e in combo)
+            if all(s & t for s in sets):
+                return t
+    return None
+
+
+@SETTINGS
+@given(masks=mask_lists())
+@example(masks=[0, 1, 2, 3])
+@example(masks=[])
+def test_hitting_search_matches_brute_force(masks):
+    """On the minimal differences, on the raw masks (unsorted, and holding
+    the empty set when it was drawn) and on the raw nonempty ones: for every
+    k and for lower in {0, minimum}, the search finds no set exactly when
+    none of size <= k exists, and else the first of minimum size in
+    ``itertools.combinations`` order."""
+    n = max(masks, default=0).bit_length()
+    for sets in (minimal_differences(masks), masks, [m for m in masks if m]):
+        best = least_hitting_set(sets, n)
+        for k in range(n + 2):
+            for lower in {0, 0 if best is None else best.bit_count()}:
+                expect = best if best is not None and best.bit_count() <= k else None
+                assert hitting_search(sets, k, lower)[0] == expect, (sets, k, lower)
 
 
 def check_verify(text, paths, trackers):

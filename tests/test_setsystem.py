@@ -1,11 +1,17 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
+from trackset.dagtrack import path_masks
+from trackset.generate import random_layered_graph, random_set_system
+from trackset.graph import Graph
 from trackset.oracle import brute_min_tracking
-from trackset.setsystem import (HittingInstance, SetSystem, reduce_to_hitting,
-                                solve_hitting, solve_tracking_set,
+from trackset.setsystem import (HittingInstance, SetSystem, hitting_search,
+                                minimal_differences, reduce_to_hitting,
+                                solve_hitting, solve_tracking_set, to_mask,
                                 tracking_lower_bound, tracks, violating_sets)
+from trackset.shortest import reduce_rule_1, to_dag
 
 
 def triangle_system():
@@ -108,3 +114,51 @@ def test_tracks_predicate():
     fam.append(frozenset({4}))
     assert violating_sets(fam, frozenset({1})) == (1, 2)
     assert violating_sets(fam, frozenset({1, 4})) is None
+
+
+def pinned_family(kind, *args):
+    """Distinct masks: a seeded random set system (seed, universe, m), the
+    shortest-path masks of a seeded layered graph (seed, layers, width), or
+    those of the r-star (s and t joined through r middle vertices)."""
+    if kind == "sets":
+        seed, universe, m = args
+        return [to_mask(s) for s in random_set_system(random.Random(seed), universe, m).family]
+    if kind == "layered":
+        seed, layers, width = args
+        g = random_layered_graph(random.Random(seed), layers, width)
+    else:
+        r, = args
+        g = Graph(r + 2, [(0, v) for v in range(2, r + 2)] + [(v, 1) for v in range(2, r + 2)],
+                  0, 1)
+    return path_masks(to_dag(reduce_rule_1(g)[0]))
+
+
+# (family, minimum hitting set of its minimal differences, nodes searched at
+# (k, lower) = (min, 0), (min, ceil(lg m)), (min - 1, 0), (min - 1, ceil(lg m)))
+PINNED_SEARCHES = [
+    (("sets", 1, 14, 30), 3118, (176, 160, 78, 62)),
+    (("sets", 2, 15, 36), 24607, (440, 295, 424, 279)),
+    (("sets", 3, 16, 40), 9155, (612, 479, 456, 323)),
+    (("sets", 4, 17, 44), 19681, (1299, 1178, 643, 522)),
+    (("sets", 5, 18, 48), 143939, (883, 696, 673, 486)),
+    (("sets", 6, 18, 30), 4254, (1141, 1036, 554, 449)),
+    (("layered", 3, 4, 4), 1386, (27, 22, 20, 15)),
+    (("layered", 4, 4, 4), 922, (43, 32, 36, 25)),
+    (("layered", 5, 5, 3), 6870, (119, 111, 110, 102)),
+    (("layered", 7, 4, 4), 470, (38, 31, 31, 24)),
+    (("star", 13), 16380, (95, 91, 82, 78)),
+]
+
+
+@pytest.mark.parametrize("family, witness, nodes", PINNED_SEARCHES,
+                         ids=["-".join(map(str, row[0])) for row in PINNED_SEARCHES])
+def test_hitting_search_tree_is_pinned(family, witness, nodes):
+    """The search returns the same witness after the same number of nodes:
+    ``subsets_tried`` is printed, so the tree it walks is part of stdout."""
+    masks = pinned_family(*family)
+    sets = minimal_differences(masks)
+    low, best = tracking_lower_bound(len(masks)), witness.bit_count()
+    got = [hitting_search(sets, k, lower)
+           for k in (best, best - 1) for lower in (0, low)]
+    assert got == [(witness, nodes[0]), (witness, nodes[1]),
+                   (None, nodes[2]), (None, nodes[3])]

@@ -144,70 +144,80 @@ def hitting_search(sets: Sequence[int], k: int, lower: int = 0
     min(k, |union of sets|), since a minimum hitting set lies inside the
     union. Each pass picks elements in ascending order, so the first
     hitting set found is the minimum one that is lexicographically least.
+
+    The passes share tables over set indices, each a mask with bit i for
+    ``sets[i]``: ``col[e]`` holds the sets that contain element e and
+    ``bylen[L]`` those whose highest element is L - 1; ``nbr[b]`` caches,
+    per set bit, the sets that share an element >= b with that set.
     """
     union = 0
     for s in sets:
         union |= s
+    col = [0] * union.bit_length()
+    bylen = [0] * (len(col) + 1)
+    for i, s in enumerate(sets):
+        bylen[s.bit_length()] |= 1 << i
+        while s:
+            low = s & -s
+            col[low.bit_length() - 1] |= 1 << i
+            s ^= low
+    tables = sets, col, bylen, [{} for _ in bylen]
     nodes = 0
     for size in range(lower, min(k, union.bit_count()) + 1):
-        found, tested = _search_size(sets, size)
+        found, tested = _search_size(tables, size)
         nodes += tested
         if found is not None:
             return found, nodes
     return None, nodes
 
 
-def _search_size(sets: Sequence[int], size: int) -> Tuple[Optional[int], int]:
+def _search_size(tables: tuple, size: int) -> Tuple[Optional[int], int]:
     """Lexicographically least hitting set of at most ``size`` ascending picks.
 
     Depth-first with an explicit stack, so the depth is not bounded by the
-    recursion limit. A node is (sets its parent left unhit, picks so far,
-    last pick as a bit, picks left). Every remaining pick lies above the
-    last one, which gives three prunes: an unhit set with no element above
-    the last pick can no longer be hit; disjoint unhit sets need one pick
-    each (greedy packing); and the set with the smallest highest element
-    must be hit, so the next pick is at most that element. An element in no
-    unhit set is never picked, since a minimum set would not need it, and
-    the last pick must lie in every unhit set.
+    recursion limit. A node is (mask of its unhit sets, picks so far, b =
+    one above the last pick, picks left); picking x leaves the unhit sets
+    outside ``col[x]``. Every remaining pick is at least b, which gives the
+    prunes. Disjoint unhit sets need one pick each: greedy packing takes the
+    lowest unhit set and drops its ``nbr[b]``, again and again, and a set
+    with no element >= b, which can no longer be hit, drops nothing and is
+    taken until the count passes the budget. The first L > b with an unhit
+    set in ``bylen[L]`` bounds the next pick to below L, as that set must
+    be hit. An element in no unhit set is never picked, since a minimum
+    set would not need it, and the last pick must lie in every unhit set.
     """
+    sets, col, bylen, nbr = tables
     nodes = 0
-    stack = [(sets, 0, 0, size)]
+    stack = [((1 << len(sets)) - 1, 0, 0, size)]
     while stack:
-        parent, chosen, pick, budget = stack.pop()
+        unhit, chosen, b, budget = stack.pop()
         nodes += 1
-        unhit = [s for s in parent if not s & pick] if pick else parent
         if not unhit:
             return chosen, nodes
         if not budget:
             continue
-        above = -1 << pick.bit_length()
-        union = packed = 0
-        common = -1
-        need = 0
-        top = unhit[0].bit_length()
-        for s in unhit:
-            s &= above
-            if not s:
-                break
-            union |= s
-            common &= s
-            if not s & packed:
-                packed |= s
-                need += 1
-            if s.bit_length() < top:
-                top = s.bit_length()
-        else:
-            if need > budget:
-                continue
-            cand = union & ((1 << top) - 1)
-            if budget == 1:
-                cand &= common
-            kids = []
-            while cand:
-                low = cand & -cand
-                kids.append((unhit, chosen | low, low, budget - 1))
-                cand ^= low
-            stack.extend(reversed(kids))
+        near, rest, need = nbr[b], unhit, 0
+        while rest and need <= budget:
+            low = rest & -rest
+            hit = near.get(low)
+            if hit is None:
+                s, hit = sets[low.bit_length() - 1] >> b << b, 0
+                while s:
+                    e = s & -s
+                    hit |= col[e.bit_length() - 1]
+                    s ^= e
+                near[low] = hit
+            rest &= ~hit
+            need += 1
+        if need > budget:
+            continue
+        top = b + 1
+        while not unhit & bylen[top]:
+            top += 1
+        for x in range(top - 1, b - 1, -1):
+            rest = unhit & ~col[x]
+            if rest != unhit and (budget > 1 or not rest):
+                stack.append((rest, chosen | 1 << x, x + 1, budget - 1))
     return None, nodes
 
 

@@ -181,10 +181,11 @@ def _search_size(tables: tuple, size: int) -> Tuple[Optional[int], int]:
     prunes. Disjoint unhit sets need one pick each: greedy packing takes the
     lowest unhit set and drops its ``nbr[b]``, again and again, and a set
     with no element >= b, which can no longer be hit, drops nothing and is
-    taken until the count passes the budget. The first L > b with an unhit
-    set in ``bylen[L]`` bounds the next pick to below L, as that set must
-    be hit. An element in no unhit set is never picked, since a minimum
-    set would not need it, and the last pick must lie in every unhit set.
+    taken until the count passes the budget. So every unhit set of a node
+    that survives lies in some ``bylen[L]``, L > b; one with the least L
+    must be hit, so the next pick is below L. An element in no unhit set is
+    never picked, since a minimum set would not need it, and the last pick
+    must lie in every unhit set.
     """
     sets, col, bylen, nbr = tables
     nodes = 0

@@ -216,9 +216,9 @@ def _search_size(tables: tuple, size: int) -> Tuple[Optional[int], int]:
         while not unhit & bylen[top]:
             top += 1
         for x in range(top - 1, b - 1, -1):
-            rest = unhit & ~col[x]
-            if rest != unhit and (budget > 1 or not rest):
-                stack.append((rest, chosen | 1 << x, x + 1, budget - 1))
+            left = unhit & ~col[x]
+            if left != unhit and (budget > 1 or not left):
+                stack.append((left, chosen | 1 << x, x + 1, budget - 1))
     return None, nodes
 
 

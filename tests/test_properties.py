@@ -9,7 +9,8 @@ Rule 4 keeps the smallest id of each chain of interior degree-2
 vertices, and every vertex of a chain lies on the same paths, so the
 witness is the least over all input ids, whatever the labelling. The
 ``verify`` command is checked the same way: its exit code against the
-definition, and a printed violating pair against the path family.
+definition, and a printed violating pair against the path family. The
+pair finder itself must return what one count pass per source returns.
 """
 
 import contextlib
@@ -21,20 +22,22 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trackset import setsystem
 from trackset.cli import main
-from trackset.dagtrack import reduce_dag, reduce_rule_2, solve_dag
-from trackset.graph import Digraph, Graph
+from trackset.dagtrack import (_pair_through, reduce_dag, reduce_rule_2, solve_dag,
+                               violating_pair)
+from trackset.errors import NoPathError
+from trackset.graph import Digraph, Graph, topological_order
 from trackset.instance_io import format_digraph, format_graph
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
 from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
                                 reduce_to_hitting, solve_tracking_set)
-from trackset.shortest import solve_shortest_paths
+from trackset.shortest import reduce_rule_1, solve_shortest_paths, to_dag
 
-from conftest import brute_shortest_path_sets
+from conftest import brute_shortest_path_sets, serial_diamond_dag
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -313,3 +316,59 @@ def test_cli_verify_on_dags_matches_definition(case):
 def test_cli_verify_on_graphs_matches_definition(case):
     g, trackers = case
     check_verify(format_graph(g), brute_shortest_path_sets(g), trackers)
+
+
+def reference_violating_pair(d, trackers):
+    """One saturating count pass per u in trackers + {s}, ascending: the
+    first u, and then the least v in trackers + {t}, with two u-v paths
+    avoiding the trackers inside give the pair."""
+    topo, ends = topological_order(d), sorted(trackers | {d.t})
+    for u in sorted(trackers | {d.s}):
+        counts = [0] * d.n
+        counts[u] = 1
+        for w in topo:
+            if counts[w] and (w == u or w not in trackers):
+                for x in d.out_adj[w]:
+                    counts[x] = min(2, counts[x] + counts[w])
+        v = next((v for v in ends if counts[v] == 2), None)
+        if v is not None:
+            return _pair_through(d, counts, trackers, u, v)
+    return None
+
+
+@st.composite
+def spanning_dags(draw):
+    """DAGs on 2-14 vertices whose s and t come first and last in a random
+    topological order, so that rule 2 leaves more of them."""
+    n = draw(st.integers(2, 14))
+    order = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph(n, [(order[a], order[b]) for (a, b), k in zip(pairs, keep) if k],
+                   order[0], order[-1])
+
+
+@st.composite
+def pruned_dags_with_trackers(draw):
+    """What both verify routes hand the pair finder: a DAG pruned by rule 2,
+    or the rule-1 DAG of a graph, with any set of trackers."""
+    kind = draw(st.sampled_from(["dag", "spanning", "graph"]))
+    if kind == "graph":
+        try:
+            d = to_dag(reduce_rule_1(draw(graphs()))[0])
+        except NoPathError:
+            assume(False)
+    else:
+        d = reduce_rule_2(draw(dags() if kind == "dag" else spanning_dags()))[0]
+    marks = draw(st.lists(st.booleans(), min_size=d.n, max_size=d.n))
+    return d, frozenset(v for v, m in enumerate(marks) if m)
+
+
+@SETTINGS
+@given(pruned_dags_with_trackers())
+@example((serial_diamond_dag(3, [2, 3, 2]), frozenset({0, 1, 4, 5, 8, 10})))
+@example((serial_diamond_dag(3, [2, 3, 2]), frozenset({0, 1, 4, 8, 10})))
+def test_violating_pair_matches_count_pass(case):
+    """The same answer and, on false, the very same pair of paths."""
+    d, trackers = case
+    assert violating_pair(d, trackers) == reference_violating_pair(d, trackers)

@@ -156,18 +156,39 @@ def violating_pair(d: Digraph, trackers: FrozenSet[int]
                    ) -> Optional[Tuple[List[int], List[int]]]:
     """Two s-t paths of ``d`` that meet ``trackers`` in the same set, or None.
 
-    ``d`` is a DAG whose every vertex lies on an s-t path. A saturating count
-    pass per u in trackers + {s} counts the u-v paths with no tracker inside;
-    two for a v in trackers + {t} is a violation. O(|trackers| (n + m)) time."""
-    topo, ends = topological_order(d), sorted(trackers | {d.t})
+    ``d`` is a DAG whose every vertex lies on an s-t path. Two s-t paths meet
+    the trackers in the same set iff, for some u in trackers + {s}, two u-v
+    paths with no tracker inside end at a v in trackers + {t}. As every
+    vertex leads on to t, and the first tracker or t it meets would then get
+    two such paths, that holds iff the vertices reached from u through
+    non-trackers do not form an out-tree. A DFS per u, ascending, walks
+    through non-trackers only (trackers and t are leaves) and stops at the
+    first vertex it enters twice; one stamp array serves every u. Only for
+    the first u whose DFS fails does a saturating count pass count those u-v
+    paths, and the least v with two of them gives the pair. The cost is the
+    sum of the regions walked, O(n + m) per u, so O(|trackers| (n + m)) in
+    the worst case, when the regions overlap; a true answer builds no
+    topological order and no count array."""
+    out_adj, entered = d.out_adj, [-1] * d.n
     for u in sorted(trackers | {d.s}):
+        stack, tree = [u], True
+        while stack and tree:
+            for x in out_adj[stack.pop()]:
+                if entered[x] == u:
+                    tree = False
+                    break
+                entered[x] = u
+                if x not in trackers:
+                    stack.append(x)
+        if tree:
+            continue
         counts = [0] * d.n
         counts[u] = 1
-        for w in topo:
+        for w in topological_order(d):
             if counts[w] and (w == u or w not in trackers):
-                for x in d.out_adj[w]:
+                for x in out_adj[w]:
                     counts[x] = min(2, counts[x] + counts[w])
-        v = next((v for v in ends if counts[v] == 2), None)
+        v = next((v for v in sorted(trackers | {d.t}) if counts[v] == 2), None)
         if v is not None:
             p, q = _pair_through(d, counts, trackers, u, v)
             if p == q or trackers.intersection(p) != trackers.intersection(q):

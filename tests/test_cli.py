@@ -230,14 +230,17 @@ class TestCountVerify:
     @pytest.mark.parametrize("text,trackers,code", [
         (DIAMOND, ["1"], 0), (DIAMOND, ["0", "3"], 1),
         (DIAMOND_DAG, ["2"], 0), (DIAMOND_DAG, [], 1),
-    ], ids=["graph-true", "graph-false", "dag-true", "dag-false"])
+        (TWO_DIAMONDS, ["0", "1", "4", "6"], 0),
+    ], ids=["graph-true", "graph-false", "dag-true", "dag-false", "diamonds-true"])
     def test_verify_lists_no_paths(self, tmp_path, capsys, monkeypatch,
                                    text, trackers, code):
         def refuse(*args, **kwargs):
-            raise AssertionError("verify listed the paths")
+            raise AssertionError("verify listed the paths or ran a count pass")
 
         monkeypatch.setattr("trackset.oracle.enumerate_all_paths", refuse)
         monkeypatch.setattr("trackset.shortest.enumerate_shortest_paths", refuse)
+        if not code:  # a true answer needs no topological order to count paths along
+            monkeypatch.setattr("trackset.dagtrack.topological_order", refuse)
         path = write(tmp_path, "x.txt", text)
         got, out, _ = run(capsys, "verify", path, "--trackers", *trackers)
         assert got == code

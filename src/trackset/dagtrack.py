@@ -3,8 +3,9 @@
 Pipeline: prune to the fixpoint of three reduction rules, gate on path
 count lower bounds, then turn the s-t paths into vertex bitmasks for the
 decision core :func:`trackset.setsystem.solve_masks`. For a candidate set,
-the tracking condition gives an equivalent polynomial check that also
-builds a violating pair of paths.
+the tracking condition gives an equivalent check, one DFS per tracker and
+s: what each reaches through non-trackers must be an out-tree. Where it is
+not, a count pass from that source builds a violating pair of paths.
 """
 
 from __future__ import annotations
@@ -158,17 +159,18 @@ def violating_pair(d: Digraph, trackers: FrozenSet[int]
 
     ``d`` is a DAG whose every vertex lies on an s-t path. Two s-t paths meet
     the trackers in the same set iff, for some u in trackers + {s}, two u-v
-    paths with no tracker inside end at a v in trackers + {t}. As every
-    vertex leads on to t, and the first tracker or t it meets would then get
-    two such paths, that holds iff the vertices reached from u through
-    non-trackers do not form an out-tree. A DFS per u, ascending, walks
-    through non-trackers only (trackers and t are leaves) and stops at the
-    first vertex it enters twice; one stamp array serves every u. Only for
-    the first u whose DFS fails does a saturating count pass count those u-v
-    paths, and the least v with two of them gives the pair. The cost is the
-    sum of the regions walked, O(n + m) per u, so O(|trackers| (n + m)) in
-    the worst case, when the regions overlap; a true answer builds no
-    topological order and no count array."""
+    paths with no tracker inside end at a v in trackers + {t}. Every vertex
+    leads on to t, so a vertex with two such paths from u passes them on to
+    the first tracker or t it meets: that holds iff the vertices reached
+    from u through non-trackers do not form an out-tree. A DFS per u,
+    ascending, walks through non-trackers only (trackers are leaves, and so
+    is t, which has no out-arc) and stops at the first vertex it enters
+    twice; one stamp array serves every u. Only for the first u whose DFS
+    fails does a saturating count pass count those u-v paths, and the least
+    v with two of them gives the pair. The cost is the sum of the regions
+    walked, O(n + m) per u, so O(|trackers| (n + m)) in the worst case, when
+    the regions overlap; a true answer builds no topological order and no
+    count array."""
     out_adj, entered = d.out_adj, [-1] * d.n
     for u in sorted(trackers | {d.s}):
         stack, tree = [u], True

@@ -35,12 +35,15 @@ def _emit(report: SolveReport, as_json: bool) -> int:
     return 0 if report.result == "YES" else 1
 
 
-def _oracle_check(report: SolveReport, family, universe: int, k: int):
-    """Cross-check a solve decision against the brute-force oracle."""
+def _oracle_check(report: SolveReport, kind: str, inst, k: int, cap: Optional[int]):
+    """Cross-check a solve decision, and the witness's size, against the brute-force oracle."""
+    universe = inst.universe_size if kind == "setsystem" else inst.n
+    oracle.check_universe(universe)  # before listing paths, which may be exponentially many
+    family = _oracle_family(kind, inst, cap)
     best = oracle.brute_min_tracking(family, universe, max_k=k)
     agree = (best is not None) == (report.result == "YES")
     if report.result == "YES" and report.witness is not None:
-        agree = agree and len(report.witness) >= (best or 0)
+        agree = agree and len(report.witness) == best
         agree = agree and oracle.brute_is_tracking(family, report.witness)
     if not agree:
         raise InternalError("oracle disagrees with solver decision")
@@ -51,13 +54,8 @@ def _oracle_family(kind: str, inst, cap: Optional[int]):
     """What the oracle checks, in input ids: a family, a DAG's s-t paths or shortest paths."""
     if kind == "setsystem":
         return inst.family
-    if kind == "dag":
-        return oracle.enumerate_all_paths(inst, cap=cap)
-    try:
-        lg, relab = shortest.reduce_rule_1(inst)
-    except NoPathError:
-        return []
-    return [relab.map_set(p) for p in shortest.enumerate_shortest_paths(lg, cap=cap)]
+    lister = oracle.enumerate_all_paths if kind == "dag" else oracle.enumerate_shortest_paths
+    return lister(inst, cap=cap)
 
 
 def _cmd_solve(args) -> int:
@@ -77,8 +75,7 @@ def _cmd_solve(args) -> int:
     report = solvers[mode, kind]()
     code = _emit(report, args.json)
     if args.oracle:
-        universe = inst.universe_size if kind == "setsystem" else inst.n
-        _oracle_check(report, _oracle_family(kind, inst, args.cap), universe, args.k)
+        _oracle_check(report, kind, inst, args.k, args.cap)
     return code
 
 

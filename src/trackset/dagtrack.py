@@ -149,8 +149,10 @@ def count_paths(d: Digraph, cap: Optional[int] = None) -> PathCount:
 
 
 def verify_tracking_condition(d: Digraph, trackers: FrozenSet[int]) -> bool:
-    """True iff ``trackers`` track every s-t path of ``d``; see :func:`violating_pair`."""
-    return violating_pair(d, frozenset(trackers)) is None
+    """True iff ``trackers`` track every s-t path of the DAG ``d``; see :func:`violating_pair`."""
+    pruned, relab = reduce_rule_2(d)  # trackers off every s-t path tell no path apart
+    inv = {old: new for new, old in enumerate(relab.to_original)}
+    return violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv)) is None
 
 
 def violating_pair(d: Digraph, trackers: FrozenSet[int]

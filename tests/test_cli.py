@@ -9,7 +9,10 @@ import pytest
 import trackset
 
 from trackset.cli import build_parser, main
-from trackset.instance_io import parse_instance
+from trackset.instance_io import format_digraph, format_graph, parse_instance
+from trackset.report import SolveReport
+
+from conftest import serial_diamond_dag, serial_diamond_graph
 
 DIAMOND = "graph 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
 DIAMOND_DAG = "dag 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
@@ -21,6 +24,10 @@ NO_PATH = "graph 4 0 3\n0 1\n2 3\n"
 STAR_EDGES = "".join(f"0 {m}\n{m} 6\n" for m in range(1, 6))
 STAR, STAR_DAG = "graph 7 0 6\n" + STAR_EDGES, "dag 7 0 6\n" + STAR_EDGES
 SINGLETONS = "setsystem 5 5\n0\n1\n2\n3\n4\n"
+# s = 2, t = 3: shortest paths 2-0-1-3 and 2-4-1-3; rule 1 deletes 5-8
+RULE_1_PIN = "graph 9 2 3\n" + "".join(f"{e}\n" for e in (
+    "0 1", "0 2", "0 5", "0 6", "1 3", "1 4", "1 6", "2 4", "2 5", "4 5", "4 6", "4 7",
+    "5 6", "5 7", "5 8", "6 8"))
 
 
 def write(tmp_path, name, text):
@@ -109,6 +116,48 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.graph", "--k", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("k,code,rest", [
+        ("0", 1, "paths: 2+\nreductions: 5\nsubsets_tried: 0\n"
+                 "reason: more than 2^0 paths need more than 0 trackers\n"),
+        ("1", 0, "witness: 0\nsize: 1\npaths: 2\nreductions: 5\nsubsets_tried: 2\n"),
+    ], ids=["no", "yes"])
+    def test_graph_oracle_lists_paths_without_rule_1(self, tmp_path, capsys, k, code, rest):
+        # the oracle's family comes from its own BFS and DFS on the raw graph,
+        # so a defect in rule 1 makes it disagree rather than agree with itself
+        path = write(tmp_path, "pin.graph", RULE_1_PIN)
+        verdict = "YES" if code == 0 else "NO"
+        assert run(capsys, "solve", path, "--k", k, "--oracle") == \
+            (code, f"result: {verdict}\n{rest}oracle: agree\n", "")
+
+    @pytest.mark.parametrize("kind", ["graph", "dag"])
+    def test_oracle_refuses_before_listing(self, tmp_path, capsys, monkeypatch, kind):
+        # 17 serial diamonds: 52 vertices and 131,072 paths the oracle must not list
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle listed paths it then refused")
+
+        monkeypatch.setattr("trackset.oracle.enumerate_all_paths", refuse)
+        monkeypatch.setattr("trackset.oracle.enumerate_shortest_paths", refuse)
+        text = (format_graph(serial_diamond_graph(17)) if kind == "graph"
+                else format_digraph(serial_diamond_dag(17)))
+        path = write(tmp_path, "big.txt", text)
+        _, plain, _ = run(capsys, "solve", path, "--k", "3")
+        assert run(capsys, "solve", path, "--k", "3", "--oracle") == \
+            (2, plain, "oracle refuses universes larger than 20\n")
+
+    @pytest.mark.parametrize("text,solver", [
+        (DIAMOND, "trackset.shortest.solve_shortest_paths"),
+        (DIAMOND_DAG, "trackset.dagtrack.solve_dag"),
+    ], ids=["graph", "dag"])
+    def test_oracle_rejects_a_padded_witness(self, tmp_path, capsys, monkeypatch,
+                                             text, solver):
+        # {0, 1} tracks the diamond, but {1} is the minimum the solver promises
+        monkeypatch.setattr(solver, lambda inst, k: SolveReport("YES", witness=(0, 1)))
+        path = write(tmp_path, "d.txt", text)
+        code, out, err = run(capsys, "solve", path, "--k", "2", "--oracle")
+        assert code == 4 and out.startswith("result: YES\nwitness: 0 1\n")
+        assert "oracle: agree" not in out
+        assert "InternalError: oracle disagrees with solver decision" in err
 
     def test_dag_solve_with_oracle(self, tmp_path, capsys):
         path = write(tmp_path, "d.dag", DIAMOND_DAG)
@@ -238,6 +287,7 @@ class TestCountVerify:
             raise AssertionError("verify listed the paths or ran a count pass")
 
         monkeypatch.setattr("trackset.oracle.enumerate_all_paths", refuse)
+        monkeypatch.setattr("trackset.oracle.enumerate_shortest_paths", refuse)
         monkeypatch.setattr("trackset.shortest.enumerate_shortest_paths", refuse)
         if not code:  # a true answer needs no topological order to count paths along
             monkeypatch.setattr("trackset.dagtrack.topological_order", refuse)

@@ -163,6 +163,20 @@ class TestVerifyCondition:
     def test_source_alone_insufficient(self):
         assert not verify_tracking_condition(diamond_dag(), frozenset({0}))
 
+    def test_trackers_off_every_s_t_path(self):
+        # 4-5-7 and 4-6-7 lie on no s-t path, so they are no two paths to tell apart
+        d = Digraph(8, [(0, 1), (1, 3), (0, 2), (4, 5), (4, 6), (5, 7), (6, 7)], 0, 3)
+        assert verify_tracking_condition(d, frozenset({4, 7}))
+        assert verify_tracking_condition(d, frozenset())
+
+    def test_matches_definition_on_unpruned_dags(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            d = random_dag(rng, rng.randint(4, 9))
+            trackers = frozenset(rng.sample(range(d.n), rng.randint(0, d.n)))
+            assert verify_tracking_condition(d, trackers) == \
+                brute_is_tracking(enumerate_all_paths(d), trackers)
+
     def test_matches_definition_on_random_dags(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -1,5 +1,6 @@
 import pytest
 
+from trackset import oracle
 from trackset.errors import CapExceeded
 from trackset.graph import Digraph
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
@@ -65,3 +66,10 @@ def test_permutation_invariance(rng):
 def test_refuses_large_universe():
     with pytest.raises(ValueError):
         brute_min_tracking([{0}], 21)
+
+
+def test_shares_no_solver_code():
+    # the oracle checks rule 1 and the solvers, so it must not run their code
+    solver = {"bfs_distances", "count_paths", "dagtrack", "path_masks", "reduce_rule_1",
+              "setsystem", "shortest", "solve_masks", "topological_order"}
+    assert not solver & set(vars(oracle))

@@ -32,7 +32,8 @@ from trackset.dagtrack import (_pair_through, reduce_dag, reduce_rule_2, solve_d
 from trackset.errors import NoPathError
 from trackset.graph import Digraph, Graph, topological_order
 from trackset.instance_io import format_digraph, format_graph
-from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
+from trackset.oracle import (brute_is_tracking, brute_min_tracking, enumerate_all_paths,
+                             enumerate_shortest_paths)
 from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
                                 reduce_to_hitting, solve_tracking_set)
 from trackset.shortest import reduce_rule_1, solve_shortest_paths, to_dag
@@ -77,6 +78,24 @@ def dags(draw):
 
 
 @st.composite
+def spanning_dags(draw):
+    """DAGs on 2-14 vertices whose s and t come first and last in a random
+    topological order, so that rule 2 leaves more of them."""
+    n = draw(st.integers(2, 14))
+    order = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph(n, [(order[a], order[b]) for (a, b), k in zip(pairs, keep) if k],
+                   order[0], order[-1])
+
+
+def any_dags():
+    """Either kind: with s and t drawn at random rule 2 leaves at most four
+    vertices of most DAGs, with s and t at the ends it leaves more."""
+    return st.one_of(dags(), spanning_dags())
+
+
+@st.composite
 def graphs(draw):
     """Graphs on at most 10 vertices."""
     n = draw(st.integers(2, 10))
@@ -102,7 +121,7 @@ def set_systems(draw):
 
 
 @SETTINGS
-@given(dags())
+@given(any_dags())
 @example(Digraph(6, [(0, 4), (4, 3), (3, 2), (2, 1), (0, 5), (5, 1)], 0, 1))
 def test_dag_route_matches_brute_force(d):
     def solve(k):
@@ -180,6 +199,14 @@ def test_shortest_route_matches_brute_force(g):
         return rep.result == "YES", rep.witness
 
     check_route(brute_shortest_path_sets(g), g.n, solve)
+
+
+@SETTINGS
+@given(graphs())
+def test_oracle_lists_the_shortest_paths(g):
+    """The same vertex sequences as the exhaustive DFS, on raw graphs that
+    may leave t unreachable."""
+    assert sorted(enumerate_shortest_paths(g)) == sorted(brute_shortest_path_sets(g))
 
 
 @SETTINGS
@@ -305,7 +332,7 @@ def check_verify(text, paths, trackers):
 
 
 @SETTINGS
-@given(with_trackers(dags()))
+@given(with_trackers(any_dags()))
 def test_cli_verify_on_dags_matches_definition(case):
     d, trackers = case
     check_verify(format_digraph(d), enumerate_all_paths(d), trackers)
@@ -334,18 +361,6 @@ def reference_violating_pair(d, trackers):
         if v is not None:
             return _pair_through(d, counts, trackers, u, v)
     return None
-
-
-@st.composite
-def spanning_dags(draw):
-    """DAGs on 2-14 vertices whose s and t come first and last in a random
-    topological order, so that rule 2 leaves more of them."""
-    n = draw(st.integers(2, 14))
-    order = draw(st.permutations(range(n)))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Digraph(n, [(order[a], order[b]) for (a, b), k in zip(pairs, keep) if k],
-                   order[0], order[-1])
 
 
 @st.composite

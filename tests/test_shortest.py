@@ -6,10 +6,9 @@ from trackset.dagtrack import count_paths, solve_dag
 from trackset.errors import CapExceeded, NoPathError
 from trackset.generate import random_connected_graph
 from trackset.graph import Graph, topological_order
-from trackset.oracle import brute_min_tracking
+from trackset.oracle import brute_min_tracking, enumerate_shortest_paths
 from trackset.setsystem import solve_tracking_set
-from trackset.shortest import (enumerate_shortest_paths, reduce_rule_1,
-                               solve_shortest_paths, to_dag, to_set_system)
+from trackset.shortest import reduce_rule_1, solve_shortest_paths, to_dag, to_set_system
 
 from conftest import brute_shortest_path_sets, diamond_graph, serial_diamond_graph
 
@@ -26,7 +25,7 @@ class TestRule1:
         g = Graph(3, [(0, 1), (1, 2)], 0, 2)
         lg, relab = reduce_rule_1(g)
         assert lg.base.n == 3 and len(lg.base.edges) == 2
-        assert lg.length == 2
+        assert lg.levels[lg.base.t] == 2  # the shortest s-t distance
 
     def test_chord_deleted(self):
         # chord between the two level-1 middles fails the distance test
@@ -51,44 +50,51 @@ class TestRule1:
             g = random_connected_graph(rng, rng.randint(4, 12))
             before = {frozenset(p) for p in brute_shortest_path_sets(g)}
             lg, relab = reduce_rule_1(g)
-            after = {relab.map_set(p) for p in enumerate_shortest_paths(lg)}
+            after = {relab.map_set(p) for p in enumerate_shortest_paths(lg.base)}
             assert before == after
 
 
 class TestEnumerate:
+    """The oracle's lister, on the raw graph, against the exhaustive DFS."""
+
     def test_diamond(self):
-        lg, _ = reduce_rule_1(diamond_graph())
-        assert enumerate_shortest_paths(lg) == [(0, 1, 3), (0, 2, 3)]
+        g = diamond_graph()
+        assert enumerate_shortest_paths(g) == [(0, 1, 3), (0, 2, 3)]
+        assert sorted(brute_shortest_path_sets(g)) == [(0, 1, 3), (0, 2, 3)]
 
     def test_line(self):
-        lg, _ = reduce_rule_1(Graph(3, [(0, 1), (1, 2)], 0, 2))
-        assert enumerate_shortest_paths(lg) == [(0, 1, 2)]
+        g = Graph(3, [(0, 1), (1, 2)], 0, 2)
+        assert enumerate_shortest_paths(g) == brute_shortest_path_sets(g) == [(0, 1, 2)]
 
     def test_serial_diamonds(self):
-        lg, _ = reduce_rule_1(serial_diamond_graph(3))
-        paths = enumerate_shortest_paths(lg)
+        g = serial_diamond_graph(3)
+        paths = enumerate_shortest_paths(g)
         assert len(paths) == 8
-        assert count_paths(to_dag(lg)).value == 8
+        assert sorted(paths) == sorted(brute_shortest_path_sets(g))
+        assert count_paths(to_dag(reduce_rule_1(g)[0])).value == 8
 
     def test_cap(self):
-        lg, _ = reduce_rule_1(serial_diamond_graph(3))
-        with pytest.raises(CapExceeded):
-            enumerate_shortest_paths(lg, cap=7)
+        g = serial_diamond_graph(3)
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_shortest_paths(g, cap=7)
+        assert exc.value.count == 8
+        assert len(enumerate_shortest_paths(g, cap=8)) == 8
+
+    def test_unreachable_t(self):
+        g = Graph(5, [(0, 1), (1, 4), (2, 3)], 0, 3)
+        assert enumerate_shortest_paths(g) == brute_shortest_path_sets(g) == []
 
     def test_matches_brute_dfs(self, rng):
+        # the same vertex sequences, not only the same vertex sets
         for _ in range(100):
             g = random_connected_graph(rng, rng.randint(4, 12))
-            lg, relab = reduce_rule_1(g)
-            mine = sorted(tuple(sorted(relab.map_set(p)))
-                          for p in enumerate_shortest_paths(lg))
-            brute = sorted(tuple(sorted(p)) for p in brute_shortest_path_sets(g))
-            assert mine == brute
+            assert sorted(enumerate_shortest_paths(g)) == sorted(brute_shortest_path_sets(g))
 
 
 class TestToSetSystem:
     def test_diamond_family(self):
         lg, _ = reduce_rule_1(diamond_graph())
-        sys = to_set_system(enumerate_shortest_paths(lg), lg.base.n)
+        sys = to_set_system(enumerate_shortest_paths(lg.base), lg.base.n)
         assert set(sys.family) == {frozenset({0, 1, 3}), frozenset({0, 2, 3})}
         assert max(map(len, sys.family)) == 3
 
@@ -99,7 +105,7 @@ class TestToSetSystem:
 
     def test_two_serial_diamonds(self):
         lg, _ = reduce_rule_1(serial_diamond_graph(2))
-        sys = to_set_system(enumerate_shortest_paths(lg), lg.base.n)
+        sys = to_set_system(enumerate_shortest_paths(lg.base), lg.base.n)
         assert len(sys.family) == 4
         assert all(len(s) == 5 for s in sys.family)
 
@@ -120,7 +126,7 @@ class TestToDag:
             lg, _ = reduce_rule_1(g)
             d = to_dag(lg)
             topological_order(d)  # raises on a cycle
-            assert count_paths(d).value == len(enumerate_shortest_paths(lg))
+            assert count_paths(d).value == len(enumerate_shortest_paths(g))
 
 
 class TestSolveShortestPaths:
@@ -152,7 +158,7 @@ class TestSolveShortestPaths:
         for _ in range(60):
             g = random_connected_graph(rng, rng.randint(4, 12))
             lg, relab = reduce_rule_1(g)
-            paths = enumerate_shortest_paths(lg)
+            paths = enumerate_shortest_paths(lg.base)
             sys = to_set_system(paths, lg.base.n)
             for k in range(5):
                 dag_rep = solve_dag(to_dag(lg), k)

@@ -138,8 +138,7 @@ def _violating_paths(kind: str, inst, trackers: FrozenSet[int]):
         pruned = shortest.to_dag(lg)
     else:
         pruned, relab = dagtrack.reduce_rule_2(inst)
-    inv = {old: new for new, old in enumerate(relab.to_original)}
-    pair = dagtrack.violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv))
+    pair = dagtrack.violating_pair(pruned, relab.from_original(trackers))
     shown = ["violating paths:", *("  " + " ".join(str(v) for v in sorted(relab.map_set(p)))
                                    for p in pair)] if pair else []
     return pair, shown

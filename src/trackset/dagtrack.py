@@ -53,17 +53,19 @@ def _reach(adj: Tuple[Tuple[int, ...], ...], src: int, stop: int, allowed: bytea
     return seen
 
 
-def _pruned(d: Digraph) -> Tuple[List[int], Dict[int, List[int]]]:
-    """Rule 2 as reachability: the vertices of ``d`` on s-t paths plus s and t,
-    ascending, and each one's out-neighbours along s-t paths.
+def _pruned(d: Digraph) -> Optional[Tuple[List[int], Dict[int, List[int]]]]:
+    """Rule 2 as reachability: the vertices of the DAG ``d`` on s-t paths plus s and t,
+    ascending, and each one's out-neighbours along s-t paths; None if that is all of ``d``.
 
     A vertex lies on an s-t path iff s reaches it without passing t and it
     reaches t without passing s; the backward search goes only through the
     forward one's vertices, so it marks exactly those. In a DAG every arc
     between marked vertices, except one into s or out of t, lies on an s-t
-    path. O(n + m) time.
+    path. O(n + m) time, unless the test of :func:`reduce_rule_2` holds.
     """
     s, t = d.s, d.t
+    if d.in_adj.count(()) == 1 == d.out_adj.count(()) and not (d.in_adj[s] or d.out_adj[t]):
+        return None
     on = _reach(d.in_adj, t, s, _reach(d.out_adj, s, t, bytearray(b"\1") * d.n))
     keep = [v for v in range(d.n) if on[v] or v == s]
     return keep, {u: [v for v in d.out_adj[u] if on[v] and v != s] if u != t else []
@@ -79,27 +81,36 @@ def _digraph(keep: List[int], arcs: List[Tuple[int, int]], s: int, t: int
 
 
 def reduce_rule_2(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
-    """Delete vertices and arcs on no s-t path (s and t always survive)."""
-    keep, out = _pruned(d)
+    """Delete vertices and arcs on no s-t path of the DAG ``d`` (s and t always survive).
+
+    If s alone has no in-arc and t alone no out-arc (two C-level counts), walking back
+    from any vertex ends at s and on at t, so in a DAG every vertex and arc lies on an
+    s-t path: ``d`` comes back, with the identity relabeling. Not exact if d has a cycle.
+    """
+    if (pruned := _pruned(d)) is None:
+        return d, VertexRelabeling(range(d.n))
+    keep, out = pruned
     return _digraph(keep, [(u, v) for u in keep for v in out[u]], d.s, d.t)
 
 
 def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
     """Apply rules 2, 3 and 4 once each, in that order, which reaches their fixpoint.
 
-    Rule 2 leaves only vertices on s-t paths, so s has no in-arc and t no
-    out-arc. Rule 3 walks s forward while it has one out-neighbour and t
-    back while it has one in-neighbour; in a DAG each vertex passed has no
-    other in-arc (out-arc), so the walks change no interior degree. Rule 4
-    maps each maximal chain of interior in-1/out-1 vertices to its least id,
-    which keeps witnesses lex-least as a chain's vertices lie on the same
-    paths, and drops the arcs left inside a chain. It changes neither
-    deg(s) nor deg(t) nor any other vertex's degree: no rule fires again.
+    Rule 2 leaves only vertices on s-t paths, so s has no in-arc and t no out-arc;
+    if they are the only such ends already, walking back from any vertex ends at s
+    and on at t, so rule 2 searches nothing. Rule 3 walks s forward while it has one
+    out-neighbour and t back while it has one in-neighbour; in a DAG each vertex
+    passed has no other in-arc (out-arc), so the walks change no interior degree.
+    Rule 4 maps each maximal chain of interior in-1/out-1 vertices to its least id,
+    which keeps witnesses lex-least as a chain's vertices lie on the same paths, and
+    drops the arcs left inside a chain. It changes neither deg(s) nor deg(t) nor any
+    other vertex's degree: no rule fires again.
 
-    Returns (reduced, vertices_deleted); reduced is None when the graph
-    collapsed to a singleton (trivially YES).
+    Returns (reduced, vertices_deleted); reduced is None when the graph collapsed
+    to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted.
     """
-    keep, out = _pruned(d)
+    pruned = _pruned(d)
+    keep, out = pruned or (range(d.n), d.out_adj)
     inc: Dict[int, List[int]] = {v: [] for v in keep}
     for u in keep:
         for v in out[u]:
@@ -129,6 +140,8 @@ def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
     bad = sorted(x for x in set(least.values()) if ins[x] != 1 or outs[x] != 1)
     if bad:
         raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
+    if pruned is None and len(arcs) == len(d.arcs):  # a deleted vertex takes an arc along
+        return ReducedDag(d, VertexRelabeling(range(d.n))), 0
     base, relab = _digraph([v for v in live if least.get(v, v) == v], arcs, s, t)
     return ReducedDag(base, relab), d.n - base.n
 
@@ -151,8 +164,7 @@ def count_paths(d: Digraph, cap: Optional[int] = None) -> PathCount:
 def verify_tracking_condition(d: Digraph, trackers: FrozenSet[int]) -> bool:
     """True iff ``trackers`` track every s-t path of the DAG ``d``; see :func:`violating_pair`."""
     pruned, relab = reduce_rule_2(d)  # trackers off every s-t path tell no path apart
-    inv = {old: new for new, old in enumerate(relab.to_original)}
-    return violating_pair(pruned, frozenset(inv[v] for v in trackers if v in inv)) is None
+    return violating_pair(pruned, relab.from_original(trackers)) is None
 
 
 def violating_pair(d: Digraph, trackers: FrozenSet[int]

@@ -109,6 +109,11 @@ class VertexRelabeling:
     def map_set(self, vertices: Iterable[int]) -> frozenset:
         return frozenset(self.to_original[v] for v in vertices)
 
+    def from_original(self, vertices: Iterable[int]) -> frozenset:
+        """The reduced ids of those original ``vertices`` that the reduction kept."""
+        inv = {old: new for new, old in enumerate(self.to_original)}
+        return frozenset(inv[v] for v in vertices if v in inv)
+
     def __repr__(self):
         return f"VertexRelabeling({list(self.to_original)})"
 

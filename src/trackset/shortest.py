@@ -35,7 +35,9 @@ def reduce_rule_1(g: Graph) -> Tuple[LayeredGraph, VertexRelabeling]:
 
     An edge ab survives iff dis(s,a) + dis(b,t) + 1 equals the shortest
     s-t distance (in either orientation). Raises NoPathError when t is
-    unreachable from s.
+    unreachable from s. If every edge survives and s reaches every vertex,
+    each vertex has an edge, and from it walks back down the levels to s and
+    on up to t: ``g`` itself comes back, with the identity relabeling.
     """
     ds = bfs_distances(g, g.s)
     dt = bfs_distances(g, g.t)
@@ -48,6 +50,8 @@ def reduce_rule_1(g: Graph) -> Tuple[LayeredGraph, VertexRelabeling]:
     last = length - 1
     kept = [(a, b) for a, b in g.edges
             if ds[a] is not None and (ds[a] + dt[b] == last or ds[b] + dt[a] == last)]
+    if len(kept) == len(g.edges) and None not in ds:
+        return LayeredGraph(g, tuple(ds)), VertexRelabeling(range(g.n))
     alive = sorted({v for e in kept for v in e})
     newid = {old: i for i, old in enumerate(alive)}
     base = Graph(len(alive), [(newid[a], newid[b]) for a, b in kept],

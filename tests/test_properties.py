@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 
 from trackset import setsystem
 from trackset.cli import main
-from trackset.dagtrack import (_pair_through, reduce_dag, reduce_rule_2, solve_dag,
-                               violating_pair)
+from trackset.dagtrack import (_pair_through, _pruned, reduce_dag, reduce_rule_2,
+                               solve_dag, violating_pair)
 from trackset.errors import NoPathError
 from trackset.graph import Digraph, Graph, topological_order
 from trackset.instance_io import format_digraph, format_graph
@@ -132,7 +132,7 @@ def test_dag_route_matches_brute_force(d):
 
 
 @SETTINGS
-@given(dags())
+@given(any_dags())
 def test_rule_2_keeps_exactly_the_path_vertices(d):
     out, relab = reduce_rule_2(d)
     paths = enumerate_all_paths(d)
@@ -142,7 +142,40 @@ def test_rule_2_keeps_exactly_the_path_vertices(d):
 
 
 @SETTINGS
-@given(dags())
+@given(any_dags())
+@example(Digraph(2, [], 0, 1))
+@example(Digraph(3, [(0, 1), (0, 2), (1, 2)], 0, 2))
+def test_rule_2_degree_test_matches_the_path_vertices(d):
+    """s alone has no in-arc and t alone no out-arc iff every vertex lies on
+    an s-t path; exactly then rule 2 searches nothing and hands ``d`` back.
+    (The reachability prune keeps s and t even when no path joins them, so
+    on ``dag 2 0 1`` with no arc it keeps all n vertices, yet the test fails.)"""
+    ends = (d.in_adj.count(()) == 1 == d.out_adj.count(())
+            and not d.in_adj[d.s] and not d.out_adj[d.t])
+    on_paths = set().union(*enumerate_all_paths(d)) == set(range(d.n))
+    assert ends == on_paths
+    assert (_pruned(d) is None) == on_paths
+    out, relab = reduce_rule_2(d)
+    assert (out is d) == on_paths
+    if on_paths:
+        assert relab.to_original == tuple(range(d.n))
+
+
+@SETTINGS
+@given(any_dags())
+def test_rule_2_hands_back_its_own_output(d):
+    """Rule 2 is idempotent, and on its own output builds nothing, unless no
+    s-t path exists and it left s and t alone."""
+    out, _ = reduce_rule_2(d)
+    again, relab = reduce_rule_2(out)
+    if out.arcs:
+        assert again is out and relab.to_original == tuple(range(out.n))
+    else:
+        assert (again.n, again.arcs) == (2, ())
+
+
+@SETTINGS
+@given(any_dags())
 @example(Digraph(6, [(0, 4), (4, 3), (3, 2), (2, 1), (0, 5), (5, 1)], 0, 1))
 def test_reduce_dag_keeps_each_chains_least_id(d):
     """After rule 2, rule 3 deletes s (t) while it has one out-arc (in-arc)
@@ -187,7 +220,11 @@ def test_reduce_dag_keeps_each_chains_least_id(d):
         {(orig[u], orig[v]) for u, v in arcs if orig[u] != orig[v]}
     assert (new[reduced.base.s], new[reduced.base.t]) == (orig[s], orig[t])
     assert deleted == d.n - len(new)
-    assert reduce_dag(reduced.base)[1] == 0
+    again, deleted = reduce_dag(reduced.base)
+    assert deleted == 0
+    if reduced.base.arcs:  # else no s-t path, and rule 2 rebuilds the pair s, t
+        assert again.base is reduced.base
+        assert again.relabeling.to_original == tuple(range(reduced.base.n))
 
 
 @SETTINGS
@@ -199,6 +236,29 @@ def test_shortest_route_matches_brute_force(g):
         return rep.result == "YES", rep.witness
 
     check_route(brute_shortest_path_sets(g), g.n, solve)
+
+
+@SETTINGS
+@given(graphs())
+@example(Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3))
+@example(Graph(3, [(0, 1)], 0, 1))
+def test_rule_1_hands_back_graphs_it_would_not_change(g):
+    """Rule 1 hands ``g`` back, with the identity relabeling, iff every vertex
+    and edge lies on a shortest s-t path; so it does on its own output."""
+    paths = brute_shortest_path_sets(g)
+    if not paths:
+        with pytest.raises(NoPathError):
+            reduce_rule_1(g)
+        return
+    on_paths = (set().union(*paths) == set(range(g.n)) and
+                {tuple(sorted(e)) for p in paths for e in zip(p, p[1:])} == set(g.edges))
+    lg, relab = reduce_rule_1(g)
+    assert (lg.base is g) == on_paths
+    if on_paths:
+        assert relab.to_original == tuple(range(g.n))
+    again, relab = reduce_rule_1(lg.base)
+    assert again.base is lg.base and again.levels == lg.levels
+    assert relab.to_original == tuple(range(lg.base.n))
 
 
 @SETTINGS

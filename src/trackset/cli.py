@@ -4,6 +4,9 @@ Exit codes: 0 = YES/true, 1 = NO/false, 2 = input error, 3 = cap exceeded
 without a decision, 4 = internal error (a failed self-check or an
 unexpected exception; never a decision). Output is deterministic for
 identical inputs and flags, regardless of --threads.
+
+Plain argv is read in one pass from the parser's own actions; help, errors,
+abbreviations and ``=`` forms go through argparse, so their output is argparse's.
 """
 
 from __future__ import annotations
@@ -238,6 +241,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(parser: argparse.ArgumentParser, argv: List[str]
+                ) -> Optional[argparse.Namespace]:
+    """``parser.parse_args(argv)``, read in one pass from the command's own actions, or None
+    where argparse must read ``argv``: help, errors, ``--``, abbreviations, ``=`` forms,
+    repeats and values starting with "-". ``*`` takes the tokens up to the next "-" one."""
+    commands = next(a for a in parser._actions if a.nargs == argparse.PARSER).choices
+    if not argv or (sub := commands.get(argv[0])) is None:
+        return None
+    dash = [token.startswith("-") for token in argv] + [True]  # True ends every run
+    positionals = iter([a if a.nargs is None else None for a in sub._actions
+                        if not a.option_strings])  # each takes one token, or is declined
+    options, seen, i = sub._option_string_actions, {}, 1
+    while i < len(argv):
+        if dash[i]:
+            act, run, i = options.get(argv[i]), dash.index(True, i + 1) - i - 1, i + 1
+        else:
+            act, run = next(positionals, None), 1
+        take = act and {0: 0, None: 1, "*": run}.get(act.nargs)
+        if take is None or take > run or act.dest in seen or act.default is argparse.SUPPRESS:
+            return None
+        try:
+            values = list(map(act.type, argv[i:i + take])) if act.type else argv[i:i + take]
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if act.choices is not None and any(v not in act.choices for v in values):
+            return None
+        seen[act.dest], i = values if act.nargs == "*" else (values or [act.const])[0], i + take
+    if any((a.required or not a.option_strings) and a.dest not in seen for a in sub._actions):
+        return None
+    defaults = {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS}
+    return argparse.Namespace(**(defaults | seen), command=argv[0], func=sub.get_default("func"))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     # A large instance allocates tens of thousands of tuples and lists, which
     # set off cyclic-collector passes; no route builds a reference cycle, so
@@ -245,7 +281,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = (_plain_args(parser, _sys.argv[1:] if argv is None else argv)
+                or parser.parse_args(argv))
         if getattr(args, "k", 0) is not None and getattr(args, "k", 0) < 0:
             print("k must be nonnegative", file=_sys.stderr)
             return 2

@@ -111,8 +111,8 @@ def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
     """
     pruned = _pruned(d)
     keep, out = pruned or (range(d.n), d.out_adj)
-    inc: Dict[int, List[int]] = {v: [] for v in keep}
-    for u in keep:
+    inc = d.in_adj if pruned is None else {v: [] for v in keep}  # in_adj ascends as well
+    for u in (keep if pruned else ()):
         for v in out[u]:
             inc[v].append(u)
     s, t, gone = d.s, d.t, set()

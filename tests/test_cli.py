@@ -1,14 +1,19 @@
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trackset
 
-from trackset.cli import build_parser, main
+from trackset.cli import _plain_args, build_parser, main
 from trackset.instance_io import format_digraph, format_graph, parse_instance
 from trackset.report import SolveReport
 
@@ -494,9 +499,128 @@ def test_parser_is_built_on_the_first_call_only():
               "before = cli.build_parser.cache_info().currsize\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    cli.main(['gen', '--kind', 'dag'])\n"
-              "    cli.main(['gen', '--kind', 'graph'])\n"
+              "    cli.main(['gen', '--kind=graph'])\n"  # declined: argparse reads it
               "info = cli.build_parser.cache_info()\n"
               "print(before, info.misses, info.hits)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout == "0 1 1\n"
+
+
+# The plain-argv reader against argparse, from the parser's own table: each
+# command's options and positionals, with values their types and choices accept.
+_SUBPARSERS = next(a for a in build_parser()._actions if a.nargs == argparse.PARSER).choices
+ACTIONS = {c: [a for a in p._actions if a.default is not argparse.SUPPRESS]
+           for c, p in _SUBPARSERS.items()}
+OPTIONS = sorted({s for acts in ACTIONS.values() for a in acts for s in a.option_strings})
+CHOICES = sorted({c for acts in ACTIONS.values() for a in acts if a.choices for c in a.choices})
+# values for any position, several of which no option accepts
+STRAYS = ["x", "", "1.5", " 2", "+4", "-1", "-", "a b", "in.txt", "7"]
+
+
+def _tokens(act):
+    """One use of ``act``: its option string, if any, and values, mostly ones it accepts."""
+    value = (st.sampled_from(sorted(act.choices)) if act.choices else
+             st.integers(0, 30).map(str) if act.type is int else st.just("in.txt"))
+    value = st.one_of(value, value, value, st.sampled_from(STRAYS + CHOICES))
+    low, high = {0: (0, 0), None: (1, 1), "*": (0, 4)}[act.nargs]
+    return st.lists(value, min_size=low, max_size=high).map(
+        lambda values: [*act.option_strings[-1:], *values])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*ACTIONS, "bogus", "sol", "-h", "--help"]))
+    acts = ACTIONS.get(command, [])
+    uses = draw(st.lists(st.sampled_from(acts), max_size=4)) if acts else []
+    if draw(st.integers(0, 3)):  # mostly: every required one, and no option twice
+        uses = [a for a in acts if a.required] + [a for a in dict.fromkeys(uses)
+                                                   if not a.required]
+    unusual = st.one_of(
+        st.sampled_from(OPTIONS).map(lambda o: [o[:3]]),  # abbreviated, or another command's
+        st.tuples(st.sampled_from(OPTIONS), st.sampled_from(STRAYS + CHOICES)).map(
+            lambda t: [f"{t[0]}={t[1]}"]),
+        st.sampled_from([["--"], ["-h"], ["--help"]]),
+        st.lists(st.sampled_from(STRAYS + CHOICES), min_size=1, max_size=6))  # 1-6 bare tokens
+    chunks = [draw(_tokens(a)) for a in uses] + draw(st.lists(unusual, max_size=2))
+    return [command, *(t for c in draw(st.permutations(chunks)) for t in c)]
+
+
+DECLINED = [[], ["bogus", "in.txt"], ["solve", "in.txt", "--k", "1", "-h"],
+            ["verify", "in.txt", "--tr", "1"], ["solve", "in.txt", "--k=2"],
+            ["solve", "--k", "2", "--", "in.txt"], ["count", "in.txt", "--cap", "-1"],
+            ["solve", "in.txt", "--k", "1", "--k", "2"], ["solve", "in.txt", "--k", "two"],
+            ["solve", "in.txt", "--k", "1", "--mode", "fast"], ["count"],
+            ["count", "in.txt", "extra"]]
+BENCH_SHAPES = [["solve", "in.txt", "--k", "3", "--mode", "dag"], ["solve", "in.txt", "--k", "3"],
+                ["count", "in.txt"], ["reduce", "in.txt"], ["verify", "in.txt", "--trackers"],
+                ["verify", "in.txt", "--trackers", *map(str, range(80))]]
+
+
+def _argparse_reads(argv):
+    """``vars`` of what argparse reads from ``argv``, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(argvs())
+@example(DECLINED[0]).via("no argv")
+@example(DECLINED[1]).via("unknown command")
+@example(DECLINED[2]).via("-h")
+@example(DECLINED[3]).via("abbreviation")
+@example(DECLINED[4]).via("= form")
+@example(DECLINED[5]).via("--")
+@example(DECLINED[6]).via("negative number")
+@example(DECLINED[7]).via("repeated option")
+@example(DECLINED[8]).via("int() rejects")
+@example(DECLINED[9]).via("choices reject")
+@example(DECLINED[10]).via("missing positional")
+@example(DECLINED[11]).via("extra positional")
+def test_plain_reader_matches_argparse(argv):
+    got = _plain_args(build_parser(), argv)
+    assert got is None or vars(got) == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize("argv", DECLINED)
+def test_plain_reader_declines(argv):
+    assert _plain_args(build_parser(), argv) is None
+
+
+@pytest.mark.parametrize("argv", BENCH_SHAPES,
+                         ids=["solve-mode", "solve", "count", "reduce", "verify-0", "verify-80"])
+def test_plain_reader_takes_every_bench_shape(argv):
+    got = _plain_args(build_parser(), argv)
+    assert got is not None and vars(got) == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize("argv", [["solve", "d.graph"], ["bogus", "d.graph"]],
+                         ids=["no-k", "unknown-command"])
+def test_usage_errors_come_from_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as expected:
+        build_parser().parse_args(argv)
+    usage = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert got.value.code == expected.value.code == 2
+    assert capsys.readouterr() == usage and usage.out == "" and "usage: trackset" in usage.err
+
+
+@pytest.mark.parametrize("argv,plain", [
+    (["--k=-1"], None),
+    (["--k=1", "--mode=dag"], ["--k", "1", "--mode", "dag"]),
+    (["--tr", "1", "--trackers", "2"], ["--trackers", "2"]),
+    (["--trackers", "1", "--cap", "-1"], None),
+], ids=["k-negative", "equals", "abbreviated-then-repeated", "cap-negative"])
+def test_argparse_spellings_read_as_before(tmp_path, capsys, argv, plain):
+    path = write(tmp_path, "d.dag", DIAMOND_DAG)
+    command = "verify" if "--trackers" in argv else "solve"
+    got = run(capsys, command, path, *argv)
+    if plain is None:  # argparse reads the negative value; main refuses it
+        name = "k" if command == "solve" else "cap"
+        assert got == (2, "", f"{name} must be nonnegative\n")
+    else:
+        assert got == run(capsys, command, path, *plain) and got[0] in (0, 1)

@@ -1,22 +1,49 @@
 """Graph and digraph representations plus the traversal primitives.
 
 Vertices are dense integer ids 0..n-1. Both graph types are immutable
-after construction and all operations here are pure.
+after construction and all operations here are pure, except that
+:func:`topological_order` keeps the order it finds on the digraph.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, eq, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import CycleError, EdgeError
+from .errors import CycleError, EdgeError, InternalError
 
 
 def _sorted_pairs(n: int, pairs: Iterable[Tuple[int, int]], undirected: bool) -> list:
-    """Check the pairs in input order; return them ascending, undirected ones as (min, max).
+    """Check the pairs; return them ascending, undirected ones as (min, max).
 
-    Raises EdgeError with the index of the first bad pair.
+    The checks run as C-level passes over the two columns: ends in range and
+    no self-loop, then each pair becomes the int key u * n + v (u < v for a
+    graph) and no key may occur twice. As 0 <= v < n, key order is (u, v)
+    order, so sorting the ints and mapping them back with divmod sorts the
+    pairs; a derived graph's pairs come sorted, or nearly, and ints sort in
+    about linear time. A failed bulk check tells that some pair is bad, not
+    which comes first, so the per-pair loop then runs in input order only to
+    raise EdgeError with that pair's index. It never returns: a loop that
+    accepts what the bulk checks refused is a bug, raised as InternalError.
     """
-    seen, keys = set(), []
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    try:
+        us, vs = zip(*pairs, strict=True)
+    except ValueError:  # a pair that is not two ids: the loop raises as unpacking does
+        us = vs = ()
+    if us and min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n \
+            and not any(map(eq, us, vs)):
+        if undirected:
+            keys = [u * n + v if u < v else v * n + u for u, v in zip(us, vs)]
+        else:
+            keys = list(map(add, map(mul, us, repeat(n)), vs))
+        if len(set(keys)) == len(keys):
+            keys.sort()
+            return list(map(divmod, keys, repeat(n)))
+    seen = set()
     for i, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeError(i, f"endpoint out of range: {u} {v}")
@@ -26,10 +53,7 @@ def _sorted_pairs(n: int, pairs: Iterable[Tuple[int, int]], undirected: bool) ->
         if e in seen:
             raise EdgeError(i, f"duplicate {'edge' if undirected else 'arc'} {u} {v}")
         seen.add(e)
-        keys.append(e)
-    # in input order, not the set's: a derived graph's pairs come sorted, or
-    # nearly, and sort in about linear time
-    return sorted(keys)
+    raise InternalError("the bulk edge check rejected pairs that the per-pair loop accepts")
 
 
 def _check_ends(n: int, s: int, t: int):
@@ -72,10 +96,11 @@ class Digraph:
     """Simple directed s-t graph with in/out adjacency, validated as Graph is.
 
     Acyclicity is not enforced here; use :func:`topological_order`, which
-    reports a cycle, so that parsers can reject cyclic input explicitly.
+    reports a cycle, so that parsers can reject cyclic input explicitly, and
+    keeps the order it finds in ``_order`` for later calls.
     """
 
-    __slots__ = ("n", "arcs", "s", "t", "out_adj", "in_adj")
+    __slots__ = ("n", "arcs", "s", "t", "out_adj", "in_adj", "_order")
 
     def __init__(self, n: int, arcs: Iterable[Tuple[int, int]], s: int, t: int):
         self.arcs = tuple(_sorted_pairs(n, arcs, undirected=False))
@@ -91,6 +116,7 @@ class Digraph:
             in_adj[v].append(u)
         self.out_adj = tuple(map(tuple, out_adj))
         self.in_adj = tuple(map(tuple, in_adj))
+        self._order = None
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={len(self.arcs)}, s={self.s}, t={self.t})"
@@ -136,7 +162,18 @@ def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
 
 
 def topological_order(d: Digraph) -> list[int]:
-    """Kahn's algorithm; raises CycleError if the digraph is not a DAG."""
+    """Kahn's algorithm; raises CycleError if the digraph is not a DAG.
+
+    The order is kept on ``d``, so a parse's cycle check pays for the order
+    that a later path count reads; a cyclic digraph keeps none and raises on
+    every call.
+    """
+    if d._order is None:
+        d._order = tuple(_kahn(d))
+    return list(d._order)
+
+
+def _kahn(d: Digraph) -> list[int]:
     indeg = list(map(len, d.in_adj))
     order = [v for v in range(d.n) if not indeg[v]]
     out_adj = d.out_adj

@@ -9,7 +9,7 @@ Formats ('#' starts a comment, ids are 0-based):
 
 from __future__ import annotations
 
-from itertools import repeat
+import json
 from typing import Optional, Tuple, Union
 
 from .errors import CycleError, EdgeError
@@ -43,19 +43,27 @@ def _int_fields(tokens: list[str], line_no: int) -> list[int]:
     return fields
 
 
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
+_TO_COMMAS = str.maketrans(" \n", ",,")
+
+
 def _canonical_pairs(rows: list[str]) -> Optional[list[Tuple[int, int]]]:
     """The pairs of an edge body whose every line is 'digits SPACE digits', read
-    in bulk; None for any other body, which the line loop then reads."""
+    in bulk; None for any other body, which the line loop then reads.
+
+    Deleting the ASCII digits must leave one space per line and the newlines
+    between them; then every space and newline becomes a comma and one
+    ``json.loads`` reads all the integers. JSON refuses what ``int()`` would
+    read differently or name in an error, so each of those bodies goes to the
+    line loop: an empty token (a double, leading or trailing space, or a
+    blank line), a leading zero as in '007', more digits than ``int()`` takes.
+    """
     body = "\n".join(rows)
-    if (body.translate(str.maketrans("", "", "0123456789 \n"))
-            or set(map(str.count, rows, repeat(" "))) != {1}):
-        return None
-    tokens = body.split()
-    if len(tokens) != 2 * len(rows):  # a leading or trailing space on some line
+    if body.translate(_DELETE_DIGITS) != " \n" * (len(rows) - 1) + " ":
         return None
     try:
-        ints = list(map(int, tokens))
-    except ValueError:  # more digits than int() takes: the line loop names the token
+        ints = json.loads("[" + body.translate(_TO_COMMAS) + "]")
+    except ValueError:
         return None
     return list(zip(ints[::2], ints[1::2]))
 

@@ -217,6 +217,16 @@ class TestCountVerify:
         code, out, _ = run(capsys, "count", path)
         assert out.strip() == "8"
 
+    def test_count_dag_runs_kahn_once(self, tmp_path, capsys, monkeypatch):
+        # the parse's cycle check finds the order that count_paths then reads
+        import trackset.graph as graph
+        passes = []
+        real = graph._kahn
+        monkeypatch.setattr(graph, "_kahn", lambda d: passes.append(d) or real(d))
+        path = write(tmp_path, "s.dag", TWO_DIAMONDS.replace("graph", "dag"))
+        code, out, _ = run(capsys, "count", path)
+        assert (code, out, len(passes)) == (0, "4\n", 1)
+
     def test_verify_true(self, tmp_path, capsys):
         path = write(tmp_path, "d.graph", DIAMOND)
         code, out, _ = run(capsys, "verify", path, "--trackers", "1")

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from trackset.errors import CycleError
+from trackset.errors import CycleError, EdgeError
 from trackset.graph import Digraph, Graph, VertexRelabeling, bfs_distances, topological_order
 
 
@@ -37,6 +37,17 @@ def test_topological_cycle_detected():
     d = Digraph(3, [(0, 1), (1, 0)], 0, 2)
     with pytest.raises(CycleError):
         topological_order(d)
+
+
+def test_topological_order_is_kept_on_success_only():
+    d = Digraph(3, [(0, 1), (1, 2), (2, 1)], 0, 2)
+    for _ in range(2):  # no order is kept, so each call runs Kahn's loop and raises
+        with pytest.raises(CycleError):
+            topological_order(d)
+    d = Digraph(3, [(1, 2), (0, 1)], 0, 2)
+    order = topological_order(d)
+    order.append(7)  # the caller's copy: the kept order is unchanged
+    assert topological_order(d) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("edges,msg", [
@@ -105,3 +116,64 @@ def test_adjacency_lists_ascend(case):
     assert d.arcs == tuple(sorted(pairs))
     assert d.out_adj == tuple(tuple(sorted(v for u, v in pairs if u == x)) for x in range(n))
     assert d.in_adj == tuple(tuple(sorted(u for u, v in pairs if v == x)) for x in range(n))
+
+
+def loop_sorted_pairs(n, pairs, undirected):
+    """The constructors' per-pair check and sort before they checked in bulk:
+    the reference that ``Graph`` and ``Digraph`` must match."""
+    seen, keys = set(), []
+    for i, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeError(i, f"endpoint out of range: {u} {v}")
+        if u == v:
+            raise EdgeError(i, f"self-loop at vertex {u}")
+        e = (v, u) if undirected and v < u else (u, v)
+        if e in seen:
+            raise EdgeError(i, f"duplicate {'edge' if undirected else 'arc'} {u} {v}")
+        seen.add(e)
+        keys.append(e)
+    return tuple(sorted(keys))
+
+
+@st.composite
+def raw_pairs(draw):
+    """Distinct non-loop pairs on n vertices, plus a few drawn from -2 to n + 1
+    and a few repeats in either orientation, at random places."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=14, unique=True))
+    wide = st.integers(-2, n + 1)
+    extras = draw(st.lists(st.tuples(wide, wide), max_size=2))
+    if pairs:
+        extras += [draw(st.sampled_from(pairs))[::draw(st.sampled_from([1, -1]))]
+                   for _ in range(draw(st.integers(0, 2)))]
+    for e in extras:
+        pairs.insert(draw(st.integers(0, len(pairs))), e)
+    return n, pairs
+
+
+def _built(cls, n, pairs):
+    try:
+        inst = cls(n, pairs, 0, 1)
+    except EdgeError as exc:
+        return "error", exc.index, str(exc)
+    return "ok", inst.edges if cls is Graph else inst.arcs
+
+
+def _looped(cls, n, pairs):
+    try:
+        return "ok", loop_sorted_pairs(n, pairs, undirected=cls is Graph)
+    except EdgeError as exc:
+        return "error", exc.index, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs(), st.booleans())
+@example((2, []), False)
+@example((2, []), True)
+def test_constructors_match_per_pair_loop(case, as_generator):
+    n, pairs = case
+    for cls in (Graph, Digraph):
+        arg = (p for p in pairs) if as_generator else pairs
+        assert _built(cls, n, arg) == _looped(cls, n, pairs)
+

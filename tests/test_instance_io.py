@@ -155,3 +155,31 @@ def test_overlong_integer_reads_as_in_the_line_loop():
     big = "9" * 5000
     got = _outcome(f"graph 3 0 1\n0 {big}\n")
     assert got[:2] == ("error", 2) and got == _outcome(f"graph 3 0 1\n0  {big}\n")
+
+
+@pytest.mark.parametrize("text,bulk,want", [
+    ("graph 8 0 3\n007 3\n1 02\n", False, ("ok", "graph", 8, 0, 3, ((1, 2), (3, 7)))),
+    ("graph 4 0 3\n0 1\n01 0\n", False, ("error", 3, "duplicate edge 1 0")),
+    ("dag 4 0 3\r\n0 1\r\n1 3\r\n", True, ("ok", "dag", 4, 0, 3, ((0, 1), (1, 3)))),
+    ("dag 4 0 3\r\n0 1\r\n1 1\r\n", True, ("error", 3, "self-loop at vertex 1")),
+    ("graph 4 0 3\n0  1\n1 3\n", False, ("ok", "graph", 4, 0, 3, ((0, 1), (1, 3)))),
+    ("graph 4 0 3\n0 1 \n1 3\n", False, ("ok", "graph", 4, 0, 3, ((0, 1), (1, 3)))),
+    ("graph 4 0 3\n", False, ("ok", "graph", 4, 0, 3, ())),
+    ("graph 2 0 1\n1 0\n", True, ("ok", "graph", 2, 0, 1, ((0, 1),))),
+    ("dag 3 0 2\n0 1\n1 2", True, ("ok", "dag", 3, 0, 2, ((0, 1), (1, 2)))),
+    (f"graph 3 0 1\n0 {'9' * 5000}\n", False, None),
+    ("graph 4 0 3\n0 ٣\n", False, ("ok", "graph", 4, 0, 3, ((0, 3),))),
+], ids=["leading-zeros", "leading-zero-duplicate", "crlf", "crlf-error", "double-space",
+        "trailing-space", "no-body", "one-pair", "no-final-newline", "over-digit-limit",
+        "arabic-indic-digit"])
+def test_body_scan_edge_cases(text, bulk, want):
+    # a comment line after the body sends the same pairs through the line loop
+    noisy = text + ("" if text.endswith("\n") else "\n") + "# end\n"
+    assert (_canonical_pairs(text.splitlines()[1:]) is not None) == bulk
+    assert _canonical_pairs(noisy.splitlines()[1:]) is None
+    got = _outcome(text)
+    assert got == _outcome(noisy)
+    if want is None:  # the line loop names the token that int() refuses
+        assert got[:2] == ("error", 2) and got[2].startswith("expected integer, got '999")
+    else:
+        assert got == want

@@ -20,7 +20,7 @@ import traceback
 from typing import FrozenSet, List, Optional
 
 from . import dagtrack, generate, oracle, setsystem, shortest
-from .errors import CapExceeded, InternalError, NoPathError
+from .errors import CapExceeded, InternalError
 from .instance_io import (ParseError, format_digraph, format_graph,
                           format_instance, parse_instance)
 from .report import SolveReport
@@ -90,11 +90,10 @@ def _relabel_lines(relab) -> str:
 def _cmd_reduce(args) -> int:
     kind, inst = _load(args.input)
     if kind == "graph":
-        try:
-            lg, relab = shortest.reduce_rule_1(inst)
-        except NoPathError:
+        if (pruned := shortest.reduce_rule_1(inst)) is None:
             print("# no s-t path: zero paths, trivially YES")
             return 0
+        lg, relab = pruned
         _sys.stdout.write(format_graph(lg.base))
         _sys.stdout.write(_relabel_lines(relab))
         return 0
@@ -113,12 +112,10 @@ def _cmd_reduce(args) -> int:
 def _cmd_count(args) -> int:
     kind, inst = _load(args.input)
     if kind == "graph":
-        try:
-            lg, _ = shortest.reduce_rule_1(inst)
-        except NoPathError:
+        if (pruned := shortest.reduce_rule_1(inst)) is None:
             print(0)
             return 0
-        pc = dagtrack.count_paths(shortest.to_dag(lg), cap=args.cap)
+        pc = dagtrack.count_paths(shortest.to_dag(pruned[0]), cap=args.cap)
     elif kind == "dag":
         pc = dagtrack.count_paths(inst, cap=args.cap)
     else:
@@ -134,10 +131,9 @@ def _cmd_count(args) -> int:
 def _violating_paths(kind: str, inst, trackers: FrozenSet[int]):
     """A graph's or DAG's violating pair of s-t paths, or None, and its stdout lines."""
     if kind == "graph":
-        try:
-            lg, relab = shortest.reduce_rule_1(inst)
-        except NoPathError:
+        if (rule_1 := shortest.reduce_rule_1(inst)) is None:
             return None, ["# no s-t path: vacuously tracked"]
+        lg, relab = rule_1
         pruned = shortest.to_dag(lg)
     else:
         pruned, relab = dagtrack.reduce_rule_2(inst)
@@ -284,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser = build_parser()
         args = (_plain_args(parser, _sys.argv[1:] if argv is None else argv)
                 or parser.parse_args(argv))
-        if getattr(args, "k", 0) is not None and getattr(args, "k", 0) < 0:
+        if getattr(args, "k", 0) < 0:
             print("k must be nonnegative", file=_sys.stderr)
             return 2
         if getattr(args, "cap", None) is not None and args.cap < 0:

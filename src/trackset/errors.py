@@ -5,10 +5,6 @@ class CycleError(Exception):
     """Raised when a digraph expected to be acyclic contains a cycle."""
 
 
-class NoPathError(Exception):
-    """Raised when no s-t path exists where one is required."""
-
-
 class EdgeError(ValueError):
     """Raised by a graph constructor for one bad input edge; ``index`` is its position."""
 

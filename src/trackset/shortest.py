@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 from . import oracle
 from .dagtrack import count_paths, path_masks, solve_dag
-from .errors import CapExceeded, NoPathError
+from .errors import CapExceeded
 from .graph import Digraph, Graph, VertexRelabeling, bfs_distances
 from .report import NO_PATH_REASON, SolveReport
 from .setsystem import SetSystem, solve_masks
@@ -30,11 +30,11 @@ class LayeredGraph:
     levels: Tuple[int, ...]
 
 
-def reduce_rule_1(g: Graph) -> Tuple[LayeredGraph, VertexRelabeling]:
+def reduce_rule_1(g: Graph) -> Optional[Tuple[LayeredGraph, VertexRelabeling]]:
     """Delete every vertex and edge not on a shortest s-t path.
 
     An edge ab survives iff dis(s,a) + dis(b,t) + 1 equals the shortest
-    s-t distance (in either orientation). Raises NoPathError when t is
+    s-t distance (in either orientation). Returns None when t is
     unreachable from s. If every edge survives and s reaches every vertex,
     each vertex has an edge, and from it walks back down the levels to s and
     on up to t: ``g`` itself comes back, with the identity relabeling.
@@ -43,7 +43,7 @@ def reduce_rule_1(g: Graph) -> Tuple[LayeredGraph, VertexRelabeling]:
     dt = bfs_distances(g, g.t)
     length = ds[g.t]
     if length is None:
-        raise NoPathError("t is unreachable from s")
+        return None
 
     # t is reachable, so ds and dt read None at the same vertices, and so do
     # both ends of an edge or neither: one test guards all four reads
@@ -95,10 +95,9 @@ def solve_shortest_paths(g: Graph, k: int) -> SolveReport:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    try:
-        lg, relab = reduce_rule_1(g)
-    except NoPathError:
+    if (pruned := reduce_rule_1(g)) is None:
         return SolveReport("YES", witness=(), paths=0, reason=NO_PATH_REASON)
+    lg, relab = pruned
     report = solve_dag(to_dag(lg), k)
     report.relabel(relab)
     report.reductions += g.n - lg.base.n
@@ -114,10 +113,9 @@ def solve_via_set_system(g: Graph, k: int, cap: Optional[int] = None) -> SolveRe
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    try:
-        lg, relab = reduce_rule_1(g)
-    except NoPathError:
+    if (pruned := reduce_rule_1(g)) is None:
         return SolveReport("YES", witness=(), paths=0, reason=NO_PATH_REASON)
+    lg, relab = pruned
     d = to_dag(lg)
     clamped = min(k, g.n)  # all n vertices always track
     pc = count_paths(d, cap=2 ** clamped + 1 if cap is None else cap)

@@ -9,14 +9,14 @@ import time
 
 from trackset.cli import main
 from trackset.dagtrack import (count_paths, reduce_dag, reduce_rule_2, solve_dag,
-                               verify_tracking_condition)
+                               violating_pair)
 from trackset.generate import (random_connected_graph, random_dag,
                                random_set_system)
 from trackset.graph import Graph
 from trackset.oracle import (brute_is_tracking, brute_min_tracking,
                              enumerate_all_paths, enumerate_shortest_paths)
-from trackset.setsystem import (SetSystem, reduce_to_hitting,
-                                solve_tracking_set, tracking_lower_bound)
+from trackset.setsystem import (minimal_differences, solve_set_system, to_mask,
+                                tracking_lower_bound)
 from trackset.shortest import reduce_rule_1, solve_shortest_paths
 
 from conftest import serial_diamond_dag
@@ -59,10 +59,12 @@ def test_criterion_2_oracle_agreement_set_systems():
     for sys in systems:
         best = brute_min_tracking(sys.family, sys.universe_size)
         for k in range(6):
-            got = solve_tracking_set(sys, k)
+            got = solve_set_system(sys, k).witness
             expect_yes = best is not None and best <= k
             assert (got is not None) == expect_yes
-            if got is not None and len(sys.family) >= 1:
+            if got is not None:
+                assert len(got) == best
+                assert brute_is_tracking(sys.family, frozenset(got))
                 assert len(got) >= tracking_lower_bound(len(sys.family))
     _ok(2, "500 set systems, decisions match brute force for k in 0..5")
 
@@ -72,12 +74,12 @@ def test_criterion_3_symmetric_difference_equivalence():
     rng = random.Random(303)
     checked = 0
     for sys in systems:
-        hitting = reduce_to_hitting(sys)
+        hitting = minimal_differences([to_mask(s) for s in sys.family])
         for _ in range(2):
             size = rng.randint(0, sys.universe_size)
             trackers = frozenset(rng.sample(range(sys.universe_size), size))
             is_tracking = brute_is_tracking(sys.family, trackers)
-            hits_all = all(trackers & f for f in hitting.family)
+            hits_all = all(to_mask(trackers) & f for f in hitting)
             assert is_tracking == hits_all
             checked += 1
     assert checked == 1000
@@ -94,7 +96,7 @@ def test_criterion_4_condition_equals_definition():
         for _ in range(20):
             size = rng.randint(0, pruned.n)
             trackers = frozenset(rng.sample(range(pruned.n), size))
-            assert verify_tracking_condition(pruned, trackers) == \
+            assert (violating_pair(pruned, trackers) is None) == \
                 brute_is_tracking(paths, trackers)
         done += 1
     _ok(4, "500 DAGs x 20 subsets, tracking condition == definition check")

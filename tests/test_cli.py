@@ -198,6 +198,28 @@ class TestReduce:
         assert code == 0 and "singleton" in out
 
 
+NO_PATH_REPORT = ("result: YES\nwitness: \nsize: 0\npaths: 0\nreductions: 0\n"
+                  "subsets_tried: 0\nreason: no s-t path; zero paths are vacuously tracked\n")
+NO_PATH_JSON = ('{"paths": 0, "paths_saturated": false, "reason": "no s-t path; zero paths '
+                'are vacuously tracked", "reductions": 0, "result": "YES", "size": 0, '
+                '"subsets_tried": 0, "witness": []}\n')
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["reduce"], "# no s-t path: zero paths, trivially YES\n"),
+    (["count"], "0\n"),
+    (["verify", "--trackers"], "tracking: true\n# no s-t path: vacuously tracked\n"),
+    (["solve", "--k", "0"], NO_PATH_REPORT),
+    (["solve", "--k", "0", "--json"], NO_PATH_JSON),
+    (["solve", "--k", "0", "--mode", "setsystem"], NO_PATH_REPORT),
+    (["solve", "--k", "0", "--mode", "setsystem", "--json"], NO_PATH_JSON),
+], ids=["reduce", "count", "verify", "solve", "solve-json", "setsystem", "setsystem-json"])
+def test_no_path_answers(tmp_path, capsys, argv, out):
+    """t unreachable from s is an ordinary answer: zero paths, tracked by the empty set."""
+    path = write(tmp_path, "nopath.graph", NO_PATH)
+    assert run(capsys, argv[0], path, *argv[1:]) == (0, out, "")
+
+
 class TestCountVerify:
     def test_count_diamond(self, tmp_path, capsys):
         path = write(tmp_path, "d.graph", DIAMOND)
@@ -303,7 +325,6 @@ class TestCountVerify:
 
         monkeypatch.setattr("trackset.oracle.enumerate_all_paths", refuse)
         monkeypatch.setattr("trackset.oracle.enumerate_shortest_paths", refuse)
-        monkeypatch.setattr("trackset.shortest.enumerate_shortest_paths", refuse)
         if not code:  # a true answer needs no topological order to count paths along
             monkeypatch.setattr("trackset.dagtrack.topological_order", refuse)
         path = write(tmp_path, "x.txt", text)

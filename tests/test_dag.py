@@ -3,7 +3,7 @@ import random
 import pytest
 
 from trackset.dagtrack import (count_paths, reduce_dag, reduce_rule_2, solve_dag,
-                               verify_tracking_condition)
+                               violating_pair)
 from trackset.graph import Digraph
 from trackset.generate import random_dag
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
@@ -153,28 +153,45 @@ class TestCountPaths:
             assert count_paths(d).value == len(enumerate_all_paths(d))
 
 
+def assert_violating(pair, trackers, paths):
+    """``pair`` is two distinct members of ``paths`` that meet the trackers alike."""
+    p, q = pair
+    assert p != q and p & trackers == q & trackers
+    assert {p, q} <= set(map(frozenset, paths))
+
+
+def verify_dag(d, trackers):
+    """What ``verify`` decides on a DAG: rule 2, then the tracking condition; on
+    false, its pair must violate the definition."""
+    pruned, relab = reduce_rule_2(d)  # trackers off every s-t path tell no path apart
+    pair = violating_pair(pruned, relab.from_original(trackers))
+    if pair is not None:
+        assert_violating(map(relab.map_set, pair), trackers, enumerate_all_paths(d))
+    return pair is None
+
+
 class TestVerifyCondition:
     def test_diamond_cases(self):
         d = diamond_dag()
-        assert verify_tracking_condition(d, frozenset({1}))
-        assert not verify_tracking_condition(d, frozenset())
-        assert verify_tracking_condition(d, frozenset({1, 2}))
+        assert verify_dag(d, frozenset({1}))
+        assert not verify_dag(d, frozenset())
+        assert verify_dag(d, frozenset({1, 2}))
 
     def test_source_alone_insufficient(self):
-        assert not verify_tracking_condition(diamond_dag(), frozenset({0}))
+        assert not verify_dag(diamond_dag(), frozenset({0}))
 
     def test_trackers_off_every_s_t_path(self):
         # 4-5-7 and 4-6-7 lie on no s-t path, so they are no two paths to tell apart
         d = Digraph(8, [(0, 1), (1, 3), (0, 2), (4, 5), (4, 6), (5, 7), (6, 7)], 0, 3)
-        assert verify_tracking_condition(d, frozenset({4, 7}))
-        assert verify_tracking_condition(d, frozenset())
+        assert verify_dag(d, frozenset({4, 7}))
+        assert verify_dag(d, frozenset())
 
     def test_matches_definition_on_unpruned_dags(self):
         rng = random.Random(6)
         for _ in range(100):
             d = random_dag(rng, rng.randint(4, 9))
             trackers = frozenset(rng.sample(range(d.n), rng.randint(0, d.n)))
-            assert verify_tracking_condition(d, trackers) == \
+            assert verify_dag(d, trackers) == \
                 brute_is_tracking(enumerate_all_paths(d), trackers)
 
     def test_matches_definition_on_random_dags(self):
@@ -185,8 +202,10 @@ class TestVerifyCondition:
             paths = enumerate_all_paths(pruned)
             sample = rng.sample(range(pruned.n), rng.randint(0, pruned.n))
             trackers = frozenset(sample)
-            assert verify_tracking_condition(pruned, trackers) == \
-                brute_is_tracking(paths, trackers)
+            pair = violating_pair(pruned, trackers)
+            assert (pair is None) == brute_is_tracking(paths, trackers)
+            if pair is not None:
+                assert_violating(map(frozenset, pair), trackers, paths)
 
 
 class TestSolveDag:

@@ -29,13 +29,12 @@ from trackset import setsystem
 from trackset.cli import main
 from trackset.dagtrack import (_pair_through, _pruned, reduce_dag, reduce_rule_2,
                                solve_dag, violating_pair)
-from trackset.errors import NoPathError
 from trackset.graph import Digraph, Graph, topological_order
 from trackset.instance_io import format_digraph, format_graph
 from trackset.oracle import (brute_is_tracking, brute_min_tracking, enumerate_all_paths,
                              enumerate_shortest_paths)
 from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
-                                reduce_to_hitting, solve_tracking_set)
+                                solve_set_system, to_mask)
 from trackset.shortest import reduce_rule_1, solve_shortest_paths, to_dag
 
 from conftest import brute_shortest_path_sets, serial_diamond_dag
@@ -247,8 +246,7 @@ def test_rule_1_hands_back_graphs_it_would_not_change(g):
     and edge lies on a shortest s-t path; so it does on its own output."""
     paths = brute_shortest_path_sets(g)
     if not paths:
-        with pytest.raises(NoPathError):
-            reduce_rule_1(g)
+        assert reduce_rule_1(g) is None
         return
     on_paths = (set().union(*paths) == set(range(g.n)) and
                 {tuple(sorted(e)) for p in paths for e in zip(p, p[1:])} == set(g.edges))
@@ -293,8 +291,9 @@ def test_cli_setsystem_route_on_graphs_matches_brute_force(g):
 @given(set_systems())
 def test_set_system_route_matches_brute_force(sys):
     def solve(k):
-        witness = solve_tracking_set(sys, k)
-        return witness is not None, sorted(witness or ())
+        rep = solve_set_system(sys, k)
+        assert (rep.witness is not None) == (rep.result == "YES")
+        return rep.result == "YES", rep.witness
 
     check_route(sys.family, sys.universe_size, solve)
 
@@ -302,9 +301,9 @@ def test_set_system_route_matches_brute_force(sys):
 @SETTINGS
 @given(set_systems())
 def test_hitting_family_is_superset_free(sys):
-    family = reduce_to_hitting(sys).family
+    family = minimal_differences([to_mask(s) for s in sys.family])
     for a, b in combinations(family, 2):
-        assert not a <= b and not b <= a
+        assert a & ~b and b & ~a
 
 
 @st.composite
@@ -429,10 +428,9 @@ def pruned_dags_with_trackers(draw):
     or the rule-1 DAG of a graph, with any set of trackers."""
     kind = draw(st.sampled_from(["dag", "spanning", "graph"]))
     if kind == "graph":
-        try:
-            d = to_dag(reduce_rule_1(draw(graphs()))[0])
-        except NoPathError:
-            assume(False)
+        pruned = reduce_rule_1(draw(graphs()))
+        assume(pruned is not None)
+        d = to_dag(pruned[0])
     else:
         d = reduce_rule_2(draw(dags() if kind == "dag" else spanning_dags()))[0]
     marks = draw(st.lists(st.booleans(), min_size=d.n, max_size=d.n))

@@ -7,10 +7,9 @@ from trackset.dagtrack import path_masks
 from trackset.generate import random_layered_graph, random_set_system
 from trackset.graph import Graph
 from trackset.oracle import brute_min_tracking
-from trackset.setsystem import (HittingInstance, SetSystem, hitting_search,
-                                minimal_differences, reduce_to_hitting,
-                                solve_hitting, solve_tracking_set, to_mask,
-                                tracking_lower_bound, tracks, violating_sets)
+from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
+                                solve_set_system, to_mask, tracking_lower_bound, tracks,
+                                violating_sets)
 from trackset.shortest import reduce_rule_1, to_dag
 
 
@@ -18,60 +17,66 @@ def triangle_system():
     return SetSystem(4, [{1, 2}, {2, 3}, {1, 3}])
 
 
+def differences(sys):
+    """The hitting family the decision core searches: the minimal differences of the
+    family's masks, in (size, value) order."""
+    return minimal_differences([to_mask(s) for s in sys.family])
+
+
 def test_reduce_to_hitting_triangle():
-    h = reduce_to_hitting(triangle_system())
-    assert set(h.family) == {frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2})}
+    assert differences(triangle_system()) == [to_mask({1, 2}), to_mask({1, 3}),
+                                              to_mask({2, 3})]
 
 
 def test_reduce_to_hitting_single_pair():
-    h = reduce_to_hitting(SetSystem(2, [set(), {1}]))
-    assert h.family == (frozenset({1}),)
+    assert differences(SetSystem(2, [set(), {1}])) == [to_mask({1})]
 
 
 def test_reduce_to_hitting_single_set():
-    h = reduce_to_hitting(SetSystem(2, [{0}]))
-    assert h.family == ()
+    assert differences(SetSystem(2, [{0}])) == []
 
 
 def test_reduce_to_hitting_carries_2d_bound():
     # sets of size <= d differ in at most 2d elements
     sys = SetSystem(6, [{0, 1}, {2, 3}, {4, 5}, {0}])
-    assert max(len(f) for f in reduce_to_hitting(sys).family) == 4
+    assert max(f.bit_count() for f in differences(sys)) == 4
 
 
 def test_hitting_instance_rejects_empty_set():
-    with pytest.raises(ValueError):
-        HittingInstance(3, [set()])
+    # a family that holds the empty set is infeasible: no set of any size hits it
+    for sets in ([0], [0b11, 0], [0b1, 0b10, 0]):
+        assert hitting_search(sets, 3)[0] is None, sets
 
 
 def test_solve_hitting_triangle():
-    fam = [{1, 3}, {2, 3}, {1, 2}]
-    h = HittingInstance(4, fam)
-    witness = solve_hitting(h, 2)
-    assert witness is not None and len(witness) <= 2
-    assert all(witness & frozenset(f) for f in fam)
-    assert solve_hitting(h, 1) is None
+    fam = [to_mask({1, 3}), to_mask({2, 3}), to_mask({1, 2})]
+    witness, _ = hitting_search(fam, 2)
+    assert witness == to_mask({1, 2})
+    assert all(witness & f for f in fam)
+    assert hitting_search(fam, 1)[0] is None
 
 
 def test_solve_hitting_empty_family():
-    assert solve_hitting(HittingInstance(3, []), 0) == frozenset()
+    assert hitting_search([], 0)[0] == 0
 
 
 def test_solve_tracking_set_triangle():
-    witness = solve_tracking_set(triangle_system(), 2)
-    assert witness == {1, 2}
-    inters = [frozenset(s) & witness for s in triangle_system().family]
+    rep = solve_set_system(triangle_system(), 2)
+    assert rep.result == "YES" and rep.witness == (1, 2)
+    inters = [frozenset(s) & frozenset(rep.witness) for s in triangle_system().family]
     assert len(set(inters)) == 3
 
 
 def test_solve_tracking_set_lower_bound_gate():
     # 5 distinct sets need at least ceil(lg 5) = 3 trackers
     sys = SetSystem(3, [set(), {0}, {1}, {2}, {0, 1}])
-    assert solve_tracking_set(sys, 2) is None
+    rep = solve_set_system(sys, 2)
+    assert rep.result == "NO" and rep.witness is None and rep.subsets_tried == 0
 
 
 def test_solve_tracking_set_single_set():
-    assert solve_tracking_set(SetSystem(2, [{0}]), 0) == frozenset()
+    rep = solve_set_system(SetSystem(2, [{0}]), 0)
+    assert rep.result == "YES" and rep.witness == ()
 
 
 def test_tracking_lower_bound():
@@ -91,9 +96,11 @@ def test_exhaustive_equivalence_small():
         sys = SetSystem(4, fam)
         best = brute_min_tracking(fam, 4)
         for k in range(5):
-            got = solve_tracking_set(sys, k)
+            rep = solve_set_system(sys, k)
             expect_yes = best is not None and best <= k
-            assert (got is not None) == expect_yes, (fam, k)
+            assert (rep.result == "YES") == expect_yes, (fam, k)
+            if expect_yes:
+                assert len(rep.witness) == best and tracks(fam, frozenset(rep.witness))
 
 
 def test_lower_bound_soundness_exhaustive():

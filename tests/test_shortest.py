@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from trackset.dagtrack import count_paths, solve_dag
-from trackset.errors import CapExceeded, NoPathError
+from trackset.dagtrack import count_paths, path_masks
+from trackset.errors import CapExceeded
 from trackset.generate import random_connected_graph
 from trackset.graph import Graph, topological_order
 from trackset.oracle import brute_min_tracking, enumerate_shortest_paths
-from trackset.setsystem import solve_tracking_set
-from trackset.shortest import reduce_rule_1, solve_shortest_paths, to_dag, to_set_system
+from trackset.setsystem import to_mask
+from trackset.shortest import (reduce_rule_1, solve_shortest_paths, solve_via_set_system,
+                               to_dag)
 
 from conftest import brute_shortest_path_sets, diamond_graph, serial_diamond_graph
 
@@ -35,8 +36,7 @@ class TestRule1:
 
     def test_unreachable_t(self):
         g = Graph(4, [(0, 1), (2, 3)], 0, 3)
-        with pytest.raises(NoPathError):
-            reduce_rule_1(g)
+        assert reduce_rule_1(g) is None
 
     def test_layer_property(self, rng):
         for _ in range(100):
@@ -92,22 +92,24 @@ class TestEnumerate:
 
 
 class TestToSetSystem:
+    """The family the set-system route hands the decision core: one vertex
+    mask per shortest path of the rule-1 DAG."""
+
     def test_diamond_family(self):
         lg, _ = reduce_rule_1(diamond_graph())
-        sys = to_set_system(enumerate_shortest_paths(lg.base), lg.base.n)
-        assert set(sys.family) == {frozenset({0, 1, 3}), frozenset({0, 2, 3})}
-        assert max(map(len, sys.family)) == 3
+        masks = path_masks(to_dag(lg))
+        assert sorted(masks) == [to_mask({0, 1, 3}), to_mask({0, 2, 3})]
+        assert max(m.bit_count() for m in masks) == 3
 
     def test_single_path(self):
-        sys = to_set_system([(0, 1, 2)], 3)
-        assert len(sys.family) == 1
-        assert solve_tracking_set(sys, 0) == frozenset()
+        rep = solve_via_set_system(Graph(3, [(0, 1), (1, 2)], 0, 2), 0)
+        assert (rep.result, rep.witness, rep.paths) == ("YES", (), 1)
 
     def test_two_serial_diamonds(self):
         lg, _ = reduce_rule_1(serial_diamond_graph(2))
-        sys = to_set_system(enumerate_shortest_paths(lg.base), lg.base.n)
-        assert len(sys.family) == 4
-        assert all(len(s) == 5 for s in sys.family)
+        masks = path_masks(to_dag(lg))
+        assert len(set(masks)) == len(masks) == 4
+        assert all(m.bit_count() == 5 for m in masks)
 
 
 class TestToDag:
@@ -154,16 +156,14 @@ class TestSolveShortestPaths:
         assert set(rep.witness) <= {2, 4}
 
     def test_route_equivalence(self, rng):
-        # DAG route and set-system route agree on answer and minimum size
+        # DAG route and set-system route agree on answer and witness
         for _ in range(60):
             g = random_connected_graph(rng, rng.randint(4, 12))
-            lg, relab = reduce_rule_1(g)
-            paths = enumerate_shortest_paths(lg.base)
-            sys = to_set_system(paths, lg.base.n)
             for k in range(5):
-                dag_rep = solve_dag(to_dag(lg), k)
-                ss = solve_tracking_set(sys, k)
-                assert (dag_rep.result == "YES") == (ss is not None), (g.edges, k)
+                dag_rep = solve_shortest_paths(g, k)
+                ss_rep = solve_via_set_system(g, k)
+                assert (dag_rep.result, dag_rep.witness) == \
+                    (ss_rep.result, ss_rep.witness), (g.edges, k)
 
     def test_diameter_two_law(self):
         # s and t adjacent to r middles: all but one middle must be tracked

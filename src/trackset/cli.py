@@ -93,9 +93,7 @@ def _cmd_reduce(args) -> int:
         if (pruned := shortest.reduce_rule_1(inst)) is None:
             print("# no s-t path: zero paths, trivially YES")
             return 0
-        lg, relab = pruned
-        _sys.stdout.write(format_graph(lg.base))
-        _sys.stdout.write(_relabel_lines(relab))
+        _sys.stdout.write(format_graph(pruned[0].base) + _relabel_lines(pruned[1]))
         return 0
     if kind == "dag":
         reduced, _ = dagtrack.reduce_dag(inst)
@@ -133,8 +131,7 @@ def _violating_paths(kind: str, inst, trackers: FrozenSet[int]):
     if kind == "graph":
         if (rule_1 := shortest.reduce_rule_1(inst)) is None:
             return None, ["# no s-t path: vacuously tracked"]
-        lg, relab = rule_1
-        pruned = shortest.to_dag(lg)
+        pruned, relab = shortest.to_dag(rule_1[0]), rule_1[1]
     else:
         pruned, relab = dagtrack.reduce_rule_2(inst)
     pair = dagtrack.violating_pair(pruned, relab.from_original(trackers))

@@ -11,8 +11,10 @@ not, a count pass from that source builds a violating pair of paths.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import is_not
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
@@ -26,11 +28,18 @@ class ReducedDag:
 
     Invariants: every vertex and arc lies on an s-t path, deg(s) >= 2 and
     deg(t) >= 2, and no two adjacent interior degree-2 vertices remain.
-    ``relabeling`` maps its vertex ids back to the pre-reduction ids.
+    ``n`` is its vertex count and ``relabeling`` maps its vertex ids back to
+    the pre-reduction ids. ``base``, the DAG itself, is built on first read,
+    so a gate on ``n`` builds no digraph.
     """
 
-    base: Digraph
+    n: int
     relabeling: VertexRelabeling
+    build: Callable[[], Digraph] = field(repr=False)
+
+    @cached_property
+    def base(self) -> Digraph:
+        return self.build()
 
 
 @dataclass
@@ -72,12 +81,15 @@ def _pruned(d: Digraph) -> Optional[Tuple[List[int], Dict[int, List[int]]]]:
                   for u in keep}
 
 
-def _digraph(keep: List[int], arcs: List[Tuple[int, int]], s: int, t: int
-             ) -> Tuple[Digraph, VertexRelabeling]:
-    """The digraph on ``keep`` (ascending ids) with ``arcs``, s and t in those ids."""
-    newid = {old: i for i, old in enumerate(keep)}
-    return (Digraph(len(keep), [(newid[u], newid[v]) for u, v in arcs], newid[s], newid[t]),
-            VertexRelabeling(keep))
+def _digraph(d: Digraph, keep: List[int], arcs: List[Tuple[int, int]], s: int, t: int
+             ) -> Digraph:
+    """The digraph on ``keep`` (ascending ids of ``d``) with ``arcs``, s and t in those ids,
+    built unchecked; it inherits d's kept topological order, if any, restricted to ``keep``,
+    which :func:`reduce_dag` shows is one of its own."""
+    n, newid = len(keep), {old: i for i, old in enumerate(keep)}
+    order = d._order and tuple(filter(partial(is_not, None), map(newid.get, d._order)))
+    return Digraph._derived(n, [newid[u] * n + newid[v] for u, v in arcs],
+                            newid[s], newid[t], order)
 
 
 def reduce_rule_2(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
@@ -90,7 +102,8 @@ def reduce_rule_2(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
     if (pruned := _pruned(d)) is None:
         return d, VertexRelabeling(range(d.n))
     keep, out = pruned
-    return _digraph(keep, [(u, v) for u in keep for v in out[u]], d.s, d.t)
+    return (_digraph(d, keep, [(u, v) for u in keep for v in out[u]], d.s, d.t),
+            VertexRelabeling(keep))
 
 
 def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
@@ -105,6 +118,14 @@ def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
     which keeps witnesses lex-least as a chain's vertices lie on the same paths, and
     drops the arcs left inside a chain. It changes neither deg(s) nor deg(t) nor any
     other vertex's degree: no rule fires again.
+
+    The result inherits d's topological order restricted to the kept vertices, and
+    that is one of its own. Every rule keeps ids in ascending order, and rule 4 keeps
+    each chain's least id, so an arc (x, y) of the result comes from an arc (u, v) of
+    ``d`` with x = u unless u is in a chain, and then u is its last member, the one
+    with an out-arc off the chain, while x, a member, comes at or before u in d's
+    order; likewise y = v or y comes at or after v, the chain's first member. As u
+    comes before v, x comes before y.
 
     Returns (reduced, vertices_deleted); reduced is None when the graph collapsed
     to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted.
@@ -134,16 +155,20 @@ def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
             while (z := out[chain[-1]][0]) in inner:
                 chain.append(z)
             least.update(dict.fromkeys(chain, min(chain)))
-    arcs = [(a, b) for u in live for v in out[u] if v not in gone
-            if (a := least.get(u, u)) != (b := least.get(v, v))]
-    ins, outs = Counter(b for _, b in arcs), Counter(a for a, _ in arcs)
-    bad = sorted(x for x in set(least.values()) if ins[x] != 1 or outs[x] != 1)
-    if bad:
-        raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
-    if pruned is None and len(arcs) == len(d.arcs):  # a deleted vertex takes an arc along
-        return ReducedDag(d, VertexRelabeling(range(d.n))), 0
-    base, relab = _digraph([v for v in live if least.get(v, v) == v], arcs, s, t)
-    return ReducedDag(base, relab), d.n - base.n
+    kept = [v for v in live if least.get(v, v) == v]
+    if pruned is None and len(kept) == d.n:
+        return ReducedDag(d.n, VertexRelabeling(range(d.n)), lambda: d), 0
+
+    def build() -> Digraph:
+        arcs = [(a, b) for u in live for v in out[u] if v not in gone
+                if (a := least.get(u, u)) != (b := least.get(v, v))]
+        ins, outs = Counter(b for _, b in arcs), Counter(a for a, _ in arcs)
+        bad = sorted(x for x in set(least.values()) if ins[x] != 1 or outs[x] != 1)
+        if bad:
+            raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
+        return _digraph(d, kept, arcs, s, t)
+
+    return ReducedDag(len(kept), VertexRelabeling(kept), build), d.n - len(kept)
 
 
 def count_paths(d: Digraph, cap: Optional[int] = None) -> PathCount:
@@ -267,13 +292,14 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
     if reduced is None:
         return SolveReport("YES", witness=(), reductions=deleted,
                            reason="reduced to a singleton")
-    base = reduced.base
-    k = min(k, base.n)  # all n vertices always track, so a larger k changes nothing
+    n = reduced.n
+    k = min(k, n)  # all n vertices always track, so a larger k changes nothing
     cap = 2 ** k
-    if base.n > 5 * cap:
-        return SolveReport("NO", reductions=deleted, paths=-(-base.n // 5),
+    if n > 5 * cap:  # decided before the reduced digraph is built
+        return SolveReport("NO", reductions=deleted, paths=-(-n // 5),
                            paths_saturated=True,
-                           reason=f"n/5 = {base.n}/5 paths exceed 2^{k}")
+                           reason=f"n/5 = {n}/5 paths exceed 2^{k}")
+    base = reduced.base
     pc = count_paths(base, cap=cap)
     if pc.value == 0:
         return SolveReport("YES", witness=(), paths=0, reductions=deleted,

@@ -7,44 +7,35 @@ after construction and all operations here are pure, except that
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, eq, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CycleError, EdgeError, InternalError
 
 
-def _sorted_pairs(n: int, pairs: Iterable[Tuple[int, int]], undirected: bool) -> list:
-    """Check the pairs; return them ascending, undirected ones as (min, max).
+def _checked_keys(n: int, us: Sequence[int], vs: Sequence[int], undirected: bool) -> list:
+    """Check the pairs (us[i], vs[i]); return their keys u * n + v (u < v if undirected)
+    ascending, so that ``divmod(key, n)`` gives them back in (u, v) order.
 
-    The checks run as C-level passes over the two columns: ends in range and
-    no self-loop, then each pair becomes the int key u * n + v (u < v for a
-    graph) and no key may occur twice. As 0 <= v < n, key order is (u, v)
-    order, so sorting the ints and mapping them back with divmod sorts the
-    pairs; a derived graph's pairs come sorted, or nearly, and ints sort in
-    about linear time. A failed bulk check tells that some pair is bad, not
-    which comes first, so the per-pair loop then runs in input order only to
-    raise EdgeError with that pair's index. It never returns: a loop that
-    accepts what the bulk checks refused is a bug, raised as InternalError.
+    The checks run as C-level passes over the columns: ends in range, no self-loop,
+    then no sorted key equal to the next. A failed bulk check tells that some pair
+    is bad, not which comes first, so the per-pair loop then runs in input order to
+    raise EdgeError with that pair's index; if it accepts them, that is a bug.
     """
-    pairs = list(pairs)
-    if not pairs:
+    if not us:
         return []
-    try:
-        us, vs = zip(*pairs, strict=True)
-    except ValueError:  # a pair that is not two ids: the loop raises as unpacking does
-        us = vs = ()
-    if us and min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n \
+    if min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n \
             and not any(map(eq, us, vs)):
         if undirected:
             keys = [u * n + v if u < v else v * n + u for u, v in zip(us, vs)]
         else:
             keys = list(map(add, map(mul, us, repeat(n)), vs))
-        if len(set(keys)) == len(keys):
-            keys.sort()
-            return list(map(divmod, keys, repeat(n)))
+        keys.sort()
+        if not any(map(eq, keys, islice(keys, 1, None))):
+            return keys
     seen = set()
-    for i, (u, v) in enumerate(pairs):
+    for i, (u, v) in enumerate(zip(us, vs)):
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeError(i, f"endpoint out of range: {u} {v}")
         if u == v:
@@ -65,7 +56,25 @@ def _check_ends(n: int, s: int, t: int):
         raise ValueError("s and t must differ")
 
 
-class Graph:
+class _Checked:
+    """The checking constructors of Graph and Digraph; each fills itself in ``_fill``."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, pairs: Iterable[Tuple[int, int]], s: int, t: int):
+        # a pair that is not two ids raises ValueError here, before any pair is checked
+        us, vs = tuple(zip(*pairs, strict=True)) or ((), ())
+        self._fill(n, _checked_keys(n, us, vs, isinstance(self, Graph)), s, t)
+
+    @classmethod
+    def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int], s: int, t: int):
+        """The instance with the pairs (us[i], vs[i]), checked as the constructor checks them."""
+        x = cls.__new__(cls)
+        x._fill(n, _checked_keys(n, us, vs, issubclass(cls, Graph)), s, t)
+        return x
+
+
+class Graph(_Checked):
     """Simple undirected s-t graph.
 
     Rejects self-loops, duplicate edges, out-of-range endpoints and s == t
@@ -74,12 +83,10 @@ class Graph:
 
     __slots__ = ("n", "edges", "s", "t", "adj")
 
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int]], s: int, t: int):
-        self.edges = tuple(_sorted_pairs(n, edges, undirected=True))
+    def _fill(self, n: int, keys: list, s: int, t: int):
         _check_ends(n, s, t)
-        self.n = n
-        self.s = s
-        self.t = t
+        self.n, self.s, self.t = n, s, t
+        self.edges = tuple(map(divmod, keys, repeat(n)))
         # edges ascend with u < v, so adj[x] gets its smaller neighbours (edges
         # (u, x)) in order before its larger ones: no list needs a sort
         adj = [[] for _ in range(n)]
@@ -92,7 +99,7 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)}, s={self.s}, t={self.t})"
 
 
-class Digraph:
+class Digraph(_Checked):
     """Simple directed s-t graph with in/out adjacency, validated as Graph is.
 
     Acyclicity is not enforced here; use :func:`topological_order`, which
@@ -102,12 +109,20 @@ class Digraph:
 
     __slots__ = ("n", "arcs", "s", "t", "out_adj", "in_adj", "_order")
 
-    def __init__(self, n: int, arcs: Iterable[Tuple[int, int]], s: int, t: int):
-        self.arcs = tuple(_sorted_pairs(n, arcs, undirected=False))
+    @classmethod
+    def _derived(cls, n: int, keys: list, s: int, t: int, order: Optional[tuple]) -> Digraph:
+        """The digraph with the arcs ``divmod(key, n)`` that a rule derived from a checked
+        graph, so the keys are sorted, not checked. ``order``, unless None, must be a
+        topological order; it is kept as :func:`topological_order` keeps one."""
+        d = cls.__new__(cls)
+        keys.sort()
+        d._fill(n, keys, s, t, order)
+        return d
+
+    def _fill(self, n: int, keys: list, s: int, t: int, order: Optional[tuple] = None):
         _check_ends(n, s, t)
-        self.n = n
-        self.s = s
-        self.t = t
+        self.n, self.s, self.t = n, s, t
+        self.arcs = tuple(map(divmod, keys, repeat(n)))
         # arcs ascend, so every list fills in ascending order and needs no sort
         out_adj = [[] for _ in range(n)]
         in_adj = [[] for _ in range(n)]
@@ -116,7 +131,7 @@ class Digraph:
             in_adj[v].append(u)
         self.out_adj = tuple(map(tuple, out_adj))
         self.in_adj = tuple(map(tuple, in_adj))
-        self._order = None
+        self._order = order
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={len(self.arcs)}, s={self.s}, t={self.t})"

@@ -47,9 +47,9 @@ _DELETE_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
 
 
-def _canonical_pairs(rows: list[str]) -> Optional[list[Tuple[int, int]]]:
-    """The pairs of an edge body whose every line is 'digits SPACE digits', read
-    in bulk; None for any other body, which the line loop then reads.
+def _canonical_columns(rows: list[str]) -> Optional[Tuple[list, list]]:
+    """The two id columns of an edge body whose every line is 'digits SPACE digits',
+    read in bulk; None for any other body, which the line loop then reads.
 
     Deleting the ASCII digits must leave one space per line and the newlines
     between them; then every space and newline becomes a comma and one
@@ -65,7 +65,7 @@ def _canonical_pairs(rows: list[str]) -> Optional[list[Tuple[int, int]]]:
         ints = json.loads("[" + body.translate(_TO_COMMAS) + "]")
     except ValueError:
         return None
-    return list(zip(ints[::2], ints[1::2]))
+    return ints[::2], ints[1::2]
 
 
 def parse_instance(text: str) -> Tuple[str, Instance]:
@@ -92,22 +92,23 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
         if n > MAX_IDS:
             raise ParseError(header_no, f"n = {n} is above the limit of {MAX_IDS}")
         rows = lines[header_no:]
-        pairs = _canonical_pairs(rows)
-        if pairs is None:
-            pairs = []
+        columns = _canonical_columns(rows)
+        if columns is None:
+            columns = us, vs = [], []
             for i, raw in enumerate(rows, header_no + 1):
                 tokens = raw.split("#", 1)[0].split()
                 if tokens:
                     try:
-                        u, v = tokens
-                        pairs.append((int(u), int(v)))
+                        u, v = map(int, tokens)
                     except ValueError:
                         _int_fields(tokens, i)  # names a token that is no integer
                         raise ParseError(i, "expected 'u v'")
+                    us.append(u)
+                    vs.append(v)
         try:
             if kind == "graph":
-                return kind, Graph(n, pairs, s, t)
-            d = Digraph(n, pairs, s, t)
+                return kind, Graph.from_columns(n, *columns, s, t)
+            d = Digraph.from_columns(n, *columns, s, t)
             topological_order(d)
             return kind, d
         except EdgeError as exc:
@@ -153,9 +154,12 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
     raise ParseError(header_no, f"unknown instance kind {kind!r}")
 
 
-def format_graph(g: Graph) -> str:
+def format_graph(g: Union[Graph, Digraph]) -> str:
+    """``g`` in the graph format; a digraph, such as rule 1's, prints as its Graph would."""
+    edges = g.edges if isinstance(g, Graph) else sorted(
+        (u, v) if u < v else (v, u) for u, v in g.arcs)
     lines = [f"graph {g.n} {g.s} {g.t}"]
-    lines += [f"{u} {v}" for u, v in g.edges]
+    lines += [f"{u} {v}" for u, v in edges]
     return "\n".join(lines) + "\n"
 
 

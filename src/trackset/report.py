@@ -37,7 +37,7 @@ class SolveReport:
     def to_text(self) -> str:
         lines = [f"result: {self.result}"]
         if self.witness is not None:
-            lines.append("witness: " + " ".join(str(v) for v in self.witness))
+            lines.append(" ".join(["witness:", *map(str, self.witness)]))
             lines.append(f"size: {len(self.witness)}")
         if self.paths is not None:
             suffix = "+" if self.paths_saturated else ""

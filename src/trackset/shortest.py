@@ -20,50 +20,45 @@ from .setsystem import SetSystem, solve_masks
 
 @dataclass
 class LayeredGraph:
-    """A graph pruned to its shortest s-t paths.
+    """A graph pruned to its shortest s-t paths, each edge oriented to climb one BFS
+    level from s: the s-t paths of ``base`` are the shortest s-t paths of the graph."""
 
-    Every edge joins consecutive BFS levels and every vertex and edge lies
-    on some shortest s-t path.
-    """
-
-    base: Graph
-    levels: Tuple[int, ...]
+    base: Digraph
 
 
 def reduce_rule_1(g: Graph) -> Optional[Tuple[LayeredGraph, VertexRelabeling]]:
-    """Delete every vertex and edge not on a shortest s-t path.
+    """Delete every vertex and edge not on a shortest s-t path and orient the rest.
 
-    An edge ab survives iff dis(s,a) + dis(b,t) + 1 equals the shortest
-    s-t distance (in either orientation). Returns None when t is
-    unreachable from s. If every edge survives and s reaches every vertex,
-    each vertex has an edge, and from it walks back down the levels to s and
-    on up to t: ``g`` itself comes back, with the identity relabeling.
-    """
+    After one BFS from s, an edge ab lies on a shortest s-t path iff b does and a
+    sits one level below it, so a walk back from t over such level predecessors
+    meets exactly the kept vertices and edges, each arc climbing one level. Returns
+    None when t is unreachable. The DAG keeps the old ids' order, and the walk's
+    order reversed, by ascending level, as its topological order."""
     ds = bfs_distances(g, g.s)
-    dt = bfs_distances(g, g.t)
-    length = ds[g.t]
-    if length is None:
+    if ds[g.t] is None:
         return None
-
-    # t is reachable, so ds and dt read None at the same vertices, and so do
-    # both ends of an edge or neither: one test guards all four reads
-    last = length - 1
-    kept = [(a, b) for a, b in g.edges
-            if ds[a] is not None and (ds[a] + dt[b] == last or ds[b] + dt[a] == last)]
-    if len(kept) == len(g.edges) and None not in ds:
-        return LayeredGraph(g, tuple(ds)), VertexRelabeling(range(g.n))
-    alive = sorted({v for e in kept for v in e})
-    newid = {old: i for i, old in enumerate(alive)}
-    base = Graph(len(alive), [(newid[a], newid[b]) for a, b in kept],
-                 newid[g.s], newid[g.t])
-    levels = tuple(ds[old] for old in alive)
-    return LayeredGraph(base, levels), VertexRelabeling(alive)
+    adj, arcs, seen = g.adj, [], bytearray(g.n)
+    seen[g.t] = 1
+    walk = [g.t]
+    for v in walk:  # grows while it is read, so by descending level
+        below = ds[v] - 1
+        for u in adj[v]:
+            if ds[u] == below:
+                arcs.append((u, v))
+                if not seen[u]:
+                    seen[u] = 1
+                    walk.append(u)
+    keep = sorted(walk)
+    n, newid = len(keep), {old: i for i, old in enumerate(keep)}
+    base = Digraph._derived(n, [newid[u] * n + newid[v] for u, v in arcs], newid[g.s],
+                            newid[g.t], tuple(map(newid.__getitem__, reversed(walk))))
+    return LayeredGraph(base), VertexRelabeling(keep)
 
 
 def enumerate_shortest_paths(lg: LayeredGraph, cap: Optional[int] = None) -> List[tuple]:
-    """The oracle's lister on ``lg.base``. Kept only as perfbench's tracer looks the
-    name up; ROADMAP item 5 deletes it once item 1 drops it from the tracer."""
-    return oracle.enumerate_shortest_paths(lg.base, cap)
+    """The oracle's lister on ``lg.base``, whose s-t paths are the shortest paths. Kept
+    only as perfbench's tracer looks the name up (ROADMAP items 1 and 5)."""
+    return oracle.enumerate_all_paths(lg.base, cap)
 
 
 def to_set_system(paths: List[Tuple[int, ...]], n: int) -> SetSystem:
@@ -72,19 +67,12 @@ def to_set_system(paths: List[Tuple[int, ...]], n: int) -> SetSystem:
 
 
 def to_dag(lg: LayeredGraph) -> Digraph:
-    """Orient every edge of the layered graph towards t (lower to higher level).
+    """The layered graph's DAG, which rule 1 already oriented towards t.
 
     The s-t paths of the result are exactly the shortest s-t paths of the
     input.
     """
-    g = lg.base
-    arcs = []
-    for a, b in g.edges:
-        if lg.levels[a] < lg.levels[b]:
-            arcs.append((a, b))
-        else:
-            arcs.append((b, a))
-    return Digraph(g.n, arcs, g.s, g.t)
+    return lg.base
 
 
 def solve_shortest_paths(g: Graph, k: int) -> SolveReport:

@@ -153,7 +153,7 @@ def test_criterion_8_reduction_safety():
         g = random_connected_graph(rng, rng.randint(4, 12))
         before = brute_min_tracking(enumerate_shortest_paths(g), g.n)
         lg, _ = reduce_rule_1(g)
-        reduced_family = enumerate_shortest_paths(lg.base)
+        reduced_family = enumerate_all_paths(lg.base)  # rule 1's DAG: the shortest paths
         after = brute_min_tracking(reduced_family, lg.base.n)
         assert before == after
     # DAG half: rules 3 and 4 preserve the minimum of the zero-pruned graph

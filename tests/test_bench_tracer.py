@@ -49,3 +49,22 @@ def test_tracer_installs_and_uninstalls(tracing, tmp_path, capsys):
     for mod, names in before.items():
         assert vars(mod).keys() == names.keys(), mod.__name__
         assert all(getattr(mod, key) is val for key, val in names.items()), mod.__name__
+
+
+def test_rule_1_counters_on_a_graph_it_prunes(tracing, tmp_path, capsys):
+    """The rule-1 hook reads the pruned vertex count off rule 1's result, so a
+    traced call on a graph that rule 1 prunes fails if that result changes shape."""
+    cli = importlib.import_module("trackset.cli")
+    path = tmp_path / "pendant.graph"  # a diamond 0-1-3, 0-2-3 with 4 hanging off 1
+    path.write_text("graph 5 0 3\n0 1\n0 2\n1 3\n2 3\n1 4\n")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.root(0, cli.main, ["solve", str(path), "--k", "1"]) == 0
+        assert tracer.root(1, cli.main, ["count", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert out.startswith("result: YES\nwitness: 1\n") and out.endswith("\n2\n")
+    counters = tracer.counters["shortest.reduce_rule_1"]
+    assert (counters["calls"], counters["vertices_removed"]) == (2, 2)

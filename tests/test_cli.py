@@ -198,7 +198,7 @@ class TestReduce:
         assert code == 0 and "singleton" in out
 
 
-NO_PATH_REPORT = ("result: YES\nwitness: \nsize: 0\npaths: 0\nreductions: 0\n"
+NO_PATH_REPORT = ("result: YES\nwitness:\nsize: 0\npaths: 0\nreductions: 0\n"
                   "subsets_tried: 0\nreason: no s-t path; zero paths are vacuously tracked\n")
 NO_PATH_JSON = ('{"paths": 0, "paths_saturated": false, "reason": "no s-t path; zero paths '
                 'are vacuously tracked", "reductions": 0, "result": "YES", "size": 0, '

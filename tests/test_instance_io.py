@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackset
-from trackset.instance_io import MAX_IDS, ParseError, _canonical_pairs, parse_instance
+from trackset.instance_io import MAX_IDS, ParseError, _canonical_columns, parse_instance
 
 
 @pytest.mark.parametrize("text,line,msg", [
@@ -142,8 +142,8 @@ def edge_bodies(draw):
 @given(edge_bodies())
 def test_bulk_read_matches_line_loop(case):
     canonical, noisy, line_of = case
-    assert _canonical_pairs(canonical.splitlines()[1:]) is not None
-    assert _canonical_pairs(noisy.splitlines()[1:]) is None
+    assert _canonical_columns(canonical.splitlines()[1:]) is not None
+    assert _canonical_columns(noisy.splitlines()[1:]) is None
     got = _outcome(canonical)
     if got[0] == "error" and got[1] > 1:  # a bad pair: the same pair's line in the noisy text
         got = ("error", line_of[got[1] - 2], got[2])
@@ -175,8 +175,8 @@ def test_overlong_integer_reads_as_in_the_line_loop():
 def test_body_scan_edge_cases(text, bulk, want):
     # a comment line after the body sends the same pairs through the line loop
     noisy = text + ("" if text.endswith("\n") else "\n") + "# end\n"
-    assert (_canonical_pairs(text.splitlines()[1:]) is not None) == bulk
-    assert _canonical_pairs(noisy.splitlines()[1:]) is None
+    assert (_canonical_columns(text.splitlines()[1:]) is not None) == bulk
+    assert _canonical_columns(noisy.splitlines()[1:]) is None
     got = _outcome(text)
     assert got == _outcome(noisy)
     if want is None:  # the line loop names the token that int() refuses

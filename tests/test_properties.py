@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 
 from trackset import setsystem
 from trackset.cli import main
-from trackset.dagtrack import (_pair_through, _pruned, reduce_dag, reduce_rule_2,
-                               solve_dag, violating_pair)
+from trackset.dagtrack import (_pair_through, _pruned, count_paths, reduce_dag,
+                               reduce_rule_2, solve_dag, violating_pair)
 from trackset.graph import Digraph, Graph, topological_order
 from trackset.instance_io import format_digraph, format_graph
 from trackset.oracle import (brute_is_tracking, brute_min_tracking, enumerate_all_paths,
@@ -226,6 +226,61 @@ def test_reduce_dag_keeps_each_chains_least_id(d):
         assert again.relabeling.to_original == tuple(range(reduced.base.n))
 
 
+def shape(d):
+    """Everything a digraph holds but the order it keeps."""
+    return d.n, d.arcs, d.out_adj, d.in_adj, d.s, d.t
+
+
+@SETTINGS
+@given(st.one_of(any_dags(), graphs()), st.data())
+def test_unchecked_digraph_path_matches_checking_constructor(inst, data):
+    """Rules 1, 2 and 4 build their digraphs from a checked graph's pairs, as
+    keys u * n + v in any order, without the checks: the result must be the
+    digraph that the checking constructor builds from the same pairs."""
+    pairs = data.draw(st.permutations(inst.arcs if isinstance(inst, Digraph) else inst.edges))
+    keys = [u * inst.n + v for u, v in pairs]
+    built = Digraph._derived(inst.n, keys, inst.s, inst.t, None)
+    assert shape(built) == shape(Digraph(inst.n, pairs, inst.s, inst.t))
+
+
+@st.composite
+def derived_dags(draw):
+    """A DAG that a rule built from a checked one, with the order it inherited:
+    rule 1's level order, or the order of a parsed DAG (which the parse's cycle
+    check keeps) or of rule 1's DAG, restricted by rule 2 or by rules 2-4."""
+    kind = draw(st.sampled_from(["rule 1", "rule 2", "rules 2-4", "rules 1-4"]))
+    if kind in ("rule 1", "rules 1-4"):
+        pruned = reduce_rule_1(draw(graphs()))
+        assume(pruned is not None)
+        d = pruned[0].base
+        if kind == "rule 1":
+            return d
+    else:
+        d = draw(any_dags())
+        topological_order(d)
+    if kind == "rule 2":
+        return reduce_rule_2(d)[0]
+    reduced, _ = reduce_dag(d)
+    assume(reduced is not None)
+    return reduced.base
+
+
+@SETTINGS
+@given(derived_dags())
+def test_derived_dags_count_with_their_inherited_order(d):
+    """A derived DAG's order is a topological order of it, which it has without
+    Kahn's loop, and it counts the paths of a fresh copy that runs that loop."""
+    fresh = Digraph(d.n, d.arcs, d.s, d.t)
+    assert shape(d) == shape(fresh)
+    with mock.patch("trackset.graph._kahn", side_effect=AssertionError("Kahn's loop ran")):
+        order = topological_order(d)
+        counts = [count_paths(d, cap) for cap in (None, 0, 1, 2)]
+    assert sorted(order) == list(range(d.n))
+    at = {v: i for i, v in enumerate(order)}
+    assert all(at[u] < at[v] for u, v in d.arcs)
+    assert counts == [count_paths(fresh, cap) for cap in (None, 0, 1, 2)]
+
+
 @SETTINGS
 @given(graphs())
 @example(Graph(7, [(0, 3), (0, 6), (2, 5), (2, 6), (3, 4), (4, 5)], 2, 3))
@@ -242,8 +297,9 @@ def test_shortest_route_matches_brute_force(g):
 @example(Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3))
 @example(Graph(3, [(0, 1)], 0, 1))
 def test_rule_1_hands_back_graphs_it_would_not_change(g):
-    """Rule 1 hands ``g`` back, with the identity relabeling, iff every vertex
-    and edge lies on a shortest s-t path; so it does on its own output."""
+    """Rule 1 keeps every id, with the identity relabeling, and every edge, as an
+    arc towards t, iff every vertex and edge lies on a shortest s-t path; so it
+    does on the graph of its own DAG, and orders that DAG the same way."""
     paths = brute_shortest_path_sets(g)
     if not paths:
         assert reduce_rule_1(g) is None
@@ -251,12 +307,15 @@ def test_rule_1_hands_back_graphs_it_would_not_change(g):
     on_paths = (set().union(*paths) == set(range(g.n)) and
                 {tuple(sorted(e)) for p in paths for e in zip(p, p[1:])} == set(g.edges))
     lg, relab = reduce_rule_1(g)
-    assert (lg.base is g) == on_paths
+    d = lg.base
+    edges = tuple(sorted((min(e), max(e)) for e in d.arcs))
+    assert (relab.to_original == tuple(range(g.n)) and edges == g.edges) == on_paths
     if on_paths:
-        assert relab.to_original == tuple(range(g.n))
-    again, relab = reduce_rule_1(lg.base)
-    assert again.base is lg.base and again.levels == lg.levels
-    assert relab.to_original == tuple(range(lg.base.n))
+        assert (d.n, d.s, d.t) == (g.n, g.s, g.t)
+    again, relab = reduce_rule_1(Graph(d.n, edges, d.s, d.t))
+    assert (again.base.n, again.base.arcs, again.base.s, again.base.t) == (d.n, d.arcs, d.s, d.t)
+    assert topological_order(again.base) == topological_order(d)
+    assert relab.to_original == tuple(range(d.n))
 
 
 @SETTINGS

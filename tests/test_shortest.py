@@ -5,8 +5,8 @@ import pytest
 from trackset.dagtrack import count_paths, path_masks
 from trackset.errors import CapExceeded
 from trackset.generate import random_connected_graph
-from trackset.graph import Graph, topological_order
-from trackset.oracle import brute_min_tracking, enumerate_shortest_paths
+from trackset.graph import Graph, bfs_distances, topological_order
+from trackset.oracle import brute_min_tracking, enumerate_all_paths, enumerate_shortest_paths
 from trackset.setsystem import to_mask
 from trackset.shortest import (reduce_rule_1, solve_shortest_paths, solve_via_set_system,
                                to_dag)
@@ -25,14 +25,16 @@ class TestRule1:
     def test_line_graph_unchanged(self):
         g = Graph(3, [(0, 1), (1, 2)], 0, 2)
         lg, relab = reduce_rule_1(g)
-        assert lg.base.n == 3 and len(lg.base.edges) == 2
-        assert lg.levels[lg.base.t] == 2  # the shortest s-t distance
+        assert (lg.base.n, lg.base.arcs, lg.base.s, lg.base.t) == (3, ((0, 1), (1, 2)), 0, 2)
+        assert relab.to_original == (0, 1, 2)
+        # the DAG keeps rule 1's levels 0, 1, 2 as its topological order
+        assert topological_order(lg.base) == [0, 1, 2]
 
     def test_chord_deleted(self):
         # chord between the two level-1 middles fails the distance test
         g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)], 0, 3)
         lg, relab = reduce_rule_1(g)
-        assert len(lg.base.edges) == 4
+        assert lg.base.arcs == ((0, 1), (0, 2), (1, 3), (2, 3))
 
     def test_unreachable_t(self):
         g = Graph(4, [(0, 1), (2, 3)], 0, 3)
@@ -41,16 +43,22 @@ class TestRule1:
     def test_layer_property(self, rng):
         for _ in range(100):
             g = random_connected_graph(rng, rng.randint(4, 12))
-            lg, _ = reduce_rule_1(g)
-            for u, v in lg.base.edges:
-                assert abs(lg.levels[u] - lg.levels[v]) == 1
+            lg, relab = reduce_rule_1(g)
+            ds = bfs_distances(g, g.s)
+            level = [ds[old] for old in relab.to_original]
+            for u, v in lg.base.arcs:  # every arc climbs one level, towards t
+                assert level[u] + 1 == level[v]
+            order = topological_order(lg.base)  # the DAG keeps the levels as its order
+            assert sorted(order) == list(range(lg.base.n))
+            assert [level[v] for v in order] == sorted(level)
 
     def test_preserves_shortest_paths(self, rng):
         for _ in range(100):
             g = random_connected_graph(rng, rng.randint(4, 12))
-            before = {frozenset(p) for p in brute_shortest_path_sets(g)}
+            before = sorted(brute_shortest_path_sets(g))
             lg, relab = reduce_rule_1(g)
-            after = {relab.map_set(p) for p in enumerate_shortest_paths(lg.base)}
+            after = sorted(tuple(relab.to_original[v] for v in p)
+                           for p in enumerate_all_paths(lg.base))
             assert before == after
 
 

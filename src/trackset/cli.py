@@ -7,6 +7,11 @@ identical inputs and flags, regardless of --threads.
 
 Plain argv is read in one pass from the parser's own actions; help, errors,
 abbreviations and ``=`` forms go through argparse, so their output is argparse's.
+
+Start-up: importing this module loads every module that solve, count, reduce
+and verify run, so none waits for a first call, and no module they do not use.
+``gen`` alone imports ``random`` and :mod:`trackset.generate`, and a crash
+alone imports ``traceback``.
 """
 
 from __future__ import annotations
@@ -14,12 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import random
 import sys as _sys
-import traceback
-from typing import FrozenSet, List, Optional
 
-from . import dagtrack, generate, oracle, setsystem, shortest
+from . import dagtrack, oracle, setsystem, shortest
 from .errors import CapExceeded, InternalError
 from .instance_io import (ParseError, format_digraph, format_graph,
                           format_instance, parse_instance)
@@ -38,7 +40,7 @@ def _emit(report: SolveReport, as_json: bool) -> int:
     return 0 if report.result == "YES" else 1
 
 
-def _oracle_check(report: SolveReport, kind: str, inst, k: int, cap: Optional[int]):
+def _oracle_check(report: SolveReport, kind: str, inst, k: int, cap: int | None):
     """Cross-check a solve decision, and the witness's size, against the brute-force oracle."""
     universe = inst.universe_size if kind == "setsystem" else inst.n
     oracle.check_universe(universe)  # before listing paths, which may be exponentially many
@@ -53,7 +55,7 @@ def _oracle_check(report: SolveReport, kind: str, inst, k: int, cap: Optional[in
     print("oracle: agree")
 
 
-def _oracle_family(kind: str, inst, cap: Optional[int]):
+def _oracle_family(kind: str, inst, cap: int | None):
     """What the oracle checks, in input ids: a family, a DAG's s-t paths or shortest paths."""
     if kind == "setsystem":
         return inst.family
@@ -126,7 +128,7 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _violating_paths(kind: str, inst, trackers: FrozenSet[int]):
+def _violating_paths(kind: str, inst, trackers: frozenset[int]):
     """A graph's or DAG's violating pair of s-t paths, or None, and its stdout lines."""
     if kind == "graph":
         if (rule_1 := shortest.reduce_rule_1(inst)) is None:
@@ -166,6 +168,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    import random  # only gen needs these two, so no other command loads them
+    from . import generate
+
     rng = random.Random(args.seed)
     if args.kind == "graph":
         inst = generate.random_connected_graph(rng, args.n)
@@ -234,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(parser: argparse.ArgumentParser, argv: List[str]
-                ) -> Optional[argparse.Namespace]:
+def _plain_args(parser: argparse.ArgumentParser, argv: list[str]
+                ) -> argparse.Namespace | None:
     """``parser.parse_args(argv)``, read in one pass from the command's own actions, or None
     where argparse must read ``argv``: help, errors, ``--``, abbreviations, ``=`` forms,
     repeats and values starting with "-". ``*`` takes the tokens up to the next "-" one."""
@@ -267,7 +272,7 @@ def _plain_args(parser: argparse.ArgumentParser, argv: List[str]
     return argparse.Namespace(**(defaults | seen), command=argv[0], func=sub.get_default("func"))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     # A large instance allocates tens of thousands of tuples and lists, which
     # set off cyclic-collector passes; no route builds a reference cycle, so
     # reference counting frees everything and the collector pauses for the call.
@@ -295,6 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"cap exceeded without decision ({exc.count} paths)", file=_sys.stderr)
             return 3
         except Exception:  # a crash must never read as a decision
+            import traceback  # loaded only on a crash
             traceback.print_exc(file=_sys.stderr)
             return 4
     finally:

@@ -10,45 +10,49 @@ not, a count pass from that source builds a violating pair of paths.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from collections import namedtuple
+from functools import partial
 from operator import is_not
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
 from .report import NO_PATH_REASON, SolveReport
 from .setsystem import solve_masks
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only, so a cold start never imports them
+    from collections.abc import Callable
 
-@dataclass
+
 class ReducedDag:
     """A DAG at the fixpoint of the three reduction rules.
 
     Invariants: every vertex and arc lies on an s-t path, deg(s) >= 2 and
     deg(t) >= 2, and no two adjacent interior degree-2 vertices remain.
     ``n`` is its vertex count and ``relabeling`` maps its vertex ids back to
-    the pre-reduction ids. ``base``, the DAG itself, is built on first read,
-    so a gate on ``n`` builds no digraph.
+    the pre-reduction ids. ``base``, the DAG itself, is built by ``build`` on
+    first read, so a gate on ``n`` builds no digraph.
     """
 
-    n: int
-    relabeling: VertexRelabeling
-    build: Callable[[], Digraph] = field(repr=False)
+    __slots__ = ("n", "relabeling", "build", "_base")
 
-    @cached_property
+    def __init__(self, n: int, relabeling: VertexRelabeling, build: Callable[[], Digraph]):
+        self.n, self.relabeling, self.build = n, relabeling, build
+
+    @property
     def base(self) -> Digraph:
-        return self.build()
+        try:
+            return self._base
+        except AttributeError:
+            self._base = self.build()
+            return self._base
 
 
-@dataclass
-class PathCount:
-    value: int            # exact unless saturated, then cap + 1
-    saturated: bool
+# an s-t path count: value is exact unless saturated, then cap + 1; equal counts compare equal
+PathCount = namedtuple("PathCount", "value saturated")
 
 
-def _reach(adj: Tuple[Tuple[int, ...], ...], src: int, stop: int, allowed: bytearray) -> bytearray:
+def _reach(adj: tuple[tuple[int, ...], ...], src: int, stop: int, allowed: bytearray) -> bytearray:
     """Marks of the vertices reached from ``src`` through allowed ones, not going past ``stop``."""
     seen = bytearray(len(adj))
     seen[src] = 1
@@ -62,7 +66,7 @@ def _reach(adj: Tuple[Tuple[int, ...], ...], src: int, stop: int, allowed: bytea
     return seen
 
 
-def _pruned(d: Digraph) -> Optional[Tuple[List[int], Dict[int, List[int]]]]:
+def _pruned(d: Digraph) -> tuple[list[int], dict[int, list[int]]] | None:
     """Rule 2 as reachability: the vertices of the DAG ``d`` on s-t paths plus s and t,
     ascending, and each one's out-neighbours along s-t paths; None if that is all of ``d``.
 
@@ -81,7 +85,7 @@ def _pruned(d: Digraph) -> Optional[Tuple[List[int], Dict[int, List[int]]]]:
                   for u in keep}
 
 
-def _digraph(d: Digraph, keep: List[int], arcs: List[Tuple[int, int]], s: int, t: int
+def _digraph(d: Digraph, keep: list[int], arcs: list[tuple[int, int]], s: int, t: int
              ) -> Digraph:
     """The digraph on ``keep`` (ascending ids of ``d``) with ``arcs``, s and t in those ids,
     built unchecked; it inherits d's kept topological order, if any, restricted to ``keep``,
@@ -92,7 +96,7 @@ def _digraph(d: Digraph, keep: List[int], arcs: List[Tuple[int, int]], s: int, t
                             newid[s], newid[t], order)
 
 
-def reduce_rule_2(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
+def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
     """Delete vertices and arcs on no s-t path of the DAG ``d`` (s and t always survive).
 
     If s alone has no in-arc and t alone no out-arc (two C-level counts), walking back
@@ -106,7 +110,7 @@ def reduce_rule_2(d: Digraph) -> Tuple[Digraph, VertexRelabeling]:
             VertexRelabeling(keep))
 
 
-def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
+def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     """Apply rules 2, 3 and 4 once each, in that order, which reaches their fixpoint.
 
     Rule 2 leaves only vertices on s-t paths, so s has no in-arc and t no out-arc;
@@ -148,7 +152,7 @@ def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
 
     live = [v for v in keep if v not in gone]
     inner = {v for v in live if len(inc[v]) == 1 == len(out[v])} - {s, t}
-    least: Dict[int, int] = {}
+    least: dict[int, int] = {}
     for head in inner:  # a chain's head is the member whose in-neighbour is no member
         if inc[head][0] not in inner:
             chain = [head]
@@ -162,16 +166,18 @@ def reduce_dag(d: Digraph) -> Tuple[Optional[ReducedDag], int]:
     def build() -> Digraph:
         arcs = [(a, b) for u in live for v in out[u] if v not in gone
                 if (a := least.get(u, u)) != (b := least.get(v, v))]
-        ins, outs = Counter(b for _, b in arcs), Counter(a for a, _ in arcs)
-        bad = sorted(x for x in set(least.values()) if ins[x] != 1 or outs[x] != 1)
+        reduced = _digraph(d, kept, arcs, s, t)
+        # each chain's least id, kept[i], is vertex i of the result: one arc in, one out
+        bad = [x for i, x in enumerate(kept)
+               if x in least and not len(reduced.in_adj[i]) == 1 == len(reduced.out_adj[i])]
         if bad:
             raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
-        return _digraph(d, kept, arcs, s, t)
+        return reduced
 
     return ReducedDag(len(kept), VertexRelabeling(kept), build), d.n - len(kept)
 
 
-def count_paths(d: Digraph, cap: Optional[int] = None) -> PathCount:
+def count_paths(d: Digraph, cap: int | None = None) -> PathCount:
     """Exact s-t path count by topological DP, saturating at ``cap``."""
     counts = [0] * d.n
     counts[d.s] = 1
@@ -186,14 +192,14 @@ def count_paths(d: Digraph, cap: Optional[int] = None) -> PathCount:
     return PathCount(total, cap is not None and total > cap)
 
 
-def verify_tracking_condition(d: Digraph, trackers: FrozenSet[int]) -> bool:
+def verify_tracking_condition(d: Digraph, trackers: frozenset[int]) -> bool:
     """True iff ``trackers`` track every s-t path of the DAG ``d``; see :func:`violating_pair`."""
     pruned, relab = reduce_rule_2(d)  # trackers off every s-t path tell no path apart
     return violating_pair(pruned, relab.from_original(trackers)) is None
 
 
-def violating_pair(d: Digraph, trackers: FrozenSet[int]
-                   ) -> Optional[Tuple[List[int], List[int]]]:
+def violating_pair(d: Digraph, trackers: frozenset[int]
+                   ) -> tuple[list[int], list[int]] | None:
     """Two s-t paths of ``d`` that meet ``trackers`` in the same set, or None.
 
     ``d`` is a DAG whose every vertex lies on an s-t path. Two s-t paths meet
@@ -238,8 +244,8 @@ def violating_pair(d: Digraph, trackers: FrozenSet[int]
     return None
 
 
-def _pair_through(d: Digraph, counts: List[int], trackers: FrozenSet[int],
-                  u: int, v: int) -> Tuple[List[int], ...]:
+def _pair_through(d: Digraph, counts: list[int], trackers: frozenset[int],
+                  u: int, v: int) -> tuple[list[int], ...]:
     """Two s-t paths with a shared s-u prefix and v-t suffix whose u-v parts
     differ and avoid the trackers inside, from a pass out of u that gave v two."""
     def carriers(x):  # in-neighbours that passed u-paths on to x
@@ -262,9 +268,9 @@ def _pair_through(d: Digraph, counts: List[int], trackers: FrozenSet[int],
                  for w in branch[:2])
 
 
-def path_masks(d: Digraph) -> List[int]:
+def path_masks(d: Digraph) -> list[int]:
     """All s-t paths as vertex bitmasks, DFS order."""
-    masks: List[int] = []
+    masks: list[int] = []
     stack = [(d.s, 1 << d.s)]
     while stack:
         v, mask = stack.pop()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 from .graph import Digraph, Graph
 from .setsystem import SetSystem
@@ -76,7 +75,7 @@ def random_layered_graph(rng: random.Random, layers: int, width: int) -> Graph:
 
 
 def random_set_system(rng: random.Random, universe: int, m: int,
-                      d: Optional[int] = None) -> SetSystem:
+                      d: int | None = None) -> SetSystem:
     """m distinct random subsets of a `universe`-element ground set, of size <= d if given."""
     _check("universe size", universe, 0)
     _check("number of sets", m, 0)

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from itertools import islice, repeat
 from operator import add, eq, mul
-from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CycleError, EdgeError, InternalError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only, so a cold start never imports them
+    from collections.abc import Iterable, Sequence
 
 
 def _checked_keys(n: int, us: Sequence[int], vs: Sequence[int], undirected: bool) -> list:
@@ -61,7 +64,7 @@ class _Checked:
 
     __slots__ = ()
 
-    def __init__(self, n: int, pairs: Iterable[Tuple[int, int]], s: int, t: int):
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]], s: int, t: int):
         # a pair that is not two ids raises ValueError here, before any pair is checked
         us, vs = tuple(zip(*pairs, strict=True)) or ((), ())
         self._fill(n, _checked_keys(n, us, vs, isinstance(self, Graph)), s, t)
@@ -110,7 +113,7 @@ class Digraph(_Checked):
     __slots__ = ("n", "arcs", "s", "t", "out_adj", "in_adj", "_order")
 
     @classmethod
-    def _derived(cls, n: int, keys: list, s: int, t: int, order: Optional[tuple]) -> Digraph:
+    def _derived(cls, n: int, keys: list, s: int, t: int, order: tuple | None) -> Digraph:
         """The digraph with the arcs ``divmod(key, n)`` that a rule derived from a checked
         graph, so the keys are sorted, not checked. ``order``, unless None, must be a
         topological order; it is kept as :func:`topological_order` keeps one."""
@@ -119,7 +122,7 @@ class Digraph(_Checked):
         d._fill(n, keys, s, t, order)
         return d
 
-    def _fill(self, n: int, keys: list, s: int, t: int, order: Optional[tuple] = None):
+    def _fill(self, n: int, keys: list, s: int, t: int, order: tuple | None = None):
         _check_ends(n, s, t)
         self.n, self.s, self.t = n, s, t
         self.arcs = tuple(map(divmod, keys, repeat(n)))
@@ -159,9 +162,9 @@ class VertexRelabeling:
         return f"VertexRelabeling({list(self.to_original)})"
 
 
-def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
+def bfs_distances(g: Graph, source: int) -> list[int | None]:
     """Shortest-path distance from ``source`` to every vertex, None if unreachable."""
-    dist: list[Optional[int]] = [None] * g.n
+    dist: list[int | None] = [None] * g.n
     dist[source] = 0
     adj, frontier, level = g.adj, [source], 0
     while frontier:  # one BFS level per round

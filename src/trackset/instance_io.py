@@ -10,13 +10,12 @@ Formats ('#' starts a comment, ids are 0-based):
 from __future__ import annotations
 
 import json
-from typing import Optional, Tuple, Union
 
 from .errors import CycleError, EdgeError
 from .graph import Digraph, Graph, topological_order
 from .setsystem import SetSystem
 
-Instance = Union[Graph, Digraph, SetSystem]
+Instance = Graph | Digraph | SetSystem
 
 # Largest n a header may name: a graph allocates 64 bytes or more per vertex
 # whatever its edge count, so a one-line file could ask for gigabytes.
@@ -47,7 +46,7 @@ _DELETE_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
 
 
-def _canonical_columns(rows: list[str]) -> Optional[Tuple[list, list]]:
+def _canonical_columns(rows: list[str]) -> tuple[list, list] | None:
     """The two id columns of an edge body whose every line is 'digits SPACE digits',
     read in bulk; None for any other body, which the line loop then reads.
 
@@ -68,7 +67,7 @@ def _canonical_columns(rows: list[str]) -> Optional[Tuple[list, list]]:
     return ints[::2], ints[1::2]
 
 
-def parse_instance(text: str) -> Tuple[str, Instance]:
+def parse_instance(text: str) -> tuple[str, Instance]:
     """Parse an instance file; returns (kind, instance).
 
     Raises ParseError with a 1-based line number on malformed input,
@@ -154,7 +153,7 @@ def parse_instance(text: str) -> Tuple[str, Instance]:
     raise ParseError(header_no, f"unknown instance kind {kind!r}")
 
 
-def format_graph(g: Union[Graph, Digraph]) -> str:
+def format_graph(g: Graph | Digraph) -> str:
     """``g`` in the graph format; a digraph, such as rule 1's, prints as its Graph would."""
     edges = g.edges if isinstance(g, Graph) else sorted(
         (u, v) if u < v else (v, u) for u, v in g.arcs)

@@ -6,17 +6,20 @@ larger than 20 elements. Used only by the test suite and the CLI's --oracle mode
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .graph import Digraph, Graph
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only, so a cold start never imports them
+    from collections.abc import Sequence
+
 MAX_UNIVERSE = 20
 
 
-def _paths(adj: Sequence[Sequence[int]], s: int, t: int, cap: Optional[int]) -> List[tuple]:
+def _paths(adj: Sequence[Sequence[int]], s: int, t: int, cap: int | None) -> list[tuple]:
     """All s-t paths along ``adj`` (no cycle reachable from s), by DFS with an explicit stack."""
-    paths: List[Tuple[int, ...]] = []
+    paths: list[tuple[int, ...]] = []
     path, todo = [s], [iter(adj[s])]
     while todo:
         w = next(todo[-1], None)
@@ -33,12 +36,12 @@ def _paths(adj: Sequence[Sequence[int]], s: int, t: int, cap: Optional[int]) -> 
     return paths
 
 
-def enumerate_all_paths(d: Digraph, cap: Optional[int] = None) -> List[Tuple[int, ...]]:
+def enumerate_all_paths(d: Digraph, cap: int | None = None) -> list[tuple[int, ...]]:
     """All s-t paths of a DAG as vertex tuples; CapExceeded once more than ``cap`` exist."""
     return _paths(d.out_adj, d.s, d.t, cap)
 
 
-def enumerate_shortest_paths(g: Graph, cap: Optional[int] = None) -> List[Tuple[int, ...]]:
+def enumerate_shortest_paths(g: Graph, cap: int | None = None) -> list[tuple[int, ...]]:
     """All shortest s-t paths of a graph as vertex tuples, none if t is unreachable.
 
     A BFS from t levels the graph; the DFS from s steps only to a neighbour
@@ -62,14 +65,14 @@ def check_universe(universe_size: int) -> None:
         raise ValueError(f"oracle refuses universes larger than {MAX_UNIVERSE}")
 
 
-def _distinct_intersections(family: Sequence[FrozenSet[int]],
-                            trackers: FrozenSet[int]) -> bool:
+def _distinct_intersections(family: Sequence[frozenset[int]],
+                            trackers: frozenset[int]) -> bool:
     # Definition-level check, deliberately duplicated from the solver side.
     return len({s & trackers for s in family}) == len(family)
 
 
 def brute_min_tracking(family: Sequence, universe_size: int,
-                       max_k: Optional[int] = None) -> Optional[int]:
+                       max_k: int | None = None) -> int | None:
     """Smallest tracking-set size for a materialized family, or None.
 
     ``family`` may hold sets or vertex sequences; each member is taken as

@@ -3,27 +3,31 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 NO_PATH_REASON = "no s-t path; zero paths are vacuously tracked"
 
 
-@dataclass
 class SolveReport:
     """Outcome of a solve: YES with a witness or NO with a reason.
 
     Witness vertex/element ids are always in terms of the original input,
-    with any reduction relabelings already undone.
+    with any reduction relabelings already undone. Reports compare by identity.
     """
 
-    result: str                       # "YES" or "NO"
-    witness: Optional[Tuple[int, ...]] = None   # sorted ids when YES
-    paths: Optional[int] = None       # paths/sets counted, None if not counted
-    paths_saturated: bool = False     # True when `paths` is a saturated lower estimate
-    reductions: int = 0               # vertices deleted by reduction rules
-    subsets_tried: int = 0            # candidate sets the hitting-set search tested
-    reason: str = ""                  # NO reason, or a YES note (e.g. zero paths)
+    __slots__ = ("result",           # "YES" or "NO"
+                 "witness",          # sorted ids when YES, else None
+                 "paths",            # paths/sets counted, None if not counted
+                 "paths_saturated",  # True when `paths` is a saturated lower estimate
+                 "reductions",       # vertices deleted by reduction rules
+                 "subsets_tried",    # candidate sets the hitting-set search tested
+                 "reason")           # NO reason, or a YES note (e.g. zero paths)
+
+    def __init__(self, result: str, witness: tuple[int, ...] | None = None,
+                 paths: int | None = None, paths_saturated: bool = False,
+                 reductions: int = 0, subsets_tried: int = 0, reason: str = ""):
+        self.result, self.witness, self.paths = result, witness, paths
+        self.paths_saturated, self.reductions = paths_saturated, reductions
+        self.subsets_tried, self.reason = subsets_tried, reason
 
     def relabel(self, relab) -> None:
         """Map the witness through a ``VertexRelabeling`` to the ids it came from."""
@@ -31,7 +35,7 @@ class SolveReport:
             self.witness = tuple(sorted(relab.map_set(self.witness)))
 
     @property
-    def size(self) -> Optional[int]:
+    def size(self) -> int | None:
         return len(self.witness) if self.witness is not None else None
 
     def to_text(self) -> str:

@@ -10,10 +10,13 @@ ends in :func:`solve_masks`, as vertex or element bitmasks.
 from __future__ import annotations
 
 from itertools import combinations, islice
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalError
 from .report import SolveReport
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only, so a cold start never imports them
+    from collections.abc import Iterable, Sequence
 
 # Pairs of sets whose differences minimal_differences holds at once.
 PAIR_CHUNK = 1 << 14
@@ -63,7 +66,7 @@ def to_mask(elements: Iterable[int]) -> int:
     return mask
 
 
-def from_mask(mask: int) -> FrozenSet[int]:
+def from_mask(mask: int) -> frozenset[int]:
     """The elements whose bits are set in ``mask``."""
     out = []
     while mask:
@@ -73,7 +76,7 @@ def from_mask(mask: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def violating_sets(family: Sequence, trackers) -> Optional[Tuple[int, int]]:
+def violating_sets(family: Sequence, trackers) -> tuple[int, int] | None:
     """The first index pair (i, j), i < j, of family sets that meet ``trackers``
     in the same set, or None (sets or int masks)."""
     first: dict = {}
@@ -95,7 +98,7 @@ def tracking_lower_bound(m: int) -> int:
     return (m - 1).bit_length()
 
 
-def minimal_differences(masks: Sequence[int]) -> List[int]:
+def minimal_differences(masks: Sequence[int]) -> list[int]:
     """Inclusion-minimal pairwise symmetric differences of bitmask sets.
 
     A set hits every difference iff it hits every minimal one, so the
@@ -109,7 +112,7 @@ def minimal_differences(masks: Sequence[int]) -> List[int]:
     subset of it, and no kept set can be a superset of a later one.
     """
     pairs = combinations(masks, 2)
-    minimal: List[int] = []
+    minimal: list[int] = []
     while True:
         diffs = {a ^ b for a, b in islice(pairs, PAIR_CHUNK)}
         if not diffs:
@@ -136,7 +139,7 @@ def reduce_to_hitting(sys: SetSystem) -> HittingInstance:
 
 
 def hitting_search(sets: Sequence[int], k: int, lower: int = 0
-                   ) -> Tuple[Optional[int], int]:
+                   ) -> tuple[int | None, int]:
     """Minimum hitting set of size <= k of bitmask sets, or None.
 
     Returns (mask, nodes), where nodes counts the candidate sets tested.
@@ -171,7 +174,7 @@ def hitting_search(sets: Sequence[int], k: int, lower: int = 0
     return None, nodes
 
 
-def _search_size(tables: tuple, size: int) -> Tuple[Optional[int], int]:
+def _search_size(tables: tuple, size: int) -> tuple[int | None, int]:
     """Lexicographically least hitting set of at most ``size`` ascending picks.
 
     Depth-first with an explicit stack, so the depth is not bounded by the
@@ -222,7 +225,7 @@ def _search_size(tables: tuple, size: int) -> Tuple[Optional[int], int]:
     return None, nodes
 
 
-def solve_hitting(h: HittingInstance, k: int) -> Optional[FrozenSet[int]]:
+def solve_hitting(h: HittingInstance, k: int) -> frozenset[int] | None:
     """Minimum, lexicographically least hitting set of size <= k, or None."""
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -269,7 +272,7 @@ def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
     return solve_masks([to_mask(s) for s in sys.family], k)
 
 
-def solve_tracking_set(sys: SetSystem, k: int) -> Optional[FrozenSet[int]]:
+def solve_tracking_set(sys: SetSystem, k: int) -> frozenset[int] | None:
     """Tracking set of size <= k for the set system, or None.
 
     The witness of :func:`solve_set_system` as a set.

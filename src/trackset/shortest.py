@@ -7,9 +7,6 @@ set-system mode, straight to the decision core as path bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
 from . import oracle
 from .dagtrack import count_paths, path_masks, solve_dag
 from .errors import CapExceeded
@@ -18,15 +15,17 @@ from .report import NO_PATH_REASON, SolveReport
 from .setsystem import SetSystem, solve_masks
 
 
-@dataclass
 class LayeredGraph:
     """A graph pruned to its shortest s-t paths, each edge oriented to climb one BFS
     level from s: the s-t paths of ``base`` are the shortest s-t paths of the graph."""
 
-    base: Digraph
+    __slots__ = ("base",)
+
+    def __init__(self, base: Digraph):
+        self.base = base
 
 
-def reduce_rule_1(g: Graph) -> Optional[Tuple[LayeredGraph, VertexRelabeling]]:
+def reduce_rule_1(g: Graph) -> tuple[LayeredGraph, VertexRelabeling] | None:
     """Delete every vertex and edge not on a shortest s-t path and orient the rest.
 
     After one BFS from s, an edge ab lies on a shortest s-t path iff b does and a
@@ -55,13 +54,13 @@ def reduce_rule_1(g: Graph) -> Optional[Tuple[LayeredGraph, VertexRelabeling]]:
     return LayeredGraph(base), VertexRelabeling(keep)
 
 
-def enumerate_shortest_paths(lg: LayeredGraph, cap: Optional[int] = None) -> List[tuple]:
+def enumerate_shortest_paths(lg: LayeredGraph, cap: int | None = None) -> list[tuple]:
     """The oracle's lister on ``lg.base``, whose s-t paths are the shortest paths. Kept
     only as perfbench's tracer looks the name up (ROADMAP items 1 and 5)."""
     return oracle.enumerate_all_paths(lg.base, cap)
 
 
-def to_set_system(paths: List[Tuple[int, ...]], n: int) -> SetSystem:
+def to_set_system(paths: list[tuple[int, ...]], n: int) -> SetSystem:
     """One family set per shortest path's vertex set, over an n-element universe."""
     return SetSystem(n, (frozenset(p) for p in paths))
 
@@ -92,7 +91,7 @@ def solve_shortest_paths(g: Graph, k: int) -> SolveReport:
     return report
 
 
-def solve_via_set_system(g: Graph, k: int, cap: Optional[int] = None) -> SolveReport:
+def solve_via_set_system(g: Graph, k: int, cap: int | None = None) -> SolveReport:
     """:func:`solve_shortest_paths` with every shortest path handed to the decision core.
 
     Rules 2-4 are skipped and ``reductions`` reads 0. More than ``cap``

@@ -407,16 +407,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
     def test_rule_4_tally_fault_exits_4(self, tmp_path, flags):
-        # chains 1-2 and 3 collapse to 1 and 3; with the degree tally made
-        # empty, the check after rule 4 (no assert, so -O keeps it) must fire
+        # chains 1-2 and 3 collapse to 1 and 3; with the arcs dropped from the
+        # reduced digraph, the check after rule 4 (no assert, so -O keeps it) must fire
         path = write(tmp_path, "d.dag", "dag 5 0 4\n0 1\n1 2\n2 4\n0 3\n3 4\n")
         script = ("import sys\n"
-                  "from collections import Counter\n"
                   "import trackset.dagtrack as dagtrack\n"
                   "from trackset.cli import main\n"
                   f"if sys.flags.optimize != {len(flags)}:\n"
                   "    sys.exit(99)\n"
-                  "dagtrack.Counter = lambda items: Counter()\n"
+                  "real = dagtrack._digraph\n"
+                  "dagtrack._digraph = lambda d, keep, arcs, s, t: real(d, keep, [], s, t)\n"
                   f"sys.exit(main(['reduce', {path!r}]))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(trackset.__file__)))
         proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,

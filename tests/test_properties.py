@@ -43,13 +43,15 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 def least_tracking_set(family, universe):
-    """First tracking set in combinations order, over the smallest size."""
-    sets = [frozenset(s) for s in family]
+    """First tracking set in combinations order, over the smallest size.
+
+    Sets and candidates are int masks; combinations of distinct bits keep
+    the order of the combinations of their ids, and their sum is their union."""
+    masks = [sum(1 << v for v in set(s)) for s in family]
     for size in range(universe + 1):
-        for combo in combinations(range(universe), size):
-            t = frozenset(combo)
-            if len({s & t for s in sets}) == len(sets):
-                return combo
+        for combo in combinations([1 << v for v in range(universe)], size):
+            if len(set(map(sum(combo).__and__, masks))) == len(masks):
+                return tuple(b.bit_length() - 1 for b in combo)
     return None
 
 

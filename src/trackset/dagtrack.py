@@ -269,17 +269,16 @@ def _pair_through(d: Digraph, counts: list[int], trackers: frozenset[int],
 
 
 def path_masks(d: Digraph) -> list[int]:
-    """All s-t paths as vertex bitmasks, DFS order."""
-    masks: list[int] = []
-    stack = [(d.s, 1 << d.s)]
-    while stack:
-        v, mask = stack.pop()
-        if v == d.t:
-            masks.append(mask)
-            continue
-        for w in reversed(d.out_adj[v]):
-            stack.append((w, mask | (1 << w)))
-    return masks
+    """All s-t paths of the DAG ``d`` as vertex bitmasks, in no set order: one
+    sweep of the topological order hands each vertex's s-path masks on to its
+    out-neighbours, each with that neighbour's bit added."""
+    ends: list[list[int]] = [[] for _ in range(d.n)]
+    ends[d.s].append(1 << d.s)
+    for u in topological_order(d):
+        if masks := ends[u]:
+            for w in d.out_adj[u]:
+                ends[w] += map((1 << w).__or__, masks)
+    return ends[d.t]
 
 
 def solve_dag(d: Digraph, k: int) -> SolveReport:

@@ -9,9 +9,12 @@ ends in :func:`solve_masks`, as vertex or element bitmasks.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from functools import reduce
+from itertools import combinations, islice, starmap
+from operator import or_, xor
 
 from .errors import InternalError
+from .graph import VertexRelabeling
 from .report import SolveReport
 
 TYPE_CHECKING = False
@@ -98,6 +101,14 @@ def tracking_lower_bound(m: int) -> int:
     return (m - 1).bit_length()
 
 
+def _columns(sets: Sequence[int], width: int) -> list[int]:
+    """Columns of bitmask rows below bit ``width``: bit i of column e is bit e
+    of ``sets[i]``. The rows are written as equal-length strings, the last
+    row first, so each column is a strided slice of their join."""
+    rows = "".join(map(bin, map((1 << width).__or__, reversed(sets))))
+    return [int(rows[at::width + 3] or "0", 2) for at in range(width + 2, 2, -1)]
+
+
 def minimal_differences(masks: Sequence[int]) -> list[int]:
     """Inclusion-minimal pairwise symmetric differences of bitmask sets.
 
@@ -107,25 +118,31 @@ def minimal_differences(masks: Sequence[int]) -> list[int]:
 
     The pairs are taken ``PAIR_CHUNK`` at a time, so memory stays at one
     chunk of distinct differences plus the minimal family, not at the
-    number of pairs. Each chunk's differences join the family found so far
-    and are filtered in that order: a set is kept unless a kept set is a
-    subset of it, and no kept set can be a superset of a later one.
+    number of pairs. Each chunk's differences join the family found so far,
+    sorted by size, and are eliminated column-wise: the lowest candidate
+    still alive is minimal, as any subset of it comes earlier and would have
+    removed it, so it is kept, and the AND of its elements' columns (its
+    alive supersets, itself included) leaves ``alive``. Sets of one size
+    never contain each other, so the value order is applied once, at the end.
     """
     pairs = combinations(masks, 2)
     minimal: list[int] = []
-    while True:
-        diffs = {a ^ b for a, b in islice(pairs, PAIR_CHUNK)}
-        if not diffs:
-            return minimal
+    while diffs := set(starmap(xor, islice(pairs, PAIR_CHUNK))):
         diffs.update(minimal)
-        minimal = []
-        for f in sorted(sorted(diffs), key=int.bit_count):
-            outside = ~f
-            for g in minimal:
-                if not g & outside:
-                    break
-            else:
-                minimal.append(f)
+        cands = sorted(diffs, key=int.bit_count)
+        col = _columns(cands, max(diffs).bit_length())
+        alive, minimal = (1 << len(cands)) - 1, []
+        while alive:
+            low = alive & -alive
+            f = cands[low.bit_length() - 1]
+            minimal.append(f)
+            supersets = alive
+            while f:
+                e = f & -f
+                supersets &= col[e.bit_length() - 1]
+                f ^= e
+            alive &= ~supersets
+    return sorted(sorted(minimal), key=int.bit_count)
 
 
 def reduce_to_hitting(sys: SetSystem) -> HittingInstance:
@@ -153,17 +170,11 @@ def hitting_search(sets: Sequence[int], k: int, lower: int = 0
     ``bylen[L]`` those whose highest element is L - 1; ``nbr[b]`` caches,
     per set bit, the sets that share an element >= b with that set.
     """
-    union = 0
-    for s in sets:
-        union |= s
-    col = [0] * union.bit_length()
+    union = reduce(or_, sets, 0)
+    col = _columns(sets, union.bit_length())
     bylen = [0] * (len(col) + 1)
     for i, s in enumerate(sets):
         bylen[s.bit_length()] |= 1 << i
-        while s:
-            low = s & -s
-            col[low.bit_length() - 1] |= 1 << i
-            s ^= low
     tables = sets, col, bylen, [{} for _ in bylen]
     nodes = 0
     for size in range(lower, min(k, union.bit_count()) + 1):
@@ -268,8 +279,17 @@ def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
 
 
 def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
-    """Minimum tracking set of size <= k for the set system, or NO; see :func:`solve_masks`."""
-    return solve_masks([to_mask(s) for s in sys.family], k)
+    """Minimum tracking set of size <= k for the set system, or NO; see :func:`solve_masks`.
+
+    The core sees the elements renumbered, in order, onto the family's union,
+    so its tables grow with the elements in use, not with the largest id;
+    the order kept, it expands the same nodes and finds the same witness.
+    """
+    ids = sorted(set().union(*sys.family))
+    rank = {e: i for i, e in enumerate(ids)}
+    report = solve_masks([to_mask(map(rank.__getitem__, s)) for s in sys.family], k)
+    report.relabel(VertexRelabeling(ids))
+    return report
 
 
 def solve_tracking_set(sys: SetSystem, k: int) -> frozenset[int] | None:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -218,6 +219,19 @@ def test_no_path_answers(tmp_path, capsys, argv, out):
     """t unreachable from s is an ordinary answer: zero paths, tracked by the empty set."""
     path = write(tmp_path, "nopath.graph", NO_PATH)
     assert run(capsys, argv[0], path, *argv[1:]) == (0, out, "")
+
+
+def test_sparse_element_ids_solve_fast(tmp_path, capsys):
+    """Two sets with ids near a million and an empty set: the core works on
+    the two elements in use, so the call takes milliseconds; tables sized
+    by the largest id would take about 0.25 s and 100 MB."""
+    path = write(tmp_path, "sparse.sets", "setsystem 1000000 3\n999999\n999998\n\n")
+    start = time.perf_counter()
+    got = run(capsys, "solve", path, "--k", "2")
+    elapsed = time.perf_counter() - start
+    assert got == (0, "result: YES\nwitness: 999998 999999\nsize: 2\npaths: 3\n"
+                      "reductions: 0\nsubsets_tried: 3\n", "")
+    assert elapsed < 0.1, elapsed
 
 
 class TestCountVerify:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from trackset import setsystem
 from trackset.cli import main
-from trackset.dagtrack import (_pair_through, _pruned, count_paths, reduce_dag,
+from trackset.dagtrack import (_pair_through, _pruned, count_paths, path_masks, reduce_dag,
                                reduce_rule_2, solve_dag, violating_pair)
 from trackset.graph import Digraph, Graph, topological_order
 from trackset.instance_io import format_digraph, format_graph
@@ -382,6 +382,26 @@ def mask_lists(draw):
     return draw(st.permutations(sorted(masks)))
 
 
+@st.composite
+def wide_mask_lists(draw):
+    """Distinct masks up to 70 bits wide, across the 30- and 60-bit digit
+    boundaries of Python ints: free draws, or sums of a few sparse
+    generators so that differences nest; the empty set is often among them."""
+    bit = st.integers(0, 69)
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.builds(sum, st.sets(bit.map(lambda e: 1 << e), max_size=6)),
+                              max_size=16, unique=True))
+    else:
+        gens = draw(st.lists(st.sets(bit, min_size=1, max_size=4), min_size=1, max_size=4))
+        masks = {0}
+        for g in gens:
+            masks |= {m ^ sum(1 << e for e in g) for m in masks}
+        masks = draw(st.permutations(sorted(masks)))
+    if draw(st.booleans()):
+        masks = [0, *(m for m in masks if m)]
+    return masks
+
+
 def reference_minimal_differences(masks):
     diffs = {a ^ b for a, b in combinations(masks, 2)}
     minimal = [f for f in diffs if not any(g != f and g & f == g for g in diffs)]
@@ -390,14 +410,40 @@ def reference_minimal_differences(masks):
 
 @pytest.mark.parametrize("patched", [False, True], ids=["as-is", "tiny-chunks"])
 @SETTINGS
-@given(masks=mask_lists(), chunk=st.integers(1, 3))
+@given(masks=st.one_of(mask_lists(), wide_mask_lists()), chunk=st.integers(1, 3))
 @example(masks=[0, 1, 2, 3], chunk=1)
 @example(masks=[0], chunk=1)
+@example(masks=[0, 1 << 29, 1 << 30, 1 << 59 | 1 << 30, 1 << 60, 1 << 69 | 1], chunk=1)
+@example(masks=[0, (1 << 70) - 1], chunk=2)
 def test_minimal_differences_matches_reference(patched, masks, chunk):
     """Chunks of 1-3 pairs make every chunk merge into the family so far."""
     with mock.patch.object(setsystem, "PAIR_CHUNK",
                            chunk if patched else setsystem.PAIR_CHUNK):
         assert minimal_differences(masks) == reference_minimal_differences(masks)
+
+
+@SETTINGS
+@given(rows=st.lists(st.integers(0, 2 ** 70 - 1), max_size=40), width=st.integers(0, 72))
+@example(rows=[], width=0)
+@example(rows=[], width=5)
+@example(rows=[0], width=0)
+@example(rows=[0], width=3)
+@example(rows=[5, 1, 7, 0, 2], width=3)
+def test_columns_match_a_per_bit_build(rows, width):
+    """Rows in any order, cut to ``width`` bits: bit i of column e is bit e of row i."""
+    sets = [r & ((1 << width) - 1) for r in rows]
+    assert setsystem._columns(sets, width) == [
+        sum(1 << i for i, s in enumerate(sets) if s >> e & 1) for e in range(width)]
+
+
+@SETTINGS
+@given(d=any_dags())
+@example(d=serial_diamond_dag(5))
+@example(d=serial_diamond_dag(3, widths=[3, 1, 4]))
+def test_path_masks_are_the_oracle_paths(d):
+    masks = path_masks(d)
+    assert sorted(masks) == sorted(sum(1 << v for v in p) for p in enumerate_all_paths(d))
+    assert len(masks) == count_paths(d).value
 
 
 def least_hitting_set(sets, n):

@@ -1,8 +1,10 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
 
+from trackset import setsystem
 from trackset.dagtrack import path_masks
 from trackset.generate import random_layered_graph, random_set_system
 from trackset.graph import Graph
@@ -10,7 +12,8 @@ from trackset.oracle import brute_min_tracking
 from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
                                 solve_set_system, to_mask, tracking_lower_bound, tracks,
                                 violating_sets)
-from trackset.shortest import reduce_rule_1, to_dag
+from trackset.shortest import (reduce_rule_1, solve_shortest_paths, solve_via_set_system,
+                               to_dag)
 
 
 def triangle_system():
@@ -123,6 +126,38 @@ def test_tracks_predicate():
     assert violating_sets(fam, frozenset({1, 4})) is None
 
 
+def test_minimal_differences_scale_smoke():
+    """The 100- and 200-set families of 40 elements keep 4,788 and 18,123
+    minimal differences. On a 2-core container a pairwise superset filter
+    needs about 1 s and 20 s for them, the column elimination under 1 s."""
+    start = time.perf_counter()
+    sizes = [len(minimal_differences([to_mask(s) for s in
+                                      random_set_system(random.Random(3), 40, m).family]))
+             for m in (100, 200)]
+    elapsed = time.perf_counter() - start
+    assert sizes == [4788, 18123]
+    assert elapsed < 10, elapsed
+
+
+def test_sparse_ids_are_renumbered_onto_the_union(monkeypatch):
+    """The core sees masks over the elements in use, in order, and the witness
+    comes back in the input's ids."""
+    seen = []
+    real = setsystem.solve_masks
+    monkeypatch.setattr(setsystem, "solve_masks", lambda masks, k: seen.append(masks)
+                        or real(masks, k))
+    sparse = SetSystem(10 ** 6, [{999_999}, {999_998}, set(), {5, 999_998}])
+    dense = SetSystem(3, [{2}, {1}, set(), {0, 1}])
+    ids = (5, 999_998, 999_999)
+    for k in (2, 3):
+        rep, want = solve_set_system(sparse, k), solve_set_system(dense, k)
+        assert seen[-2] == seen[-1] == [0b100, 0b010, 0, 0b011]
+        assert (rep.result, rep.subsets_tried) == (want.result, want.subsets_tried)
+        assert rep.witness == (None if want.witness is None
+                               else tuple(ids[e] for e in want.witness))
+    assert rep.witness == (5, 999_998, 999_999)
+
+
 def pinned_family(kind, *args):
     """Distinct masks: a seeded random set system (seed, universe, m), the
     shortest-path masks of a seeded layered graph (seed, layers, width), or
@@ -169,3 +204,44 @@ def test_hitting_search_tree_is_pinned(family, witness, nodes):
            for k in (best, best - 1) for lower in (0, low)]
     assert got == [(witness, nodes[0]), (witness, nodes[1]),
                    (None, nodes[2]), (None, nodes[3])]
+
+
+# (route, seed, size arguments, minimum k, (result, witness, subsets_tried) at the
+# minimum and at one below): the search walks the minimal family in (size, value)
+# order, so a change to that family or its order changes a row
+PINNED_SOLVES = [
+    ("sets", 1, (14, 30), 6, [("YES", (1, 2, 3, 5, 10, 11), 160), ("NO", None, 62)]),
+    ("sets", 2, (15, 36), 7, [("YES", (0, 1, 2, 3, 4, 13, 14), 295), ("NO", None, 279)]),
+    ("sets", 3, (16, 40), 7, [("YES", (0, 1, 6, 7, 8, 9, 13), 479), ("NO", None, 323)]),
+    ("sets", 4, (17, 44), 7, [("YES", (0, 5, 6, 7, 10, 11, 14), 1178), ("NO", None, 522)]),
+    ("sets", 5, (18, 48), 7, [("YES", (0, 1, 6, 9, 12, 13, 17), 696), ("NO", None, 486)]),
+    ("sets", 6, (18, 30), 6, [("YES", (1, 2, 3, 4, 7, 12), 1036), ("NO", None, 449)]),
+    ("sets", 7, (14, 48), 7, [("YES", (1, 2, 4, 6, 7, 10, 13), 136), ("NO", None, 45)]),
+    ("shortest", 3, (4, 4), 6, [("YES", (1, 3, 5, 6, 8, 10), 22), ("NO", None, 15)]),
+    ("setsystem", 3, (4, 4), 6, [("YES", (1, 3, 5, 6, 8, 10), 22), ("NO", None, 15)]),
+    ("shortest", 4, (4, 4), 6, [("YES", (1, 3, 4, 7, 8, 9), 32), ("NO", None, 25)]),
+    ("setsystem", 4, (4, 4), 6, [("YES", (1, 3, 4, 7, 8, 9), 32), ("NO", None, 25)]),
+    ("shortest", 5, (5, 3), 8, [("YES", (1, 2, 4, 6, 7, 9, 11, 12), 111), ("NO", None, 102)]),
+    ("setsystem", 5, (5, 3), 8, [("YES", (1, 2, 4, 6, 7, 9, 11, 12), 111), ("NO", None, 102)]),
+    ("shortest", 7, (4, 4), 6, [("YES", (1, 2, 4, 6, 7, 8), 31), ("NO", None, 24)]),
+    ("setsystem", 7, (4, 4), 6, [("YES", (1, 2, 4, 6, 7, 8), 31), ("NO", None, 24)]),
+    ("shortest", 8, (5, 4), 5, [("YES", (1, 5, 6, 10, 12), 9), ("NO", None, 1)]),
+    ("setsystem", 8, (5, 4), 5, [("YES", (1, 5, 6, 10, 12), 9), ("NO", None, 1)]),
+]
+
+
+@pytest.mark.parametrize("route, seed, size, k, rows", PINNED_SOLVES,
+                         ids=[f"{r[0]}-{r[1]}" for r in PINNED_SOLVES])
+def test_solve_node_sequence_is_pinned(route, seed, size, k, rows):
+    """Seeded set systems (``solve_set_system``) and layered graphs (``solve``
+    and ``--mode setsystem``) decide, witness and count ``subsets_tried``
+    exactly as recorded, at the minimum k and one below."""
+    rng = random.Random(seed)
+    if route == "sets":
+        inst = random_set_system(rng, *size)
+        solve = solve_set_system
+    else:
+        inst = random_layered_graph(rng, *size)
+        solve = solve_shortest_paths if route == "shortest" else solve_via_set_system
+    got = [(r.result, r.witness, r.subsets_tried) for r in (solve(inst, k), solve(inst, k - 1))]
+    assert got == rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import CycleError, EdgeError
+from .errors import CycleError, EdgeError, InternalError
 from .graph import Digraph, Graph, topological_order
 from .setsystem import SetSystem
 
@@ -65,6 +65,34 @@ def _canonical_columns(rows: list[str]) -> tuple[list, list] | None:
     except ValueError:
         return None
     return ints[::2], ints[1::2]
+
+
+_DELETE_DIGITS_SPACES = str.maketrans("", "", "0123456789 ")
+
+
+def _canonical_sets(rows: list[str], m: int) -> list | None:
+    """The element lists of a set-system body of exactly m rows, each empty or
+    'digits' split by single spaces, read in bulk; None for any other body,
+    which the line loop then reads.
+
+    Deleting the ASCII digits and spaces must leave only the newlines between
+    the rows; then each row becomes a JSON array, and one ``json.loads`` reads
+    them all. JSON refuses what ``int()`` would read differently or name in an
+    error, so each of those bodies goes to the line loop: an empty token (a
+    double, leading or trailing space, or a row of spaces alone), a leading
+    zero as in '007', more digits than ``int()`` takes.
+    """
+    if len(rows) != m:
+        return None
+    if not rows:
+        return []
+    body = "\n".join(rows)
+    if body.translate(_DELETE_DIGITS_SPACES) != "\n" * (m - 1):
+        return None
+    try:
+        return json.loads("[[" + body.replace(" ", ",").replace("\n", "],[") + "]]")
+    except ValueError:
+        return None
 
 
 def parse_instance(text: str) -> tuple[str, Instance]:
@@ -124,6 +152,10 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         n, m = _int_fields(header[1:], header_no)
         if not (0 <= n <= MAX_IDS and m >= 0):
             raise ParseError(header_no, f"need 0 <= n <= {MAX_IDS} and m >= 0")
+        rows = _canonical_sets(lines[header_no:], m)
+        if rows is not None and (inst := SetSystem.from_rows(n, rows)) is not None:
+            return kind, inst
+        # any other body, or a bulk check that failed: the line loop names the line
         family = []
         seen_sets = {}
         taken = 0
@@ -149,7 +181,9 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             taken += 1
         if taken != m:
             raise ParseError(len(lines), f"expected {m} sets, found {taken}")
-        return kind, SetSystem(n, family)
+        if (inst := SetSystem.from_rows(n, family)) is None:
+            raise InternalError("the bulk set check rejected sets that the line loop accepts")
+        return kind, inst
     raise ParseError(header_no, f"unknown instance kind {kind!r}")
 
 

@@ -26,25 +26,65 @@ PAIR_CHUNK = 1 << 14
 
 
 class SetSystem:
-    """Universe of ``universe_size`` elements plus a family of distinct subsets."""
+    """Universe of ``universe_size`` elements plus a family of distinct subsets.
 
-    __slots__ = ("universe_size", "family")
+    The family is stored once, as ``masks``: each set is a bitmask over the
+    family's union, its elements renumbered in id order, and ``ids[r]`` is the
+    id of rank r. So a mask is as wide as the union, however large the ids.
+    ``family``, the sets as frozensets of ids, is built on first use.
+
+    The constructor checks the sets in bulk; only when that check fails does
+    a loop over the elements run, to name the first bad one.
+    """
+
+    __slots__ = ("universe_size", "masks", "ids", "_family")
 
     def __init__(self, universe_size: int, family: Iterable[Iterable[int]]):
-        if universe_size < 0:
-            raise ValueError("universe_size must be nonnegative")
-        fam = tuple(frozenset(s) for s in family)
-        for s in fam:
-            for e in s:
-                if not (0 <= e < universe_size):
-                    raise ValueError(f"element {e} outside universe")
-        if len(set(fam)) != len(fam):
+        fam = tuple(map(frozenset, family))
+        if not self._fill(universe_size, fam):
+            if universe_size < 0:
+                raise ValueError("universe_size must be nonnegative")
+            for s in fam:
+                for e in s:
+                    if not (0 <= e < universe_size):
+                        raise ValueError(f"element {e} outside universe")
             raise ValueError("family sets must be pairwise distinct")
-        self.universe_size = universe_size
-        self.family = fam
+        self._family = fam
+
+    @classmethod
+    def from_rows(cls, universe_size: int, rows: Sequence[Iterable[int]]) -> SetSystem | None:
+        """The set system of ``rows`` of element ids, or None if a row repeats an
+        element, has one outside the universe or equals another row."""
+        sys = cls.__new__(cls)
+        return sys if sys._fill(universe_size, rows) else None
+
+    def _fill(self, universe_size: int, rows: Sequence[Iterable[int]]) -> bool:
+        """Store ``rows`` as masks and ids if they pass the check, which takes
+        C-level passes only: the union's ends lie in the universe; each mask,
+        the sum of its row's bits, has as many bits as the row has elements
+        (a repeated element would carry into fewer); and the masks differ."""
+        ids = sorted(set().union(*rows))
+        if universe_size < 0 or ids and (ids[0] < 0 or ids[-1] >= universe_size):
+            return False
+        bit = dict(zip(ids, map((1).__lshift__, range(len(ids)))))
+        masks = [sum(map(bit.__getitem__, row)) for row in rows]
+        if list(map(int.bit_count, masks)) != list(map(len, rows)) \
+                or len(set(masks)) != len(masks):
+            return False
+        self.universe_size, self.masks, self.ids, self._family = \
+            universe_size, masks, tuple(ids), None
+        return True
+
+    @property
+    def family(self) -> tuple[frozenset[int], ...]:
+        if self._family is None:
+            ids = self.ids
+            self._family = tuple(frozenset(map(ids.__getitem__, from_mask(mask)))
+                                 for mask in self.masks)
+        return self._family
 
     def __repr__(self):
-        return f"SetSystem(universe_size={self.universe_size}, m={len(self.family)})"
+        return f"SetSystem(universe_size={self.universe_size}, m={len(self.masks)})"
 
 
 class HittingInstance:
@@ -281,14 +321,13 @@ def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
 def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
     """Minimum tracking set of size <= k for the set system, or NO; see :func:`solve_masks`.
 
-    The core sees the elements renumbered, in order, onto the family's union,
-    so its tables grow with the elements in use, not with the largest id;
-    the order kept, it expands the same nodes and finds the same witness.
+    The core gets the stored masks, whose elements are renumbered, in order,
+    onto the family's union, so its tables grow with the elements in use, not
+    with the largest id; the order kept, it expands the same nodes and finds
+    the same witness, which ``sys.ids`` maps back.
     """
-    ids = sorted(set().union(*sys.family))
-    rank = {e: i for i, e in enumerate(ids)}
-    report = solve_masks([to_mask(map(rank.__getitem__, s)) for s in sys.family], k)
-    report.relabel(VertexRelabeling(ids))
+    report = solve_masks(sys.masks, k)
+    report.relabel(VertexRelabeling(sys.ids))
     return report
 
 

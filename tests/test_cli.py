@@ -292,6 +292,19 @@ class TestCountVerify:
             (0, "tracking: true\n", "")
 
     @pytest.mark.parametrize("trackers,code,rest", [
+        (["999998"], 1, "violating sets: 0 2\n"),
+        (["7", "999999"], 1, "violating sets: 1 2\n"),  # 7 is in no set
+        (["5", "999998", "999999"], 0, ""),
+    ], ids=["false", "outside-union", "true"])
+    def test_verify_sparse_setsystem(self, tmp_path, capsys, trackers, code, rest):
+        """The masks number only the three ids in use; a tracker outside
+        the union meets no set and is dropped."""
+        path = write(tmp_path, "sparse.ss", "setsystem 1000000 4\n999999\n999998\n\n5 999998\n")
+        verdict = "true" if code == 0 else "false"
+        assert run(capsys, "verify", path, "--trackers", *trackers) == \
+            (code, f"tracking: {verdict}\n{rest}", "")
+
+    @pytest.mark.parametrize("trackers,code,rest", [
         (["0", "1", "2"], 0, ""), (["0"], 1, "violating sets: 0 2\n"),
     ], ids=["true", "false"])
     def test_verify_setsystem_oracle(self, tmp_path, capsys, trackers, code, rest):

@@ -1,16 +1,19 @@
-"""Instance parsing: the line a parse error names, the header limits, and a
-fuzz test that only ParseError escapes ``parse_instance``."""
+"""Instance parsing: the line a parse error names, the header limits, a fuzz
+test that only ParseError escapes ``parse_instance``, and differential tests
+of the bulk reads of edge and set-system bodies against the line loops."""
 
 import os
 import resource
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackset
+from trackset import instance_io
 from trackset.instance_io import MAX_IDS, ParseError, _canonical_columns, parse_instance
 
 
@@ -183,3 +186,121 @@ def test_body_scan_edge_cases(text, bulk, want):
         assert got[:2] == ("error", 2) and got[2].startswith("expected integer, got '999")
     else:
         assert got == want
+
+
+def _set_outcome(text, bulk=True):
+    """("ok", n, masks, ids, family) of a set-system text, or ("error", line,
+    message); with ``bulk`` False the line loop reads every body."""
+    read = instance_io._canonical_sets if bulk else lambda rows, m: None
+    with mock.patch.object(instance_io, "_canonical_sets", read):
+        try:
+            kind, inst = parse_instance(text)
+        except ParseError as exc:
+            return "error", exc.line_no, str(exc).split(": ", 1)[1]
+    assert kind == "setsystem"
+    return "ok", inst.universe_size, inst.masks, inst.ids, inst.family
+
+
+def _bulk_reads(text):
+    lines = text.splitlines()
+    return instance_io._canonical_sets(lines[1:], int(lines[0].split()[2])) is not None
+
+
+# tokens JSON reads but int() does not or reads otherwise, and tokens int() reads
+# but JSON does not
+_odd_tokens = ["true", "null", "NaN", "1.5", "1e3", "-1", "+3", "01", "٣", "9" * 20]
+
+
+@st.composite
+def set_bodies(draw):
+    """A set-system text with small ids, some out of range, repeated within a
+    row or in duplicate rows, and mostly the right row count; unless ``noise``
+    is drawn, it is written canonically: one space between ids, no comment."""
+    n = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, 9).map(str), max_size=4), max_size=8))
+    m = max(0, len(rows) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    noise = draw(st.booleans())
+    lines = [f"setsystem {n} {m}"]
+    for row in rows:
+        sep, tail = " ", ""
+        if noise:
+            lines += draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=1))
+            row = [draw(st.sampled_from(_odd_tokens)) if draw(st.integers(0, 5)) == 0
+                   else tok for tok in row]
+            sep = draw(st.sampled_from([" ", " ", "  ", "\t"]))
+            tail = draw(st.sampled_from(["", "", " ", " # c"]))
+        lines.append(sep.join(row) + tail)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    # without a final line end, a last empty row is no row
+    return text, not noise and len(text.splitlines()) == m + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_bodies())
+def test_set_bulk_read_matches_line_loop(case):
+    text, canonical = case
+    if canonical:
+        assert _bulk_reads(text)
+    assert _set_outcome(text) == _set_outcome(text, bulk=False)
+
+
+@pytest.mark.parametrize("text,bulk,want", [
+    ("setsystem 3 2\n0 true\n1\n", False, ("error", 2, "expected integer, got 'true'")),
+    ("setsystem 3 1\nnull\n", False, ("error", 2, "expected integer, got 'null'")),
+    ("setsystem 3 1\nNaN 1\n", False, ("error", 2, "expected integer, got 'NaN'")),
+    ("setsystem 3 1\n1.5\n", False, ("error", 2, "expected integer, got '1.5'")),
+    ("setsystem 3 1\n1e3\n", False, ("error", 2, "expected integer, got '1e3'")),
+    ("setsystem 3 1\n0 -1\n", False, ("error", 2, "element out of range: -1")),
+    ("setsystem 4 2\n+3\n0\n", False, ("ok", 4, [0b10, 0b01], (0, 3), ({3}, {0}))),
+    ("setsystem 3 2\n01 2\n0\n", False, ("ok", 3, [0b110, 0b001], (0, 1, 2), ({1, 2}, {0}))),
+    ("setsystem 4 1\n٣\n", False, ("ok", 4, [0b1], (3,), ({3},))),
+    ("setsystem 3 1\n0\t2\n", False, ("ok", 3, [0b11], (0, 2), ({0, 2},))),
+    ("setsystem 3 1\n0  2\n", False, ("ok", 3, [0b11], (0, 2), ({0, 2},))),
+    ("setsystem 3 2\r\n0 2\r\n1\r\n", True, ("ok", 3, [0b101, 0b010], (0, 1, 2),
+                                             ({0, 2}, {1}))),
+    ("setsystem 3 2\n# sets\n0 2\n1\n", False, ("ok", 3, [0b101, 0b010], (0, 1, 2),
+                                                ({0, 2}, {1}))),
+    ("setsystem 3 2\n0 2  # first\n1\n", False, ("ok", 3, [0b101, 0b010], (0, 1, 2),
+                                                 ({0, 2}, {1}))),
+    ("setsystem 3 2\n\n1\n", True, ("ok", 3, [0, 0b1], (1,), (set(), {1}))),
+    ("setsystem 3 2\n  \n1\n", False, ("ok", 3, [0, 0b1], (1,), (set(), {1}))),
+    ("setsystem 3 0\n", True, ("ok", 3, [], (), ())),
+    ("setsystem 3 0", True, ("ok", 3, [], (), ())),
+    ("setsystem 3 0\n1\n", False, ("error", 2, "extra content after 0 sets")),
+    ("setsystem 3 1\n1\n\n\n", False, ("ok", 3, [0b1], (1,), ({1},))),
+    ("setsystem 3 3\n0\n1\n", False, ("error", 3, "expected 3 sets, found 2")),
+    ("setsystem 3 1\n0\n1\n", False, ("error", 3, "extra content after 1 sets")),
+    ("setsystem 3 2\n0 1\n2 2\n", True, ("error", 3, "repeated element within a set")),
+    ("setsystem 3 2\n0 1 0\n2\n", True, ("error", 2, "repeated element within a set")),
+    ("setsystem 3 3\n0 1\n2\n1 0\n", True, ("error", 4, "duplicate set (same as line 2)")),
+    ("setsystem 3 2\n0\n3\n", True, ("error", 3, "element out of range: 3")),
+    (f"setsystem 3 2\n0\n{'9' * 30}\n", True, ("error", 3, f"element out of range: {'9' * 30}")),
+    (f"setsystem 3 1\n{'9' * 5000}\n", False, None),
+], ids=["true", "null", "nan", "float", "exponent", "minus", "plus", "leading-zero",
+        "arabic-indic-digit", "tab", "double-space", "crlf", "comment-line",
+        "trailing-comment", "blank-row", "spaces-row", "m0", "m0-no-newline", "m0-body",
+        "trailing-blank-lines", "too-few-rows", "too-many-rows", "repeated-element",
+        "repeated-element-apart", "duplicate-set", "id-n", "id-far-above-n",
+        "over-digit-limit"])
+def test_set_body_scan_edge_cases(text, bulk, want):
+    assert _bulk_reads(text) == bulk
+    got = _set_outcome(text)
+    assert got == _set_outcome(text, bulk=False)
+    if want is None:  # the line loop names the token that int() refuses
+        assert got[:2] == ("error", 2) and got[2].startswith("expected integer, got '999")
+    else:
+        assert got == (want if want[0] == "error" else (*want[:4], tuple(map(frozenset, want[4]))))
+
+
+def test_sparse_set_ids_give_narrow_masks():
+    """Masks are built over the union, never as wide as the raw ids."""
+    m = 200
+    ids = list(range(MAX_IDS - 2 * m, MAX_IDS, 2))  # distinct, near 10^6
+    rows = [f"{ids[i]} {ids[(i + 1) % m]}" for i in range(m)]
+    for text in ("\n".join([f"setsystem {MAX_IDS} {m}", *rows]) + "\n",
+                 "\n".join([f"setsystem {MAX_IDS} {m}", "# noise", *rows]) + "\n"):
+        _, inst = parse_instance(text)
+        assert inst.ids == tuple(ids)
+        assert all(mask.bit_length() <= len(ids) for mask in inst.masks)
+        assert inst.family[0] == {ids[0], ids[1]} and inst.family[-1] == {ids[-1], ids[0]}

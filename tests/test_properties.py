@@ -9,7 +9,8 @@ Rule 4 keeps the smallest id of each chain of interior degree-2
 vertices, and every vertex of a chain lies on the same paths, so the
 witness is the least over all input ids, whatever the labelling. The
 ``verify`` command is checked the same way: its exit code against the
-definition, and a printed violating pair against the path family. The
+definition, and a printed violating pair against the path family (on a
+set system, against the first pair the definition gives). The
 pair finder itself must return what one count pass per source returns.
 """
 
@@ -30,11 +31,11 @@ from trackset.cli import main
 from trackset.dagtrack import (_pair_through, _pruned, count_paths, path_masks, reduce_dag,
                                reduce_rule_2, solve_dag, violating_pair)
 from trackset.graph import Digraph, Graph, topological_order
-from trackset.instance_io import format_digraph, format_graph
+from trackset.instance_io import format_digraph, format_graph, format_setsystem
 from trackset.oracle import (brute_is_tracking, brute_min_tracking, enumerate_all_paths,
                              enumerate_shortest_paths)
 from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
-                                solve_set_system, to_mask)
+                                solve_set_system, to_mask, violating_sets)
 from trackset.shortest import reduce_rule_1, solve_shortest_paths, to_dag
 
 from conftest import brute_shortest_path_sets, serial_diamond_dag
@@ -509,6 +510,27 @@ def test_cli_verify_on_dags_matches_definition(case):
 def test_cli_verify_on_graphs_matches_definition(case):
     g, trackers = case
     check_verify(format_graph(g), brute_shortest_path_sets(g), trackers)
+
+
+@SETTINGS
+@given(set_systems(), st.integers(3, 10 ** 6 - 20), st.data())
+def test_cli_verify_on_set_systems_names_the_first_pair(sys, offset, data):
+    """``verify`` reads the family as masks over its union, yet prints the
+    first pair of sets, by index, that meet the trackers in the same set, as
+    the frozenset definition does. The ids are moved up by ``offset``, so
+    most of the universe, and some trackers, lie outside the union."""
+    family = [frozenset(e + offset for e in s) for s in sys.family]
+    trackers = data.draw(st.sets(st.integers(offset - 3, offset + 19)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.sets")
+        with open(path, "w") as f:
+            f.write(format_setsystem(SetSystem(offset + 20, family)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", path, "--trackers", *map(str, sorted(trackers))])
+    pair = violating_sets(family, frozenset(trackers))
+    assert (code, out.getvalue()) == ((0, "tracking: true\n") if pair is None else
+                                      (1, f"tracking: false\nviolating sets: {pair[0]} {pair[1]}\n"))
 
 
 def reference_violating_pair(d, trackers):

@@ -158,6 +158,30 @@ def test_sparse_ids_are_renumbered_onto_the_union(monkeypatch):
     assert rep.witness == (5, 999_998, 999_999)
 
 
+def test_constructor_names_the_first_bad_element():
+    with pytest.raises(ValueError, match="^element 5 outside universe$"):
+        SetSystem(5, [{0}, {1, 5}, {-1}])
+    with pytest.raises(ValueError, match="^element -1 outside universe$"):
+        SetSystem(5, [{0}, {-1}, {1, 5}])
+    with pytest.raises(ValueError, match="^family sets must be pairwise distinct$"):
+        SetSystem(5, [{0, 1}, {2}, [1, 0]])
+    with pytest.raises(ValueError, match="^universe_size must be nonnegative$"):
+        SetSystem(-1, [])
+
+
+def test_family_is_stored_once_as_masks_over_the_union():
+    """The constructor and ``from_rows`` store the same masks and ids; the
+    frozensets come back from them."""
+    rows = [[999_999], [5, 999_998], [], [999_998, 5]]
+    assert SetSystem.from_rows(10 ** 6, rows) is None  # rows 1 and 3 are one set
+    assert SetSystem.from_rows(10 ** 6, [[5, 5]]) is None
+    assert SetSystem.from_rows(10 ** 6, [[10 ** 6]]) is None
+    built, read = SetSystem(10 ** 6, rows[:3]), SetSystem.from_rows(10 ** 6, rows[:3])
+    for sys in (built, read):
+        assert (sys.masks, sys.ids) == ([0b100, 0b011, 0], (5, 999_998, 999_999))
+        assert sys.family == ({999_999}, {5, 999_998}, frozenset())
+
+
 def pinned_family(kind, *args):
     """Distinct masks: a seeded random set system (seed, universe, m), the
     shortest-path masks of a seeded layered graph (seed, layers, width), or

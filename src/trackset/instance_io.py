@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import CycleError, EdgeError, InternalError
+from .errors import CycleError, EdgeError
 from .graph import Digraph, Graph, topological_order
 from .setsystem import SetSystem
 
@@ -181,9 +181,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             taken += 1
         if taken != m:
             raise ParseError(len(lines), f"expected {m} sets, found {taken}")
-        if (inst := SetSystem.from_rows(n, family)) is None:
-            raise InternalError("the bulk set check rejected sets that the line loop accepts")
-        return kind, inst
+        return kind, SetSystem.from_rows(n, family, checked=True)
     raise ParseError(header_no, f"unknown instance kind {kind!r}")
 
 

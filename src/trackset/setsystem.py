@@ -19,7 +19,7 @@ from .report import SolveReport
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only, so a cold start never imports them
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Collection, Iterable, Sequence
 
 # Pairs of sets whose differences minimal_differences holds at once.
 PAIR_CHUNK = 1 << 14
@@ -30,18 +30,20 @@ class SetSystem:
 
     The family is stored once, as ``masks``: each set is a bitmask over the
     family's union, its elements renumbered in id order, and ``ids[r]`` is the
-    id of rank r. So a mask is as wide as the union, however large the ids.
-    ``family``, the sets as frozensets of ids, is built on first use.
+    id of rank r. So a mask is as wide as the union, however large the ids,
+    and the masks take memory linear in the elements in use. ``family``, the
+    sets as frozensets of ids, is built from the stored rows on first use.
 
     The constructor checks the sets in bulk; only when that check fails does
     a loop over the elements run, to name the first bad one.
     """
 
-    __slots__ = ("universe_size", "masks", "ids", "_family")
+    __slots__ = ("universe_size", "masks", "ids", "_rows", "_family")
 
     def __init__(self, universe_size: int, family: Iterable[Iterable[int]]):
         fam = tuple(map(frozenset, family))
-        if not self._fill(universe_size, fam):
+        self._store(universe_size, fam)
+        if not self._valid():
             if universe_size < 0:
                 raise ValueError("universe_size must be nonnegative")
             for s in fam:
@@ -49,42 +51,74 @@ class SetSystem:
                     if not (0 <= e < universe_size):
                         raise ValueError(f"element {e} outside universe")
             raise ValueError("family sets must be pairwise distinct")
-        self._family = fam
 
     @classmethod
-    def from_rows(cls, universe_size: int, rows: Sequence[Iterable[int]]) -> SetSystem | None:
+    def from_rows(cls, universe_size: int, rows: Sequence[Collection[int]],
+                  checked: bool = False) -> SetSystem | None:
         """The set system of ``rows`` of element ids, or None if a row repeats an
-        element, has one outside the universe or equals another row."""
+        element, has one outside the universe or equals another row. Rows the
+        caller has ``checked`` already are stored with no second check."""
         sys = cls.__new__(cls)
-        return sys if sys._fill(universe_size, rows) else None
+        sys._store(universe_size, rows)
+        return sys if checked or sys._valid() else None
 
-    def _fill(self, universe_size: int, rows: Sequence[Iterable[int]]) -> bool:
-        """Store ``rows`` as masks and ids if they pass the check, which takes
-        C-level passes only: the union's ends lie in the universe; each mask,
-        the sum of its row's bits, has as many bits as the row has elements
-        (a repeated element would carry into fewer); and the masks differ."""
+    def _store(self, universe_size: int, rows: Sequence[Collection[int]]) -> None:
+        """Store ``rows`` as they are, plus their masks over the union and its ids.
+
+        Each mask is the sum of its row's bits, one C-level pass a row: over a
+        union of at most ``WIDE_MASK`` ids the bits come from a table of them
+        all; over a wider one each rank is shifted as it is read, so no bit
+        outlives its row, and a row longer than ``WIDE_MASK`` reads its mask
+        from base-2 digits instead, in time linear in the mask's width. A
+        repeated element leaves fewer set bits than the row has elements
+        either way, which :meth:`_valid` counts.
+        """
         ids = sorted(set().union(*rows))
-        if universe_size < 0 or ids and (ids[0] < 0 or ids[-1] >= universe_size):
+        self.universe_size, self.ids, self._rows, self._family = \
+            universe_size, tuple(ids), rows, None
+        if len(ids) <= WIDE_MASK:
+            bit = dict(zip(ids, map(_bit, range(len(ids))))).__getitem__
+            self.masks = [sum(map(bit, row)) for row in rows]
+            return
+        rank = dict(zip(ids, range(len(ids)))).__getitem__
+        self.masks = [sum(map(_bit, map(rank, row))) if len(row) <= WIDE_MASK
+                      else _long_row_mask(list(map(rank, row))) for row in rows]
+
+    def _valid(self) -> bool:
+        """Whether the stored rows form a set system, checked in C-level passes:
+        the union's ends lie in the universe; each mask has as many bits as its
+        row has elements (no repeat); and the masks differ."""
+        n, ids, masks = self.universe_size, self.ids, self.masks
+        if n < 0 or ids and (ids[0] < 0 or ids[-1] >= n):
             return False
-        bit = dict(zip(ids, map((1).__lshift__, range(len(ids)))))
-        masks = [sum(map(bit.__getitem__, row)) for row in rows]
-        if list(map(int.bit_count, masks)) != list(map(len, rows)) \
-                or len(set(masks)) != len(masks):
-            return False
-        self.universe_size, self.masks, self.ids, self._family = \
-            universe_size, masks, tuple(ids), None
-        return True
+        return list(map(int.bit_count, masks)) == list(map(len, self._rows)) \
+            and len(set(masks)) == len(masks)
 
     @property
     def family(self) -> tuple[frozenset[int], ...]:
         if self._family is None:
-            ids = self.ids
-            self._family = tuple(frozenset(map(ids.__getitem__, from_mask(mask)))
-                                 for mask in self.masks)
+            self._family = tuple(map(frozenset, self._rows))
         return self._family
 
     def __repr__(self):
         return f"SetSystem(universe_size={self.universe_size}, m={len(self.masks)})"
+
+
+# Masks up to this wide are summed from a table of every bit, about
+# WIDE_MASK**2 / 16 bytes (64 KB); a table for a union of 10**6 ids would take
+# some 60 GB. A row longer than this gets its mask faster from base-2 digits,
+# as each step of a sum copies the mask built so far.
+WIDE_MASK = 1024
+
+_bit = (1).__lshift__
+
+
+def _long_row_mask(ranks: list[int]) -> int:
+    """The sum of the distinct ranks' bits, in time linear in the largest rank."""
+    digits = bytearray(b"0") * (max(ranks) + 1)
+    for r in ranks:
+        digits[r] = 49  # b"1"
+    return int(digits[::-1], 2)
 
 
 class HittingInstance:

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -304,3 +305,21 @@ def test_sparse_set_ids_give_narrow_masks():
         assert inst.ids == tuple(ids)
         assert all(mask.bit_length() <= len(ids) for mask in inst.masks)
         assert inst.family[0] == {ids[0], ids[1]} and inst.family[-1] == {ids[-1], ids[0]}
+
+
+def test_wide_union_parses_in_linear_memory():
+    """Masks over a union of 10^5 ids take memory linear in it: one bit value
+    per rank kept alive would need about 625 MB."""
+    u = 10 ** 5
+    rows = [" ".join(map(str, range(u))), " ".join(map(str, range(0, u, 2))), "7"]
+    for body in (rows, ["# noise", *rows]):
+        text = "\n".join([f"setsystem {u} 3", *body]) + "\n"
+        tracemalloc.start()
+        try:
+            _, inst = parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert inst.masks == [(1 << u) - 1, int("01" * (u // 2), 2), 1 << 7]
+        assert inst.family[1] == frozenset(range(0, u, 2))

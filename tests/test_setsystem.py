@@ -182,6 +182,22 @@ def test_family_is_stored_once_as_masks_over_the_union():
         assert sys.family == ({999_999}, {5, 999_998}, frozenset())
 
 
+
+@pytest.mark.parametrize("length", [setsystem.WIDE_MASK, setsystem.WIDE_MASK + 1, 5000])
+def test_long_rows_get_the_same_masks(length):
+    """Rows above ``WIDE_MASK`` get their masks another way; the masks, the
+    repeated-element check and the constructor's verdicts stay the same."""
+    row = list(range(0, 3 * length, 3))[::-1]
+    rows = [row, row[:-1], row[1:], row[::2], row[1::2], [row[0]], []]
+    want = [sum(1 << e // 3 for e in r) for r in rows]
+    for sys in (SetSystem(3 * length, rows), SetSystem.from_rows(3 * length, rows)):
+        assert sys.masks == want and sys.ids == tuple(sorted(row))
+    assert SetSystem.from_rows(3 * length, [row + [row[-1]]]) is None
+    assert SetSystem.from_rows(3 * length, [row[1:] + [row[2]]]) is None
+    assert SetSystem.from_rows(3 * length, [row, list(reversed(row))]) is None
+    with pytest.raises(ValueError, match="^family sets must be pairwise distinct$"):
+        SetSystem(3 * length, [row, list(reversed(row))])
+
 def pinned_family(kind, *args):
     """Distinct masks: a seeded random set system (seed, universe, m), the
     shortest-path masks of a seeded layered graph (seed, layers, width), or

@@ -23,7 +23,6 @@ import sys as _sys
 
 from . import dagtrack, oracle, setsystem, shortest
 from .errors import CapExceeded, InternalError
-from .graph import VertexRelabeling
 from .instance_io import (ParseError, format_digraph, format_graph,
                           format_instance, parse_instance)
 from .report import SolveReport
@@ -152,9 +151,7 @@ def _cmd_verify(args) -> int:
             print(f"tracker id out of range: {v}", file=_sys.stderr)
             return 2
     if kind == "setsystem":
-        # the masks number the union's elements by rank; a tracker outside it meets no set
-        ranks = VertexRelabeling(inst.ids).from_original(trackers)
-        pair = setsystem.violating_sets(inst.masks, setsystem.to_mask(ranks))
+        pair = setsystem.violating_sets(inst.family, trackers)
         shown = [f"violating sets: {pair[0]} {pair[1]}"] if pair else []
     else:
         # the tracking condition decides and builds the pair; only the oracle lists paths

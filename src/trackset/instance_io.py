@@ -153,7 +153,12 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         if not (0 <= n <= MAX_IDS and m >= 0):
             raise ParseError(header_no, f"need 0 <= n <= {MAX_IDS} and m >= 0")
         rows = _canonical_sets(lines[header_no:], m)
-        if rows is not None and (inst := SetSystem.from_rows(n, rows)) is not None:
+        try:
+            inst = None if rows is None else SetSystem(n, rows)
+        except ValueError:
+            inst = None
+        # a set shorter than its row had a repeated element
+        if inst is not None and list(map(len, inst.family)) == list(map(len, rows)):
             return kind, inst
         # any other body, or a bulk check that failed: the line loop names the line
         family = []
@@ -181,7 +186,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             taken += 1
         if taken != m:
             raise ParseError(len(lines), f"expected {m} sets, found {taken}")
-        return kind, SetSystem.from_rows(n, family, checked=True)
+        return kind, SetSystem(n, family)
     raise ParseError(header_no, f"unknown instance kind {kind!r}")
 
 

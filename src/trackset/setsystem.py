@@ -19,31 +19,25 @@ from .report import SolveReport
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only, so a cold start never imports them
-    from collections.abc import Collection, Iterable, Sequence
+    from collections.abc import Iterable, Sequence
 
 # Pairs of sets whose differences minimal_differences holds at once.
 PAIR_CHUNK = 1 << 14
 
 
 class SetSystem:
-    """Universe of ``universe_size`` elements plus a family of distinct subsets.
-
-    The family is stored once, as ``masks``: each set is a bitmask over the
-    family's union, its elements renumbered in id order, and ``ids[r]`` is the
-    id of rank r. So a mask is as wide as the union, however large the ids,
-    and the masks take memory linear in the elements in use. ``family``, the
-    sets as frozensets of ids, is built from the stored rows on first use.
-
-    The constructor checks the sets in bulk; only when that check fails does
-    a loop over the elements run, to name the first bad one.
+    """Universe of ``universe_size`` elements plus a family of distinct subsets,
+    kept as frozensets of ids in the order given. The constructor checks them in
+    bulk; only when that fails does a loop over the elements name the first bad one.
     """
 
-    __slots__ = ("universe_size", "masks", "ids", "_rows", "_family")
+    __slots__ = ("universe_size", "family")
 
     def __init__(self, universe_size: int, family: Iterable[Iterable[int]]):
         fam = tuple(map(frozenset, family))
-        self._store(universe_size, fam)
-        if not self._valid():
+        union = frozenset().union(*fam)
+        if universe_size < 0 or union and (min(union) < 0 or max(union) >= universe_size) \
+                or len(set(fam)) != len(fam):
             if universe_size < 0:
                 raise ValueError("universe_size must be nonnegative")
             for s in fam:
@@ -51,74 +45,10 @@ class SetSystem:
                     if not (0 <= e < universe_size):
                         raise ValueError(f"element {e} outside universe")
             raise ValueError("family sets must be pairwise distinct")
-
-    @classmethod
-    def from_rows(cls, universe_size: int, rows: Sequence[Collection[int]],
-                  checked: bool = False) -> SetSystem | None:
-        """The set system of ``rows`` of element ids, or None if a row repeats an
-        element, has one outside the universe or equals another row. Rows the
-        caller has ``checked`` already are stored with no second check."""
-        sys = cls.__new__(cls)
-        sys._store(universe_size, rows)
-        return sys if checked or sys._valid() else None
-
-    def _store(self, universe_size: int, rows: Sequence[Collection[int]]) -> None:
-        """Store ``rows`` as they are, plus their masks over the union and its ids.
-
-        Each mask is the sum of its row's bits, one C-level pass a row: over a
-        union of at most ``WIDE_MASK`` ids the bits come from a table of them
-        all; over a wider one each rank is shifted as it is read, so no bit
-        outlives its row, and a row longer than ``WIDE_MASK`` reads its mask
-        from base-2 digits instead, in time linear in the mask's width. A
-        repeated element leaves fewer set bits than the row has elements
-        either way, which :meth:`_valid` counts.
-        """
-        ids = sorted(set().union(*rows))
-        self.universe_size, self.ids, self._rows, self._family = \
-            universe_size, tuple(ids), rows, None
-        if len(ids) <= WIDE_MASK:
-            bit = dict(zip(ids, map(_bit, range(len(ids))))).__getitem__
-            self.masks = [sum(map(bit, row)) for row in rows]
-            return
-        rank = dict(zip(ids, range(len(ids)))).__getitem__
-        self.masks = [sum(map(_bit, map(rank, row))) if len(row) <= WIDE_MASK
-                      else _long_row_mask(list(map(rank, row))) for row in rows]
-
-    def _valid(self) -> bool:
-        """Whether the stored rows form a set system, checked in C-level passes:
-        the union's ends lie in the universe; each mask has as many bits as its
-        row has elements (no repeat); and the masks differ."""
-        n, ids, masks = self.universe_size, self.ids, self.masks
-        if n < 0 or ids and (ids[0] < 0 or ids[-1] >= n):
-            return False
-        return list(map(int.bit_count, masks)) == list(map(len, self._rows)) \
-            and len(set(masks)) == len(masks)
-
-    @property
-    def family(self) -> tuple[frozenset[int], ...]:
-        if self._family is None:
-            self._family = tuple(map(frozenset, self._rows))
-        return self._family
+        self.universe_size, self.family = universe_size, fam
 
     def __repr__(self):
-        return f"SetSystem(universe_size={self.universe_size}, m={len(self.masks)})"
-
-
-# Masks up to this wide are summed from a table of every bit, about
-# WIDE_MASK**2 / 16 bytes (64 KB); a table for a union of 10**6 ids would take
-# some 60 GB. A row longer than this gets its mask faster from base-2 digits,
-# as each step of a sum copies the mask built so far.
-WIDE_MASK = 1024
-
-_bit = (1).__lshift__
-
-
-def _long_row_mask(ranks: list[int]) -> int:
-    """The sum of the distinct ranks' bits, in time linear in the largest rank."""
-    digits = bytearray(b"0") * (max(ranks) + 1)
-    for r in ranks:
-        digits[r] = 49  # b"1"
-    return int(digits[::-1], 2)
+        return f"SetSystem(universe_size={self.universe_size}, m={len(self.family)})"
 
 
 class HittingInstance:
@@ -127,20 +57,16 @@ class HittingInstance:
     __slots__ = ("universe_size", "family")
 
     def __init__(self, universe_size: int, family: Iterable[Iterable[int]]):
-        fam = tuple(frozenset(s) for s in family)
-        for s in fam:
-            if not s:
-                raise ValueError("hitting family contains an empty set (infeasible)")
+        fam = tuple(map(frozenset, family))
+        if not all(fam):
+            raise ValueError("hitting family contains an empty set (infeasible)")
         self.universe_size = universe_size
         self.family = fam
 
 
 def to_mask(elements: Iterable[int]) -> int:
     """Bitmask with bit e set for every element e."""
-    mask = 0
-    for e in elements:
-        mask |= 1 << e
-    return mask
+    return reduce(or_, map((1).__lshift__, elements), 0)
 
 
 def from_mask(mask: int) -> frozenset[int]:
@@ -323,18 +249,12 @@ def solve_hitting(h: HittingInstance, k: int) -> frozenset[int] | None:
     return witness
 
 
-def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
-    """Minimum tracking set of size <= k for distinct bitmask sets, or NO.
-
-    The decision core every solve route feeds. Families of size <= 1 are
-    tracked by the empty set. Otherwise the ceil(lg m) lower bound gates,
-    then the hitting-set search over the minimal symmetric differences
-    decides. The witness, minimum and then lexicographically least, gets
-    the one definition-level check of any route here. ``paths`` reports m.
-    """
+def _decided_by_size(m: int, k: int) -> SolveReport | None:
+    """The answer when the family's size m decides it, else None: a family of
+    at most one set is tracked by the empty set, and the ceil(lg m) lower
+    bound rules out every k below it."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    m = len(masks)
     if m <= 1:
         return SolveReport("YES", witness=(), paths=m,
                            reason="at most one set; empty tracking set suffices")
@@ -342,7 +262,22 @@ def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
     if k < lb:
         return SolveReport("NO", paths=m,
                            reason=f"lower bound ceil(lg {m}) = {lb} exceeds k = {k}")
-    found, tried = hitting_search(minimal_differences(masks), k, lower=lb)
+    return None
+
+
+def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
+    """Minimum tracking set of size <= k for distinct bitmask sets, or NO.
+
+    The decision core every solve route feeds. After the size gate of
+    :func:`_decided_by_size`, the hitting-set search over the minimal
+    symmetric differences decides. The witness, minimum and then lexicographically
+    least, gets the one definition-level check of any route. ``paths`` reports m.
+    """
+    m = len(masks)
+    if (report := _decided_by_size(m, k)) is not None:
+        return report
+    found, tried = hitting_search(minimal_differences(masks), k,
+                                  lower=tracking_lower_bound(m))
     if found is None:
         return SolveReport("NO", paths=m, subsets_tried=tried,
                            reason=f"no tracking set of size <= {k} (search exhausted)")
@@ -352,23 +287,41 @@ def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
                        subsets_tried=tried)
 
 
+def _union_masks(family: Sequence[frozenset[int]]) -> tuple[list[int], list[int]]:
+    """Bitmasks of the sets over the family's union, whose ids are renumbered
+    in order, and ``ids``: bit r stands for ``ids[r]``. Each mask is read from
+    one string of base-2 digits, highest rank first, so the time and memory
+    are linear in the masks, however large the ids.
+    """
+    ids = sorted(frozenset().union(*family))
+    rank = dict(zip(ids, range(len(ids))))
+    masks, zero = [], bytearray(b"0")
+    for s in family:
+        top = rank[max(s)] if s else 0
+        digits = zero * (top + 1)
+        for e in s:
+            digits[top - rank[e]] = 49  # b"1"
+        masks.append(int(digits, 2))
+    return masks, ids
+
+
 def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
     """Minimum tracking set of size <= k for the set system, or NO; see :func:`solve_masks`.
 
-    The core gets the stored masks, whose elements are renumbered, in order,
-    onto the family's union, so its tables grow with the elements in use, not
-    with the largest id; the order kept, it expands the same nodes and finds
-    the same witness, which ``sys.ids`` maps back.
-    """
-    report = solve_masks(sys.masks, k)
-    report.relabel(VertexRelabeling(sys.ids))
+    A family that its size decides builds no mask. Any other reaches the core
+    as masks over its union (:func:`_union_masks`), so the core's tables grow
+    with the elements in use, not with the largest id; the renumbering keeps
+    the order, so the search expands the same nodes and finds the same witness."""
+    if (report := _decided_by_size(len(sys.family), k)) is not None:
+        return report
+    masks, ids = _union_masks(sys.family)
+    report = solve_masks(masks, k)
+    report.relabel(VertexRelabeling(ids))
     return report
 
 
 def solve_tracking_set(sys: SetSystem, k: int) -> frozenset[int] | None:
-    """Tracking set of size <= k for the set system, or None.
-
-    The witness of :func:`solve_set_system` as a set.
-    """
+    """Tracking set of size <= k for the set system, or None: the witness of
+    :func:`solve_set_system` as a set."""
     report = solve_set_system(sys, k)
     return frozenset(report.witness) if report.result == "YES" else None

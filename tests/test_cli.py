@@ -234,6 +234,49 @@ def test_sparse_element_ids_solve_fast(tmp_path, capsys):
     assert elapsed < 0.1, elapsed
 
 
+# 40,000 one-id sets on ids 5 apart: masks over their union would take m^2/2
+# bits, about 100 MB, so only a solve the family's size does not decide may
+# build them
+SPARSE_ROWS = "setsystem 200000 40000\n" + "".join(f"{5 * i}\n" for i in range(40_000))
+
+
+def test_many_sparse_rows_need_no_masks(tmp_path, capsys):
+    path = write(tmp_path, "rows.sets", SPARSE_ROWS)
+    assert run(capsys, "count", path) == \
+        (2, "", "count supports graph and dag instances only\n")
+    assert run(capsys, "verify", path, "--trackers", "0", "5") == \
+        (1, "tracking: false\nviolating sets: 2 3\n", "")
+
+
+@pytest.mark.parametrize("text,k,out", [
+    (SPARSE_ROWS, 3, "result: NO\npaths: 40000\nreductions: 0\nsubsets_tried: 0\n"
+                     "reason: lower bound ceil(lg 40000) = 16 exceeds k = 3\n"),
+    ("setsystem 1000000 1\n999999\n", 0,
+     "result: YES\nwitness:\nsize: 0\npaths: 1\nreductions: 0\nsubsets_tried: 0\n"
+     "reason: at most one set; empty tracking set suffices\n"),
+    ("setsystem 3 0\n", 0,
+     "result: YES\nwitness:\nsize: 0\npaths: 0\nreductions: 0\nsubsets_tried: 0\n"
+     "reason: at most one set; empty tracking set suffices\n"),
+], ids=["lower-bound", "one-set", "no-set"])
+def test_size_gate_builds_no_masks(tmp_path, capsys, monkeypatch, text, k, out):
+    """A solve that m <= 1 or ceil(lg m) > k decides never reaches the mask
+    builder, on any set-system route."""
+    import trackset.setsystem as setsystem
+
+    def builder(family):
+        raise AssertionError("masks built for a solve the family's size decides")
+
+    monkeypatch.setattr(setsystem, "_union_masks", builder)
+    path = write(tmp_path, "x.sets", text)
+    code = 1 if out.startswith("result: NO") else 0
+    assert run(capsys, "solve", path, "--k", str(k)) == (code, out, "")
+    assert json.loads(run(capsys, "solve", path, "--k", str(k), "--json")[1])["reason"] == \
+        out.split("reason: ")[1].strip()
+    inst = parse_instance(text)[1]
+    assert setsystem.solve_set_system(inst, k).to_text() + "\n" == out
+    assert setsystem.solve_tracking_set(inst, k) == (None if code else frozenset())
+
+
 class TestCountVerify:
     def test_count_diamond(self, tmp_path, capsys):
         path = write(tmp_path, "d.graph", DIAMOND)

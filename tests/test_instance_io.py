@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import trackset
 from trackset import instance_io
 from trackset.instance_io import MAX_IDS, ParseError, _canonical_columns, parse_instance
+from trackset.setsystem import _union_masks
 
 
 @pytest.mark.parametrize("text,line,msg", [
@@ -199,7 +200,8 @@ def _set_outcome(text, bulk=True):
         except ParseError as exc:
             return "error", exc.line_no, str(exc).split(": ", 1)[1]
     assert kind == "setsystem"
-    return "ok", inst.universe_size, inst.masks, inst.ids, inst.family
+    masks, ids = _union_masks(inst.family)
+    return "ok", inst.universe_size, masks, tuple(ids), inst.family
 
 
 def _bulk_reads(text):
@@ -302,24 +304,29 @@ def test_sparse_set_ids_give_narrow_masks():
     for text in ("\n".join([f"setsystem {MAX_IDS} {m}", *rows]) + "\n",
                  "\n".join([f"setsystem {MAX_IDS} {m}", "# noise", *rows]) + "\n"):
         _, inst = parse_instance(text)
-        assert inst.ids == tuple(ids)
-        assert all(mask.bit_length() <= len(ids) for mask in inst.masks)
+        masks, union = _union_masks(inst.family)
+        assert union == ids
+        assert all(mask.bit_length() <= len(ids) for mask in masks)
         assert inst.family[0] == {ids[0], ids[1]} and inst.family[-1] == {ids[-1], ids[0]}
 
 
 def test_wide_union_parses_in_linear_memory():
-    """Masks over a union of 10^5 ids take memory linear in it: one bit value
-    per rank kept alive would need about 625 MB."""
-    u = 10 ** 5
-    rows = [" ".join(map(str, range(u))), " ".join(map(str, range(0, u, 2))), "7"]
-    for body in (rows, ["# noise", *rows]):
-        text = "\n".join([f"setsystem {u} 3", *body]) + "\n"
-        tracemalloc.start()
-        try:
-            _, inst = parse_instance(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
-        assert inst.masks == [(1 << u) - 1, int("01" * (u // 2), 2), 1 << 7]
-        assert inst.family[1] == frozenset(range(0, u, 2))
+    """A set-system body parses in memory linear in its text, bulk or line by
+    line: three rows over a union of 10^5 ids, where one bit value per rank
+    kept alive would need about 625 MB, and 40,000 one-id rows on ids 5 apart,
+    whose masks over the union would take m^2/2 bits, about 100 MB."""
+    u, m = 10 ** 5, 40_000
+    wide = [" ".join(map(str, range(u))), " ".join(map(str, range(0, u, 2))), "7"]
+    for n, rows in ((u, wide), (5 * m, [str(5 * i) for i in range(m)])):
+        for body in (rows, ["# noise", *rows]):
+            text = "\n".join([f"setsystem {n} {len(rows)}", *body]) + "\n"
+            tracemalloc.start()
+            try:
+                _, inst = parse_instance(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2 ** 20
+            assert inst.family == tuple(frozenset(map(int, row.split())) for row in rows)
+    masks, ids = _union_masks(parse_instance(f"setsystem {u} 3\n" + "\n".join(wide))[1].family)
+    assert masks == [(1 << u) - 1, int("01" * (u // 2), 2), 1 << 7] and ids == list(range(u))

@@ -8,8 +8,9 @@ from trackset import setsystem
 from trackset.dagtrack import path_masks
 from trackset.generate import random_layered_graph, random_set_system
 from trackset.graph import Graph
+from trackset.instance_io import ParseError, parse_instance
 from trackset.oracle import brute_min_tracking
-from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
+from trackset.setsystem import (SetSystem, _union_masks, hitting_search, minimal_differences,
                                 solve_set_system, to_mask, tracking_lower_bound, tracks,
                                 violating_sets)
 from trackset.shortest import (reduce_rule_1, solve_shortest_paths, solve_via_set_system,
@@ -169,34 +170,49 @@ def test_constructor_names_the_first_bad_element():
         SetSystem(-1, [])
 
 
+def parsed(n, rows, noise=False):
+    """The set system of a file of ``rows``; with ``noise`` a comment line sends
+    the body through the line loop instead of the bulk read."""
+    body = ["# noise"] * noise + [" ".join(map(str, row)) for row in rows]
+    return parse_instance("\n".join([f"setsystem {n} {len(rows)}", *body]) + "\n")[1]
+
+
 def test_family_is_stored_once_as_masks_over_the_union():
-    """The constructor and ``from_rows`` store the same masks and ids; the
-    frozensets come back from them."""
+    """The constructor and the parser keep the same frozensets; the one mask
+    builder numbers their union in order."""
     rows = [[999_999], [5, 999_998], [], [999_998, 5]]
-    assert SetSystem.from_rows(10 ** 6, rows) is None  # rows 1 and 3 are one set
-    assert SetSystem.from_rows(10 ** 6, [[5, 5]]) is None
-    assert SetSystem.from_rows(10 ** 6, [[10 ** 6]]) is None
-    built, read = SetSystem(10 ** 6, rows[:3]), SetSystem.from_rows(10 ** 6, rows[:3])
-    for sys in (built, read):
-        assert (sys.masks, sys.ids) == ([0b100, 0b011, 0], (5, 999_998, 999_999))
+    with pytest.raises(ValueError, match="^family sets must be pairwise distinct$"):
+        SetSystem(10 ** 6, rows)  # rows 1 and 3 are one set
+    with pytest.raises(ValueError, match="^element 1000000 outside universe$"):
+        SetSystem(10 ** 6, [[10 ** 6]])
+    for noise in (False, True):
+        with pytest.raises(ParseError, match="repeated element within a set"):
+            parsed(10 ** 6, [[5, 5]], noise)
+    for sys in (SetSystem(10 ** 6, rows[:3]), parsed(10 ** 6, rows[:3]),
+                parsed(10 ** 6, rows[:3], noise=True)):
         assert sys.family == ({999_999}, {5, 999_998}, frozenset())
+        assert _union_masks(sys.family) == ([0b100, 0b011, 0], [5, 999_998, 999_999])
 
 
-
-@pytest.mark.parametrize("length", [setsystem.WIDE_MASK, setsystem.WIDE_MASK + 1, 5000])
+@pytest.mark.parametrize("length", [1024, 1025, 5000])
 def test_long_rows_get_the_same_masks(length):
-    """Rows above ``WIDE_MASK`` get their masks another way; the masks, the
-    repeated-element check and the constructor's verdicts stay the same."""
-    row = list(range(0, 3 * length, 3))[::-1]
+    """Rows of thousands of elements get the masks of their ranks, through the
+    parser (bulk and line loop) and the constructor, and keep the parser's
+    repeated-element verdict and both duplicate verdicts."""
+    n, row = 3 * length, list(range(0, 3 * length, 3))[::-1]
     rows = [row, row[:-1], row[1:], row[::2], row[1::2], [row[0]], []]
     want = [sum(1 << e // 3 for e in r) for r in rows]
-    for sys in (SetSystem(3 * length, rows), SetSystem.from_rows(3 * length, rows)):
-        assert sys.masks == want and sys.ids == tuple(sorted(row))
-    assert SetSystem.from_rows(3 * length, [row + [row[-1]]]) is None
-    assert SetSystem.from_rows(3 * length, [row[1:] + [row[2]]]) is None
-    assert SetSystem.from_rows(3 * length, [row, list(reversed(row))]) is None
+    for sys in (SetSystem(n, rows), parsed(n, rows), parsed(n, rows, noise=True)):
+        assert _union_masks(sys.family) == (want, sorted(row))
+    for noise in (False, True):
+        for bad in (row + [row[-1]], row[1:] + [row[2]]):
+            with pytest.raises(ParseError, match="repeated element within a set"):
+                parsed(n, [bad], noise)
+        with pytest.raises(ParseError, match=rf"duplicate set \(same as line {2 + noise}\)"):
+            parsed(n, [row, row[::-1]], noise)
     with pytest.raises(ValueError, match="^family sets must be pairwise distinct$"):
-        SetSystem(3 * length, [row, list(reversed(row))])
+        SetSystem(n, [row, list(reversed(row))])
+
 
 def pinned_family(kind, *args):
     """Distinct masks: a seeded random set system (seed, universe, m), the

@@ -11,8 +11,6 @@ not, a count pass from that source builds a violating pair of paths.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
-from operator import is_not
 
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
@@ -85,29 +83,20 @@ def _pruned(d: Digraph) -> tuple[list[int], dict[int, list[int]]] | None:
                   for u in keep}
 
 
-def _digraph(d: Digraph, keep: list[int], arcs: list[tuple[int, int]], s: int, t: int
-             ) -> Digraph:
-    """The digraph on ``keep`` (ascending ids of ``d``) with ``arcs``, s and t in those ids,
-    built unchecked; it inherits d's kept topological order, if any, restricted to ``keep``,
-    which :func:`reduce_dag` shows is one of its own."""
-    n, newid = len(keep), {old: i for i, old in enumerate(keep)}
-    order = d._order and tuple(filter(partial(is_not, None), map(newid.get, d._order)))
-    return Digraph._derived(n, [newid[u] * n + newid[v] for u, v in arcs],
-                            newid[s], newid[t], order)
-
-
 def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
     """Delete vertices and arcs on no s-t path of the DAG ``d`` (s and t always survive).
 
     If s alone has no in-arc and t alone no out-arc (two C-level counts), walking back
     from any vertex ends at s and on at t, so in a DAG every vertex and arc lies on an
-    s-t path: ``d`` comes back, with the identity relabeling. Not exact if d has a cycle.
+    s-t path: ``d`` comes back, with the identity relabeling. Else the one builder of
+    derived digraphs, :meth:`Digraph._derived`, renumbers it. Not exact if d has a cycle.
     """
     if (pruned := _pruned(d)) is None:
         return d, VertexRelabeling(range(d.n))
     keep, out = pruned
-    return (_digraph(d, keep, [(u, v) for u in keep for v in out[u]], d.s, d.t),
-            VertexRelabeling(keep))
+    relab = VertexRelabeling(keep)
+    return Digraph._derived(relab, [(u, v) for u in keep for v in out[u]], d.s, d.t,
+                            d._order), relab
 
 
 def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
@@ -132,7 +121,8 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     comes before v, x comes before y.
 
     Returns (reduced, vertices_deleted); reduced is None when the graph collapsed
-    to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted.
+    to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted; else
+    its ``base`` comes from :meth:`Digraph._derived`, the one builder of derived digraphs.
     """
     pruned = _pruned(d)
     keep, out = pruned or (range(d.n), d.out_adj)
@@ -162,11 +152,12 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     kept = [v for v in live if least.get(v, v) == v]
     if pruned is None and len(kept) == d.n:
         return ReducedDag(d.n, VertexRelabeling(range(d.n)), lambda: d), 0
+    relab = VertexRelabeling(kept)
 
     def build() -> Digraph:
         arcs = [(a, b) for u in live for v in out[u] if v not in gone
                 if (a := least.get(u, u)) != (b := least.get(v, v))]
-        reduced = _digraph(d, kept, arcs, s, t)
+        reduced = Digraph._derived(relab, arcs, s, t, d._order)
         # each chain's least id, kept[i], is vertex i of the result: one arc in, one out
         bad = [x for i, x in enumerate(kept)
                if x in least and not len(reduced.in_adj[i]) == 1 == len(reduced.out_adj[i])]
@@ -174,7 +165,7 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
             raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
         return reduced
 
-    return ReducedDag(len(kept), VertexRelabeling(kept), build), d.n - len(kept)
+    return ReducedDag(len(kept), relab, build), d.n - len(kept)
 
 
 def count_paths(d: Digraph, cap: int | None = None) -> PathCount:

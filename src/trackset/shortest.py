@@ -31,8 +31,9 @@ def reduce_rule_1(g: Graph) -> tuple[LayeredGraph, VertexRelabeling] | None:
     After one BFS from s, an edge ab lies on a shortest s-t path iff b does and a
     sits one level below it, so a walk back from t over such level predecessors
     meets exactly the kept vertices and edges, each arc climbing one level. Returns
-    None when t is unreachable. The DAG keeps the old ids' order, and the walk's
-    order reversed, by ascending level, as its topological order."""
+    None when t is unreachable. :meth:`Digraph._derived`, the one builder of derived
+    digraphs, renumbers the DAG to the kept ids, ascending, and keeps the walk's order
+    reversed, by ascending level, as its topological order."""
     ds = bfs_distances(g, g.s)
     if ds[g.t] is None:
         return None
@@ -47,11 +48,8 @@ def reduce_rule_1(g: Graph) -> tuple[LayeredGraph, VertexRelabeling] | None:
                 if not seen[u]:
                     seen[u] = 1
                     walk.append(u)
-    keep = sorted(walk)
-    n, newid = len(keep), {old: i for i, old in enumerate(keep)}
-    base = Digraph._derived(n, [newid[u] * n + newid[v] for u, v in arcs], newid[g.s],
-                            newid[g.t], tuple(map(newid.__getitem__, reversed(walk))))
-    return LayeredGraph(base), VertexRelabeling(keep)
+    relab = VertexRelabeling(sorted(walk))
+    return LayeredGraph(Digraph._derived(relab, arcs, g.s, g.t, reversed(walk))), relab
 
 
 def enumerate_shortest_paths(lg: LayeredGraph, cap: int | None = None) -> list[tuple]:

@@ -274,7 +274,7 @@ def test_size_gate_builds_no_masks(tmp_path, capsys, monkeypatch, text, k, out):
         out.split("reason: ")[1].strip()
     inst = parse_instance(text)[1]
     assert setsystem.solve_set_system(inst, k).to_text() + "\n" == out
-    assert setsystem.solve_tracking_set(inst, k) == (None if code else frozenset())
+    assert setsystem.solve_set_system(inst, k).witness == (None if code else ())
 
 
 class TestCountVerify:
@@ -477,16 +477,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
     def test_rule_4_tally_fault_exits_4(self, tmp_path, flags):
-        # chains 1-2 and 3 collapse to 1 and 3; with the arcs dropped from the
-        # reduced digraph, the check after rule 4 (no assert, so -O keeps it) must fire
+        # chains 1-2 and 3 collapse to 1 and 3; with the arcs dropped by the one
+        # builder of derived digraphs, the check after rule 4 (no assert, so -O keeps
+        # it) must fire
         path = write(tmp_path, "d.dag", "dag 5 0 4\n0 1\n1 2\n2 4\n0 3\n3 4\n")
         script = ("import sys\n"
-                  "import trackset.dagtrack as dagtrack\n"
+                  "from trackset.graph import Digraph\n"
                   "from trackset.cli import main\n"
                   f"if sys.flags.optimize != {len(flags)}:\n"
                   "    sys.exit(99)\n"
-                  "real = dagtrack._digraph\n"
-                  "dagtrack._digraph = lambda d, keep, arcs, s, t: real(d, keep, [], s, t)\n"
+                  "real = Digraph._derived.__func__\n"
+                  "Digraph._derived = classmethod(\n"
+                  "    lambda cls, relab, arcs, s, t, order: real(cls, relab, [], s, t, order))\n"
                   f"sys.exit(main(['reduce', {path!r}]))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(trackset.__file__)))
         proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,

@@ -67,6 +67,7 @@ def test_graph_rejects_equal_endpoints():
 
 def test_relabeling_injective_and_map_set():
     outer = VertexRelabeling([3, 5, 7])
+    assert outer.index == {3: 0, 5: 1, 7: 2}
     assert outer.map_set([0, 2]) == {3, 7}
     assert outer.from_original([3, 4, 7]) == {0, 2}  # 4 was not kept
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from trackset import setsystem
 from trackset.cli import main
 from trackset.dagtrack import (_pair_through, _pruned, count_paths, path_masks, reduce_dag,
                                reduce_rule_2, solve_dag, violating_pair)
-from trackset.graph import Digraph, Graph, topological_order
+from trackset.graph import Digraph, Graph, VertexRelabeling, topological_order
 from trackset.instance_io import format_digraph, format_graph, format_setsystem
 from trackset.oracle import (brute_is_tracking, brute_min_tracking, enumerate_all_paths,
                              enumerate_shortest_paths)
@@ -237,13 +237,22 @@ def shape(d):
 @SETTINGS
 @given(st.one_of(any_dags(), graphs()), st.data())
 def test_unchecked_digraph_path_matches_checking_constructor(inst, data):
-    """Rules 1, 2 and 4 build their digraphs from a checked graph's pairs, as
-    keys u * n + v in any order, without the checks: the result must be the
-    digraph that the checking constructor builds from the same pairs."""
-    pairs = data.draw(st.permutations(inst.arcs if isinstance(inst, Digraph) else inst.edges))
-    keys = [u * inst.n + v for u, v in pairs]
-    built = Digraph._derived(inst.n, keys, inst.s, inst.t, None)
-    assert shape(built) == shape(Digraph(inst.n, pairs, inst.s, inst.t))
+    """Rules 1, 2 and 4 hand the one builder, Digraph._derived, the relabeling of the
+    ids they keep (s and t among them) and the arcs between those ids in the parent's
+    ids, in any order, without the checks: the result must be the digraph that the
+    checking constructor builds from the renumbered arcs, and it must keep the
+    parent's order restricted to the kept ids, renumbered."""
+    pairs = inst.arcs if isinstance(inst, Digraph) else inst.edges  # edges u < v: a DAG
+    kept = data.draw(st.sets(st.integers(0, inst.n - 1))) | {inst.s, inst.t}
+    keep = data.draw(st.permutations(sorted(kept)))
+    new = {old: i for i, old in enumerate(keep)}
+    arcs = data.draw(st.permutations([(u, v) for u, v in pairs if u in new and v in new]))
+    order = data.draw(st.sampled_from([None, topological_order(Digraph(inst.n, pairs,
+                                                                       inst.s, inst.t))]))
+    built = Digraph._derived(VertexRelabeling(keep), arcs, inst.s, inst.t, order)
+    fresh = Digraph(len(keep), [(new[u], new[v]) for u, v in arcs], new[inst.s], new[inst.t])
+    assert shape(built) == shape(fresh)
+    assert built._order == (order and tuple(new[v] for v in order if v in new))
 
 
 @st.composite

@@ -10,15 +10,13 @@ pass, so a broken environment cannot pass for killed mutants.
 
 Usage, from any directory (stdlib only; pytest does not collect this file):
 
-    python tests/mutants.py [--seed N] [TEXT ...]
+    python tests/mutants.py
 
-Only the mutants whose description contains one of the TEXTs run, if any are
-given. The exit code is 1 if a mutant survives, else 0.
+The exit code is 1 if a mutant survives, else 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -51,54 +49,51 @@ MUTANTS = [
      "rule 1's DAG inherits its walk from t, by descending level, as its order"),
 ]
 
+SEED = 1  # Hypothesis seed of every tier-1 run
+TIMEOUT = 900  # seconds per tier-1 run; a hang fails tier-1 as well
+
 IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__",
                                 "*.egg-info", "build")
 
 
-def tier_1_fails(tree: str, seed: int, timeout: int) -> bool:
+def tier_1_fails(tree: str) -> bool:
     # no run replays the examples that an earlier mutant's run saved
     shutil.rmtree(os.path.join(tree, ".hypothesis"), ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           f"--hypothesis-seed={seed}"]
+           f"--hypothesis-seed={SEED}"]
     try:
         return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout).returncode != 0
-    except subprocess.TimeoutExpired:  # a hang fails tier-1 as well
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode != 0
+    except subprocess.TimeoutExpired:
         return True
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=1, help="Hypothesis seed (default 1)")
-    ap.add_argument("--timeout", type=int, default=900, help="seconds per tier-1 run")
-    ap.add_argument("match", nargs="*", help="run only mutants whose description has one")
-    args = ap.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.match or any(x in m[3] for x in args.match)]
-    for file, old, _, what in chosen:
+def main() -> int:
+    for file, old, _, what in MUTANTS:
         with open(os.path.join(ROOT, file)) as f:
             if (count := f.read().count(old)) != 1:
                 sys.exit(f"{file}: the old text of {what!r} occurs {count} times, not once")
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, tree, ignore=IGNORE)
-        if tier_1_fails(tree, args.seed, args.timeout):
+        if tier_1_fails(tree):
             sys.exit("tier-1 fails on the unchanged copy: no mutant was run")
         survivors = 0
-        for file, old, new, what in chosen:
+        for file, old, new, what in MUTANTS:
             path = os.path.join(tree, file)
             with open(path) as f:
                 text = f.read()
             with open(path, "w") as f:
                 f.write(text.replace(old, new))
             start = time.monotonic()
-            killed = tier_1_fails(tree, args.seed, args.timeout)
+            killed = tier_1_fails(tree)
             with open(path, "w") as f:
                 f.write(text)
             survivors += not killed
             print(f"{'killed' if killed else 'SURVIVED'}  {time.monotonic() - start:5.1f} s  "
                   f"{file}: {what}", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 

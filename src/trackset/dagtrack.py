@@ -11,11 +11,14 @@ not, a count pass from that source builds a violating pair of paths.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from operator import or_
 
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
-from .report import NO_PATH_REASON, SolveReport
-from .setsystem import solve_masks
+from .report import NO_PATH_REASON, SEARCH_EXHAUSTED, SolveReport
+from .setsystem import (from_mask, hitting_search, minimal_differences, solve_masks,
+                        to_mask, tracking_lower_bound)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only, so a cold start never imports them
@@ -119,6 +122,10 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     with an out-arc off the chain, while x, a member, comes at or before u in d's
     order; likewise y = v or y comes at or after v, the chain's first member. As u
     comes before v, x comes before y.
+
+    Rules 3 and 4 are special cases of the series-parallel recurrence of :func:`solve_dag`:
+    an s or t walk is a series split into single arcs, and a chain is a one-path part,
+    whose hit is its least id, the one rule 4 keeps. They stay, as ``reduce`` prints them.
 
     Returns (reduced, vertices_deleted); reduced is None when the graph collapsed
     to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted; else
@@ -272,15 +279,139 @@ def path_masks(d: Digraph) -> list[int]:
     return ends[d.t]
 
 
+def _least(a: int | None, b: int | None) -> int | None:
+    """The smaller of two vertex masks, then the lexicographically least (of two sets
+    of one size, the one holding the least id of their symmetric difference); None is none."""
+    if a is None or b is None:
+        return b if a is None else a
+    if (size := a.bit_count()) != b.bit_count():
+        return a if size < b.bit_count() else b
+    return a if (a ^ b) & -(a ^ b) & a else b
+
+
+def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int] | None:
+    """Solve the reduced DAG ``d`` by its series and parallel splits: (its lex-least
+    minimum tracking set as a vertex mask, or None if that needs more than k; the
+    candidates the core tested), or None if ``d`` is one rigid block.
+
+    A block is (s, t, its inner vertices in topological order, whether it has the arc
+    s-t). Its vertices and arcs lie on its s-t paths, so its counts are d's, f(v) over
+    f(s) and b(v) over b(t). tr is its least tracking set of inner vertices, and hit
+    the least that also meets every path (none with the arc s-t), "least" meaning the
+    smallest, then lexicographically least. An inner vertex with f(v) b(v) = p cuts a
+    block in series: tr is the union of the parts' tr, hit the best of that union plus
+    the least cut vertex and of one part's hit plus the other parts' tr. Else the weak
+    components of its inner vertices, and the arc s-t, split it in parallel: paths in
+    two parts meet the trackers alike only if both meet none, so hit is the union of the
+    parts' hit, tr the best of one part's tr plus the other parts' hit (with the arc
+    s-t, their hit alone). A one-path block has tr empty and hit its least inner id; the
+    core solves a rigid block on its paths' inner-vertex masks, plus the empty mask for
+    hit. The parts share only their ends, so for fixed part sizes the union of the
+    parts' least sets is the least union, and a least set takes one of the forms
+    compared. A set over k counts as none: every form holding it is over k. A series
+    part has no cut vertex and a parallel part is connected, so each tests the other
+    split alone. Blocks are split from an explicit stack and solved in reverse order,
+    so nesting is not bounded by the recursion limit."""
+    n, in_adj, out_adj = d.n, d.in_adj, d.out_adj
+    order = topological_order(d)
+    fwd, bwd, up = [0] * n, [0] * n, list(range(n))
+    for v in order:  # s alone has no in-arc and t alone no out-arc: their counts are 1
+        fwd[v] = sum(map(fwd.__getitem__, in_adj[v])) or 1
+    for v in reversed(order):
+        bwd[v] = sum(map(bwd.__getitem__, out_adj[v])) or 1
+
+    def root(x: int) -> int:  # union-find with path halving
+        while up[x] != x:
+            up[x] = x = up[up[x]]
+        return x
+
+    inner = [v for v in order if v != d.s and v != d.t]
+    stack = [(d.s, d.t, inner, d.t in out_adj[d.s], False, [], None)]
+    nodes, tried = [], 0  # pre-order: [tr, hit, split, parts, cut vertices or arc s-t, hit?]
+    while stack:
+        s, t, inner, direct, need_hit, siblings, only = stack.pop()
+        into_t = [v for v in inner if t in out_adj[v]]  # t's in-neighbours in it, s aside
+        # a block's counts are d's over fwd[s] and bwd[t]; q is its path count times both
+        q = (direct * fwd[s] + sum(map(fwd.__getitem__, into_t))) * bwd[t]
+        node = [0, None, None, [], direct, need_hit]
+        siblings.append(node)
+        nodes.append(node)
+        if q == fwd[s] * bwd[t]:  # one path
+            node[1] = 1 << min(inner) if inner else None
+            continue
+        if only != "parallel" and (
+                cuts := [i for i, v in enumerate(inner) if fwd[v] * bwd[v] == q]):
+            joints, at = [s, *(inner[i] for i in cuts), t], [-1, *cuts, len(inner)]
+            node[2], node[4] = "series", sum(1 << inner[i] for i in cuts)
+            stack += [(a, b, inner[at[j] + 1:at[j + 1]], b in out_adj[a], need_hit, node[3],
+                       "parallel") for j, (a, b) in enumerate(zip(joints, joints[1:]))]
+            continue
+        if only != "series":
+            for v in inner:
+                up[v] = v
+            for v in inner:
+                for w in out_adj[v]:
+                    if w != t:
+                        up[root(w)] = root(v)
+            comps: dict[int, list[int]] = {}
+            for v in inner:
+                comps.setdefault(root(v), []).append(v)
+            if len(comps) + direct > 1:
+                node[2] = "parallel"
+                stack += [(s, t, comp, False, True, node[3], "series")
+                          for comp in comps.values()]
+                continue
+        if len(nodes) == 1:  # d itself is rigid
+            return None
+        rank = VertexRelabeling(sorted(inner))  # the core's bits: inner ids, in order
+        ends = {s: [0]}
+        for v in inner:
+            ends[v] = [m | 1 << rank.index[v] for u in in_adj[v] for m in ends[u]]
+        masks = [m for u in into_t for m in ends[u]]
+        node[0], lower = None, 0
+        for i, family in enumerate([masks, masks + [0]] if need_hit else [masks]):
+            found, tested = hitting_search(minimal_differences(family), k,
+                                           lower=max(lower, tracking_lower_bound(len(family))))
+            tried += tested
+            if found is None:  # over k; a hit tracks too, so it is no smaller than tr
+                break
+            node[i], lower = to_mask(rank.map_set(from_mask(found))), found.bit_count()
+    for node in reversed(nodes):
+        tr, hit, split, parts, extra, need_hit = node
+        if split == "series":
+            trs = [part[0] for part in parts]
+            tr, hit = None if None in trs else reduce(or_, trs), None
+            if tr is not None and need_hit:
+                hit = tr | extra & -extra
+                for part_tr, part_hit, *_ in parts:
+                    if part_hit is not None:
+                        hit = _least(hit, tr & ~part_tr | part_hit)
+        elif split == "parallel":
+            hits = [part[1] for part in parts]
+            rest, missing = reduce(or_, filter(None, hits), 0), hits.count(None)
+            union = None if missing else rest
+            # the arc s-t meets no tracker, so then no part may leave a path unmet
+            tr, hit = (union, None) if extra else (None, union)
+            if not extra:
+                for part_tr, part_hit, *_ in parts:
+                    if part_tr is not None and missing == (part_hit is None):
+                        tr = _least(tr, rest & ~(part_hit or 0) | part_tr)
+        node[:2] = (None if x is None or x.bit_count() > k else x for x in (tr, hit))
+    return nodes[0][0], tried
+
+
 def solve_dag(d: Digraph, k: int) -> SolveReport:
     """Tracking set of size <= k for all s-t paths of a DAG, or NO.
 
     After reduction, more than 2^k paths (or n > 5 * 2^k, which implies it)
-    is an immediate NO. Otherwise :func:`trackset.setsystem.solve_masks`
-    decides on the paths as vertex bitmasks; as 2 <= p <= 2^k, neither of
-    its early answers fires. The witness is the minimum tracking set that
-    is lexicographically least among the reduced DAG's vertices, reported
-    in the input graph's vertex ids.
+    is an immediate NO. Then :func:`_series_parallel` splits the DAG in series
+    and in parallel and runs the decision core's search only on the rigid
+    blocks, which do not split; ``subsets_tried`` sums what it tested there, and
+    the witness gets the definition-level check of :func:`violating_pair`. A DAG
+    that is one rigid block goes to :func:`trackset.setsystem.solve_masks` as its
+    paths' vertex bitmasks; as 2 <= p <= 2^k, neither of its early answers fires.
+    The witness is the minimum tracking set that is lexicographically least among
+    the reduced DAG's vertices, reported in the input graph's vertex ids.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -304,10 +435,20 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
         return SolveReport("NO", paths=pc.value, paths_saturated=True,
                            reductions=deleted,
                            reason=f"more than 2^{k} paths need more than {k} trackers")
-    masks = path_masks(base)
-    if len(masks) != pc.value:
-        raise InternalError(f"{len(masks)} paths enumerated but {pc.value} counted")
-    report = solve_masks(masks, k)
+    if (split := _series_parallel(base, k)) is None:
+        masks = path_masks(base)
+        if len(masks) != pc.value:
+            raise InternalError(f"{len(masks)} paths enumerated but {pc.value} counted")
+        report = solve_masks(masks, k)
+    elif split[0] is None:
+        report = SolveReport("NO", paths=pc.value, subsets_tried=split[1],
+                             reason=SEARCH_EXHAUSTED.format(k))
+    else:
+        witness = from_mask(split[0])
+        if violating_pair(base, witness) is not None:
+            raise InternalError("series-parallel witness does not track the DAG")
+        report = SolveReport("YES", witness=tuple(sorted(witness)), paths=pc.value,
+                             subsets_tried=split[1])
     report.relabel(reduced.relabeling)
     report.reductions = deleted
     return report

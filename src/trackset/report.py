@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 NO_PATH_REASON = "no s-t path; zero paths are vacuously tracked"
+SEARCH_EXHAUSTED = "no tracking set of size <= {} (search exhausted)"
 
 
 class SolveReport:

@@ -15,7 +15,7 @@ from operator import or_, xor
 
 from .errors import InternalError
 from .graph import VertexRelabeling
-from .report import SolveReport
+from .report import SEARCH_EXHAUSTED, SolveReport
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only, so a cold start never imports them
@@ -280,29 +280,29 @@ def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
                                   lower=tracking_lower_bound(m))
     if found is None:
         return SolveReport("NO", paths=m, subsets_tried=tried,
-                           reason=f"no tracking set of size <= {k} (search exhausted)")
+                           reason=SEARCH_EXHAUSTED.format(k))
     if not tracks(masks, found):
         raise InternalError("hitting-set witness does not track the family")
     return SolveReport("YES", witness=tuple(sorted(from_mask(found))), paths=m,
                        subsets_tried=tried)
 
 
-def _union_masks(family: Sequence[frozenset[int]]) -> tuple[list[int], list[int]]:
+def _union_masks(family: Sequence[frozenset[int]]) -> tuple[list[int], VertexRelabeling]:
     """Bitmasks of the sets over the family's union, whose ids are renumbered
-    in order, and ``ids``: bit r stands for ``ids[r]``. Each mask is read from
-    one string of base-2 digits, highest rank first, so the time and memory
-    are linear in the masks, however large the ids.
+    in order, and the relabeling of the union: bit r stands for ``to_original[r]``,
+    and its ``index`` is each id's rank. Each mask is read from one string of
+    base-2 digits, highest rank first, so the time and memory are linear in the
+    masks, however large the ids.
     """
-    ids = sorted(frozenset().union(*family))
-    rank = dict(zip(ids, range(len(ids))))
-    masks, zero = [], bytearray(b"0")
+    relab = VertexRelabeling(sorted(frozenset().union(*family)))
+    rank, masks, zero = relab.index, [], bytearray(b"0")
     for s in family:
         top = rank[max(s)] if s else 0
         digits = zero * (top + 1)
         for e in s:
             digits[top - rank[e]] = 49  # b"1"
         masks.append(int(digits, 2))
-    return masks, ids
+    return masks, relab
 
 
 def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
@@ -314,9 +314,9 @@ def solve_set_system(sys: SetSystem, k: int) -> SolveReport:
     the order, so the search expands the same nodes and finds the same witness."""
     if (report := _decided_by_size(len(sys.family), k)) is not None:
         return report
-    masks, ids = _union_masks(sys.family)
+    masks, relab = _union_masks(sys.family)
     report = solve_masks(masks, k)
-    report.relabel(VertexRelabeling(ids))
+    report.relabel(relab)
     return report
 
 

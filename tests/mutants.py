@@ -47,6 +47,38 @@ MUTANTS = [
      "Digraph._derived(relab, arcs, g.s, g.t, reversed(walk))",
      "Digraph._derived(relab, arcs, g.s, g.t, walk)",
      "rule 1's DAG inherits its walk from t, by descending level, as its order"),
+    ("src/trackset/dagtrack.py",
+     "reduce(or_, trs)",
+     "reduce(or_, trs[:-1], 0)",
+     "a series block's tr leaves out its last part's tr"),
+    ("src/trackset/dagtrack.py",
+     "hit = tr | extra & -extra",
+     "hit = tr | 1 << extra.bit_length() - 1",
+     "a series block's hit through a cut vertex takes the greatest one, not the least"),
+    ("src/trackset/dagtrack.py",
+     "hit = _least(hit, tr & ~part_tr | part_hit)",
+     "hit = _least(hit, part_hit)",
+     "a series block's hit through one part's hit drops the other parts' tr"),
+    ("src/trackset/dagtrack.py",
+     "tr = _least(tr, rest & ~(part_hit or 0) | part_tr)",
+     "tr = _least(tr, rest | part_tr)",
+     "a parallel block's tr lets no part miss a path"),
+    ("src/trackset/dagtrack.py",
+     "tr, hit = (union, None) if extra else (None, union)",
+     "tr, hit = (union, None) if extra else (None, None)",
+     "a parallel block has no hit"),
+    ("src/trackset/dagtrack.py",
+     "if not extra:",
+     "if True:",
+     "a parallel block with the arc s-t still lets one part miss a path"),
+    ("src/trackset/dagtrack.py",
+     "[masks, masks + [0]]",
+     "[masks, masks]",
+     "a rigid block's hit is its tr: the empty mask is not added"),
+    ("src/trackset/dagtrack.py",
+     "if len(nodes) == 1:",
+     "if False:",
+     "a DAG that is one rigid block goes through the split, not the unsplit route"),
 ]
 
 SEED = 1  # Hypothesis seed of every tier-1 run

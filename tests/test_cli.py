@@ -30,6 +30,8 @@ NO_PATH = "graph 4 0 3\n0 1\n2 3\n"
 STAR_EDGES = "".join(f"0 {m}\n{m} 6\n" for m in range(1, 6))
 STAR, STAR_DAG = "graph 7 0 6\n" + STAR_EDGES, "dag 7 0 6\n" + STAR_EDGES
 SINGLETONS = "setsystem 5 5\n0\n1\n2\n3\n4\n"
+# paths 0-1-3, 0-2-3 and 0-1-2-3: no cut vertex, one component, so one rigid block
+RIGID_DAG = "dag 4 0 3\n0 1\n0 2\n1 2\n1 3\n2 3\n"
 # s = 2, t = 3: shortest paths 2-0-1-3 and 2-4-1-3; rule 1 deletes 5-8
 RULE_1_PIN = "graph 9 2 3\n" + "".join(f"{e}\n" for e in (
     "0 1", "0 2", "0 5", "0 6", "1 3", "1 4", "1 6", "2 4", "2 5", "4 5", "4 6", "4 7",
@@ -126,7 +128,7 @@ class TestSolve:
     @pytest.mark.parametrize("k,code,rest", [
         ("0", 1, "paths: 2+\nreductions: 5\nsubsets_tried: 0\n"
                  "reason: more than 2^0 paths need more than 0 trackers\n"),
-        ("1", 0, "witness: 0\nsize: 1\npaths: 2\nreductions: 5\nsubsets_tried: 2\n"),
+        ("1", 0, "witness: 0\nsize: 1\npaths: 2\nreductions: 5\nsubsets_tried: 0\n"),
     ], ids=["no", "yes"])
     def test_graph_oracle_lists_paths_without_rule_1(self, tmp_path, capsys, k, code, rest):
         # the oracle's family comes from its own BFS and DFS on the raw graph,
@@ -433,12 +435,15 @@ class TestGen:
 class TestExitCodes:
     @pytest.mark.parametrize("text,mode", [
         (DIAMOND_DAG, "dag"), (FIVE_SETS, "setsystem"),
-        (DIAMOND, "shortest"), (DIAMOND, "setsystem"),
-    ], ids=["dag", "setsystem", "shortest", "graph-setsystem"])
+        (DIAMOND, "shortest"), (DIAMOND, "setsystem"), (RIGID_DAG, "dag"),
+    ], ids=["dag", "setsystem", "shortest", "graph-setsystem", "rigid-dag"])
     def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch, text, mode):
-        # the search hands back the empty set, which tracks none of the instances
+        # the search hands back the empty set, which tracks none of the instances; the
+        # diamond's DAG splits in parallel and searches nothing, so there the mask of
+        # the split's witness reads as the empty set
         monkeypatch.setattr("trackset.setsystem.hitting_search",
                             lambda sets, k, lower=0: (0, 1))
+        monkeypatch.setattr("trackset.dagtrack.from_mask", lambda mask: frozenset())
         path = write(tmp_path, "x.txt", text)
         code, out, err = run(capsys, "solve", path, "--k", "3", "--mode", mode)
         assert code == 4 and out == ""
@@ -580,18 +585,24 @@ class TestCollectorPause:
     (STAR, "shortest"), (STAR_DAG, "dag"), (SINGLETONS, "setsystem"), (STAR, "setsystem"),
 ], ids=["shortest", "dag", "setsystem", "graph-setsystem"])
 def test_one_witness_check_per_searched_yes(tmp_path, capsys, monkeypatch, text, mode):
+    """Each YES gets one definition-level check of its witness: the decision core's
+    ``tracks`` on the set-system routes, and ``violating_pair`` on the star's DAG,
+    which splits into five one-path parts and so searches nothing."""
+    import trackset.dagtrack as dagtrack
     import trackset.setsystem as setsystem
     checks = []
-    real = setsystem.tracks
-    monkeypatch.setattr(setsystem, "tracks",
-                        lambda family, trackers: checks.append(trackers) or
-                        real(family, trackers))
+    for module, name in ((setsystem, "tracks"), (dagtrack, "violating_pair")):
+        monkeypatch.setattr(module, name, lambda family, trackers, name=name,
+                            real=getattr(module, name): checks.append(name) or
+                            real(family, trackers))
     path = write(tmp_path, "x.txt", text)
-    # k=4: YES after the search; k=3: NO after it; k=1: NO at a gate
-    for k, code, searched, checked in [(4, 0, True, 1), (3, 1, True, 0), (1, 1, False, 0)]:
+    split, check = (True, "violating_pair") if mode != "setsystem" else (False, "tracks")
+    # k=4: YES after the search or split; k=3: NO after it; k=1: NO at a gate
+    for k, code, searched, checked in [(4, 0, not split, [check]), (3, 1, not split, []),
+                                       (1, 1, False, [])]:
         checks.clear()
         got, out, _ = run(capsys, "solve", path, "--k", str(k), "--mode", mode)
-        assert (got, "subsets_tried: 0\n" not in out, len(checks)) == \
+        assert (got, "subsets_tried: 0\n" not in out, checks) == \
             (code, searched, checked), k
 
 

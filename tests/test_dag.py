@@ -1,11 +1,16 @@
 import random
+import sys
+import time
+from itertools import combinations
+from unittest import mock
 
 import pytest
 
 from trackset.dagtrack import (count_paths, reduce_dag, reduce_rule_2, solve_dag,
                                violating_pair)
-from trackset.graph import Digraph
-from trackset.generate import random_dag
+from trackset.graph import Digraph, Graph
+from trackset.generate import random_dag, random_layered_graph
+from trackset.shortest import reduce_rule_1, solve_shortest_paths
 from trackset.oracle import brute_is_tracking, brute_min_tracking, enumerate_all_paths
 
 from conftest import diamond_dag, serial_diamond_dag
@@ -259,3 +264,117 @@ def test_solve_dag_clamps_k_before_the_path_gate(monkeypatch):
     rep = solve_dag(diamond_dag(), 100000)
     assert rep.result == "YES" and rep.witness == (1,)
     assert caps == [2 ** 4]
+
+
+# paths 0-1-3, 0-2-3 and 0-1-2-3: no cut vertex and one component, so one rigid block
+RIGID = Digraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], 0, 3)
+
+
+def catalog_graph(seed):
+    """A layered graph of the benchmark's catalog, drawn as the catalog draws it."""
+    rng = random.Random(seed)
+    layers, width = rng.randint(3, 6), rng.randint(2, 4)
+    return random_layered_graph(rng, layers, width)
+
+
+def in_series(graphs):
+    """The graphs glued t to s, in order, and each one's id map: a graph's ids other
+    than its s follow, in order, all ids of the graphs before it."""
+    edges, maps, n, t = [], [], 0, None
+    for g in graphs:
+        new = {} if t is None else {g.s: t}
+        for v in range(g.n):
+            if v not in new:
+                new[v], n = n, n + 1
+        edges += [(new[u], new[v]) for u, v in g.edges]
+        maps.append(new)
+        t = new[g.t]
+    return Graph(n, edges, maps[0][graphs[0].s], t), maps
+
+
+def least_tracking_set(d):
+    """The first tracking set of the DAG's s-t paths in combinations order."""
+    paths = enumerate_all_paths(d)
+    return next(combo for size in range(d.n + 1) for combo in combinations(range(d.n), size)
+                if brute_is_tracking(paths, combo))
+
+
+# (arcs, t, the least tracking set) of DAGs from s = 0 in which one branch of the
+# series-parallel recurrence decides the witness; each has a one-path part 0-x-t
+# in parallel with a part whose hit the recurrence must get right
+RECURRENCE_CASES = {
+    # part 0-1-{2,3}-4-6 cut at 1 and 4: its hit is {2} plus the least cut vertex, 1
+    "series hit, least cut": ([(0, 1), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4), (4, 6),
+                               (5, 6)], 6, (1, 2)),
+    # two diamonds cut at 3: {1, 2}, the first one's hit, plus {4}, the second one's tr
+    "series hit, a part's hit": ([(0, 1), (0, 2), (0, 6), (1, 3), (2, 3), (3, 4), (3, 5),
+                                  (4, 7), (5, 7), (6, 7)], 7, (1, 2, 4)),
+    # part 0-3-{1,2}-5 cut at 3: its hit is the hit {1, 2} of the parallel part 3-{1,2}-5
+    "parallel hit": ([(0, 3), (0, 4), (1, 5), (2, 5), (3, 1), (3, 2), (4, 5)], 5, (1, 2)),
+    # three one-path parts: one of them may miss every path, the largest
+    "parallel tr": ([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], 4, (1, 2)),
+    # the arc 0-3 misses every tracker, so both other parts must meet their paths
+    "arc s-t": ([(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)], 3, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("arcs,t,least", RECURRENCE_CASES.values(), ids=RECURRENCE_CASES)
+def test_recurrence_branches_pick_the_least_set(arcs, t, least):
+    d = Digraph(t + 1, arcs, 0, t)
+    assert least_tracking_set(d) == least
+    assert solve_dag(d, d.n).witness == least
+    assert solve_dag(d, len(least) - 1).result == "NO"
+
+
+class TestSeriesParallel:
+    def test_rigid_dag_takes_the_eager_route(self, monkeypatch):
+        """A reduced DAG that is one rigid block hands all its path masks to
+        ``solve_masks``, as before the split; one that splits calls neither."""
+        import trackset.dagtrack as dagtrack
+        calls = []
+        for name in ("path_masks", "solve_masks"):
+            monkeypatch.setattr(dagtrack, name, lambda *a, name=name, real=getattr(
+                dagtrack, name): calls.append(name) or real(*a))
+        for d, k, eager in ((RIGID, 2, True), (diamond_dag(), 1, False),
+                            (serial_diamond_dag(2, widths=[2, 3]), 3, False)):
+            calls.clear()
+            rep = solve_dag(d, k)
+            assert rep.result == "YES"
+            assert calls == (["path_masks", "solve_masks"] if eager else []), d
+
+    def test_budget_on_serial_diamonds_and_catalog_graphs_in_series(self, monkeypatch):
+        """Scaling smoke in the style of criterion 9. 40 serial diamonds (2^40 paths)
+        need no search, and catalog graphs 0, 1 and 2 in series (24 * 12 * 15 paths,
+        minima 5, 5 and 6 from the brute-force oracle) search only their rigid blocks:
+        each solve at the minimum and one below takes well under the 2 s budget here,
+        where the unsplit route took seconds on the second and cannot list the first's
+        paths. The witness of a series is the union of its parts' witnesses."""
+        parts = [catalog_graph(seed) for seed in (0, 1, 3)]
+        g, maps = in_series(parts)
+        assert [count_paths(reduce_rule_1(p)[0].base).value for p in parts] == [24, 12, 15]
+        want = sorted(m[v] for m, p, k in zip(maps, parts, (5, 5, 6))
+                      for v in solve_shortest_paths(p, k).witness)
+        monkeypatch.setattr("trackset.dagtrack.path_masks", mock.Mock(
+            side_effect=AssertionError("a split DAG listed its paths")))
+        for solve, inst, minimum, witness in (
+                (solve_dag, serial_diamond_dag(40), 40, list(range(1, 120, 3))),
+                (solve_shortest_paths, g, 16, want)):
+            for k in (minimum, minimum - 1):
+                start = time.perf_counter()
+                rep = solve(inst, k)
+                elapsed = time.perf_counter() - start
+                assert elapsed < 2.0, (inst, k, elapsed)
+                assert (rep.result, rep.witness) == (("YES", tuple(witness)) if k == minimum
+                                                     else ("NO", None)), (inst, k)
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        """Vertex i + 1 has arcs to i and to t = 0, and vertex 1 to t: each vertex
+        opens a parallel split over a series one, so the splits nest 2L deep. The
+        L + 1 paths are nested, and only all L inner vertices tell them apart."""
+        levels = sys.getrecursionlimit() + 1
+        d = Digraph(levels + 2, [(1, 0)] + [(i + 1, j) for i in range(1, levels + 1)
+                                            for j in (0, i)], levels + 1, 0)
+        rep = solve_dag(d, levels)
+        assert (rep.result, rep.witness, rep.paths) == \
+            ("YES", tuple(range(1, levels + 1)), levels + 1)
+        assert solve_dag(d, levels - 1).result == "NO"

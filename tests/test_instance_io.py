@@ -200,8 +200,8 @@ def _set_outcome(text, bulk=True):
         except ParseError as exc:
             return "error", exc.line_no, str(exc).split(": ", 1)[1]
     assert kind == "setsystem"
-    masks, ids = _union_masks(inst.family)
-    return "ok", inst.universe_size, masks, tuple(ids), inst.family
+    masks, relab = _union_masks(inst.family)
+    return "ok", inst.universe_size, masks, relab.to_original, inst.family
 
 
 def _bulk_reads(text):
@@ -304,8 +304,8 @@ def test_sparse_set_ids_give_narrow_masks():
     for text in ("\n".join([f"setsystem {MAX_IDS} {m}", *rows]) + "\n",
                  "\n".join([f"setsystem {MAX_IDS} {m}", "# noise", *rows]) + "\n"):
         _, inst = parse_instance(text)
-        masks, union = _union_masks(inst.family)
-        assert union == ids
+        masks, relab = _union_masks(inst.family)
+        assert relab.to_original == tuple(ids)
         assert all(mask.bit_length() <= len(ids) for mask in masks)
         assert inst.family[0] == {ids[0], ids[1]} and inst.family[-1] == {ids[-1], ids[0]}
 
@@ -328,5 +328,6 @@ def test_wide_union_parses_in_linear_memory():
                 tracemalloc.stop()
             assert peak < 64 * 2 ** 20
             assert inst.family == tuple(frozenset(map(int, row.split())) for row in rows)
-    masks, ids = _union_masks(parse_instance(f"setsystem {u} 3\n" + "\n".join(wide))[1].family)
-    assert masks == [(1 << u) - 1, int("01" * (u // 2), 2), 1 << 7] and ids == list(range(u))
+    masks, relab = _union_masks(parse_instance(f"setsystem {u} 3\n" + "\n".join(wide))[1].family)
+    assert masks == [(1 << u) - 1, int("01" * (u // 2), 2), 1 << 7]
+    assert relab.to_original == tuple(range(u))

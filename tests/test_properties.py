@@ -80,10 +80,10 @@ def dags(draw):
 
 
 @st.composite
-def spanning_dags(draw):
-    """DAGs on 2-14 vertices whose s and t come first and last in a random
+def spanning_dags(draw, max_n=14):
+    """DAGs on 2-``max_n`` vertices whose s and t come first and last in a random
     topological order, so that rule 2 leaves more of them."""
-    n = draw(st.integers(2, 14))
+    n = draw(st.integers(2, max_n))
     order = draw(st.permutations(range(n)))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -98,9 +98,9 @@ def any_dags():
 
 
 @st.composite
-def graphs(draw):
-    """Graphs on at most 10 vertices."""
-    n = draw(st.integers(2, 10))
+def graphs(draw, max_n=10):
+    """Graphs on at most ``max_n`` vertices."""
+    n = draw(st.integers(2, max_n))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
@@ -128,6 +128,58 @@ def set_systems(draw):
 def test_dag_route_matches_brute_force(d):
     def solve(k):
         rep = solve_dag(d, k)
+        return rep.result == "YES", rep.witness
+
+    check_route(enumerate_all_paths(d), d.n, solve)
+
+
+@st.composite
+def compositions(draw):
+    """2-4 pieces, each a random DAG, a graph's shortest-path DAG or the smallest
+    rigid DAG, nested in series and in parallel at random, with the arc s-t added
+    at some parallel steps, then with their ids shuffled; at most 15 vertices."""
+    pieces = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["dag", "graph", "rigid"]))
+        if kind == "dag":
+            d = draw(spanning_dags(max_n=6))
+        elif kind == "graph":
+            assume((pruned := reduce_rule_1(draw(graphs(max_n=7)))) is not None)
+            d = pruned[0].base
+        else:  # paths 0-1-3, 0-2-3 and 0-1-2-3: no cut vertex, no parallel part
+            d = Digraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], 0, 3)
+        pieces.append((d.n, set(d.arcs), d.s, d.t))
+    while len(pieces) > 1:
+        a = pieces.pop(draw(st.integers(0, len(pieces) - 1)))
+        b = pieces.pop(draw(st.integers(0, len(pieces) - 1)))
+        (na, arcs_a, sa, ta), (nb, arcs_b, sb, tb) = a, b
+        series = draw(st.booleans())
+        ends = {sb: ta} if series else {sb: sa, tb: ta}
+        rest = [v for v in range(nb) if v not in ends]
+        new = {**ends, **{v: na + i for i, v in enumerate(rest)}}
+        arcs = arcs_a | {(new[u], new[v]) for u, v in arcs_b}
+        if not series and draw(st.booleans()):
+            arcs.add((sa, ta))
+        pieces.append((na + nb - len(ends), arcs, sa, new[tb] if series else ta))
+    n, arcs, s, t = pieces[0]
+    assume(n <= 15)
+    perm = draw(st.permutations(range(n)))
+    return Digraph(n, [(perm[u], perm[v]) for u, v in arcs], perm[s], perm[t])
+
+
+@SETTINGS
+@given(compositions())
+@example(Digraph(7, [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4), (2, 5), (4, 6), (5, 6), (0, 6)],
+                 0, 6))
+def test_series_parallel_compositions_match_brute_force(d):
+    """The split route decides and picks the witness as brute force does, and prints
+    what the route with the split patched off prints, but for ``subsets_tried``."""
+    def solve(k):
+        rep = solve_dag(d, k)
+        with mock.patch("trackset.dagtrack._series_parallel", return_value=None):
+            eager = solve_dag(d, k)
+        assert [line for line in rep.to_text().splitlines() if "subsets_tried" not in line] \
+            == [line for line in eager.to_text().splitlines() if "subsets_tried" not in line]
         return rep.result == "YES", rep.witness
 
     check_route(enumerate_all_paths(d), d.n, solve)

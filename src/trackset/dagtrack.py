@@ -1,11 +1,12 @@
 """Tracking all s-t paths in a DAG.
 
 Pipeline: prune to the fixpoint of three reduction rules, gate on path
-count lower bounds, then turn the s-t paths into vertex bitmasks for the
-decision core :func:`trackset.setsystem.solve_masks`. For a candidate set,
-the tracking condition gives an equivalent check, one DFS per tracker and
-s: what each reaches through non-trackers must be an out-tree. Where it is
-not, a count pass from that source builds a violating pair of paths.
+count lower bounds, split in series and in parallel, and hand each rigid
+block's paths as vertex bitmasks to :func:`trackset.setsystem.tracking_search`.
+For a candidate set, the tracking condition gives an equivalent check, one
+DFS per tracker and s: what each reaches through non-trackers must be an
+out-tree. Where it is not, a count pass from that source builds a violating
+pair of paths.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from operator import or_
 from .errors import InternalError
 from .graph import Digraph, VertexRelabeling, topological_order
 from .report import NO_PATH_REASON, SEARCH_EXHAUSTED, SolveReport
-from .setsystem import (from_mask, hitting_search, minimal_differences, solve_masks,
-                        to_mask, tracking_lower_bound)
+from .setsystem import from_mask, to_mask, tracking_search
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only, so a cold start never imports them
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterable, Mapping, Sequence
 
 
 class ReducedDag:
@@ -266,17 +266,17 @@ def _pair_through(d: Digraph, counts: list[int], trackers: frozenset[int],
                  for w in branch[:2])
 
 
-def path_masks(d: Digraph) -> list[int]:
-    """All s-t paths of the DAG ``d`` as vertex bitmasks, in no set order: one
-    sweep of the topological order hands each vertex's s-path masks on to its
-    out-neighbours, each with that neighbour's bit added."""
-    ends: list[list[int]] = [[] for _ in range(d.n)]
-    ends[d.s].append(1 << d.s)
-    for u in topological_order(d):
-        if masks := ends[u]:
-            for w in d.out_adj[u]:
-                ends[w] += map((1 << w).__or__, masks)
-    return ends[d.t]
+def path_masks(d: Digraph, s: int, inner: Sequence[int], last: Iterable[int],
+               bit: Sequence[int] | Mapping[int, int]) -> list[int]:
+    """The paths of the DAG ``d`` from s through ``inner``, a topological order holding
+    every in-neighbour but s of its members, to a vertex of ``last`` (in ``inner`` + s),
+    each as the mask with bit ``bit[v]`` for each of its vertices v in ``inner``: for a
+    block from s to t and ``last`` its in-neighbours of t, its s-t paths but s and t."""
+    ends = {s: [0]}
+    for v in inner:
+        b = 1 << bit[v]
+        ends[v] = [m | b for u in d.in_adj[v] for m in ends[u]]
+    return [m for u in last for m in ends[u]]
 
 
 def _least(a: int | None, b: int | None) -> int | None:
@@ -289,10 +289,10 @@ def _least(a: int | None, b: int | None) -> int | None:
     return a if (a ^ b) & -(a ^ b) & a else b
 
 
-def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int] | None:
+def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
     """Solve the reduced DAG ``d`` by its series and parallel splits: (its lex-least
     minimum tracking set as a vertex mask, or None if that needs more than k; the
-    candidates the core tested), or None if ``d`` is one rigid block.
+    candidates the core tested).
 
     A block is (s, t, its inner vertices in topological order, whether it has the arc
     s-t). Its vertices and arcs lie on its s-t paths, so its counts are d's, f(v) over
@@ -305,8 +305,9 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int] | None:
     two parts meet the trackers alike only if both meet none, so hit is the union of the
     parts' hit, tr the best of one part's tr plus the other parts' hit (with the arc
     s-t, their hit alone). A one-path block has tr empty and hit its least inner id; the
-    core solves a rigid block on its paths' inner-vertex masks, plus the empty mask for
-    hit. The parts share only their ends, so for fixed part sizes the union of the
+    core solves a rigid block, ``d`` itself included, on its paths' inner-vertex masks
+    from :func:`path_masks`, which must number p over f(s) b(t), plus the empty mask
+    for hit. The parts share only their ends, so for fixed part sizes the union of the
     parts' least sets is the least union, and a least set takes one of the forms
     compared. A set over k counts as none: every form holding it is over k. A series
     part has no cut vertex and a parallel part is connected, so each tests the other
@@ -361,17 +362,13 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int] | None:
                 stack += [(s, t, comp, False, True, node[3], "series")
                           for comp in comps.values()]
                 continue
-        if len(nodes) == 1:  # d itself is rigid
-            return None
         rank = VertexRelabeling(sorted(inner))  # the core's bits: inner ids, in order
-        ends = {s: [0]}
-        for v in inner:
-            ends[v] = [m | 1 << rank.index[v] for u in in_adj[v] for m in ends[u]]
-        masks = [m for u in into_t for m in ends[u]]
+        masks = path_masks(d, s, inner, into_t, rank.index)
+        if len(masks) != (p := q // (fwd[s] * bwd[t])):
+            raise InternalError(f"{len(masks)} paths listed but {p} counted from {s} to {t}")
         node[0], lower = None, 0
         for i, family in enumerate([masks, masks + [0]] if need_hit else [masks]):
-            found, tested = hitting_search(minimal_differences(family), k,
-                                           lower=max(lower, tracking_lower_bound(len(family))))
+            found, tested = tracking_search(family, k, lower)
             tried += tested
             if found is None:  # over k; a hit tracks too, so it is no smaller than tr
                 break
@@ -407,9 +404,7 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
     is an immediate NO. Then :func:`_series_parallel` splits the DAG in series
     and in parallel and runs the decision core's search only on the rigid
     blocks, which do not split; ``subsets_tried`` sums what it tested there, and
-    the witness gets the definition-level check of :func:`violating_pair`. A DAG
-    that is one rigid block goes to :func:`trackset.setsystem.solve_masks` as its
-    paths' vertex bitmasks; as 2 <= p <= 2^k, neither of its early answers fires.
+    the witness gets the definition-level check of :func:`violating_pair`.
     The witness is the minimum tracking set that is lexicographically least among
     the reduced DAG's vertices, reported in the input graph's vertex ids.
     """
@@ -435,20 +430,16 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
         return SolveReport("NO", paths=pc.value, paths_saturated=True,
                            reductions=deleted,
                            reason=f"more than 2^{k} paths need more than {k} trackers")
-    if (split := _series_parallel(base, k)) is None:
-        masks = path_masks(base)
-        if len(masks) != pc.value:
-            raise InternalError(f"{len(masks)} paths enumerated but {pc.value} counted")
-        report = solve_masks(masks, k)
-    elif split[0] is None:
-        report = SolveReport("NO", paths=pc.value, subsets_tried=split[1],
+    found, tried = _series_parallel(base, k)
+    if found is None:
+        report = SolveReport("NO", paths=pc.value, subsets_tried=tried,
                              reason=SEARCH_EXHAUSTED.format(k))
     else:
-        witness = from_mask(split[0])
+        witness = from_mask(found)
         if violating_pair(base, witness) is not None:
             raise InternalError("series-parallel witness does not track the DAG")
         report = SolveReport("YES", witness=tuple(sorted(witness)), paths=pc.value,
-                             subsets_tried=split[1])
+                             subsets_tried=tried)
     report.relabel(reduced.relabeling)
     report.reductions = deleted
     return report

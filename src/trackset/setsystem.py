@@ -3,8 +3,8 @@
 A tracking set T for a family of sets has a distinct intersection with
 every set in the family. The solve route goes through hitting set: the
 pairwise symmetric differences of the family must all be hit by T, and
-hitting them is equivalent to tracking the family. Every mode's family
-ends in :func:`solve_masks`, as vertex or element bitmasks.
+hitting them is equivalent to tracking the family. Every mode's families
+reach that search through :func:`tracking_search`, as bitmasks.
 """
 
 from __future__ import annotations
@@ -249,6 +249,14 @@ def solve_hitting(h: HittingInstance, k: int) -> frozenset[int] | None:
     return witness
 
 
+def tracking_search(masks: Sequence[int], k: int, lower: int = 0) -> tuple[int | None, int]:
+    """Minimum tracking set of size <= k of distinct bitmask sets, or None, and the
+    candidates tested: :func:`hitting_search` on their minimal differences, from the
+    larger of ``lower`` and ceil(lg m). The one entry to the decision core's search."""
+    return hitting_search(minimal_differences(masks), k,
+                          lower=max(lower, tracking_lower_bound(len(masks))))
+
+
 def _decided_by_size(m: int, k: int) -> SolveReport | None:
     """The answer when the family's size m decides it, else None: a family of
     at most one set is tracked by the empty set, and the ceil(lg m) lower
@@ -268,16 +276,14 @@ def _decided_by_size(m: int, k: int) -> SolveReport | None:
 def solve_masks(masks: Sequence[int], k: int) -> SolveReport:
     """Minimum tracking set of size <= k for distinct bitmask sets, or NO.
 
-    The decision core every solve route feeds. After the size gate of
-    :func:`_decided_by_size`, the hitting-set search over the minimal
-    symmetric differences decides. The witness, minimum and then lexicographically
-    least, gets the one definition-level check of any route. ``paths`` reports m.
+    A wrapper of :func:`tracking_search` for a whole family: after the size gate
+    of :func:`_decided_by_size` the search decides, and the witness, minimum and
+    then lexicographically least, gets a definition-level check. ``paths`` reports m.
     """
     m = len(masks)
     if (report := _decided_by_size(m, k)) is not None:
         return report
-    found, tried = hitting_search(minimal_differences(masks), k,
-                                  lower=tracking_lower_bound(m))
+    found, tried = tracking_search(masks, k)
     if found is None:
         return SolveReport("NO", paths=m, subsets_tried=tried,
                            reason=SEARCH_EXHAUSTED.format(k))

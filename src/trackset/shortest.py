@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import oracle
 from .dagtrack import count_paths, path_masks, solve_dag
 from .errors import CapExceeded
-from .graph import Digraph, Graph, VertexRelabeling, bfs_distances
+from .graph import Digraph, Graph, VertexRelabeling, bfs_distances, topological_order
 from .report import NO_PATH_REASON, SolveReport
 from .setsystem import SetSystem, solve_masks
 
@@ -94,7 +94,8 @@ def solve_via_set_system(g: Graph, k: int, cap: int | None = None) -> SolveRepor
 
     Rules 2-4 are skipped and ``reductions`` reads 0. More than ``cap``
     paths raise CapExceeded; without a cap, more than 2^k + 1 (k clamped to
-    n) answer NO. Witness ids are original.
+    n) answer NO. A path's mask holds its vertices but s and t, which drop out
+    of every difference, as bits of their own ids. Witness ids are original.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -110,6 +111,7 @@ def solve_via_set_system(g: Graph, k: int, cap: int | None = None) -> SolveRepor
         return SolveReport("NO", paths=pc.value, paths_saturated=True,
                            reason=f"more than 2^{clamped} shortest paths need more "
                                   f"than {clamped} trackers")
-    report = solve_masks(path_masks(d), k)
+    inner = [v for v in topological_order(d) if v != d.s and v != d.t]
+    report = solve_masks(path_masks(d, d.s, inner, d.in_adj[d.t], range(d.n)), k)
     report.relabel(relab)
     return report

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from trackset.graph import Digraph, Graph
+from trackset.dagtrack import path_masks
+from trackset.graph import Digraph, Graph, topological_order
 
 
 def diamond_graph():
@@ -41,6 +42,14 @@ def serial_diamond_dag(d, widths=None):
         junction = j2
         nxt = j2 + 1
     return Digraph(junction + 1, arcs, 0, junction)
+
+
+def dag_path_masks(d):
+    """The s-t paths of a DAG whose every vertex lies on one, as masks of their
+    vertices but s and t with vertex ids as bits: what the set-system route hands
+    the decision core for a graph's rule-1 DAG."""
+    inner = [v for v in topological_order(d) if v != d.s and v != d.t]
+    return path_masks(d, d.s, inner, d.in_adj[d.t], range(d.n))
 
 
 def brute_shortest_path_sets(g):

@@ -76,9 +76,17 @@ MUTANTS = [
      "[masks, masks]",
      "a rigid block's hit is its tr: the empty mask is not added"),
     ("src/trackset/dagtrack.py",
-     "if len(nodes) == 1:",
-     "if False:",
-     "a DAG that is one rigid block goes through the split, not the unsplit route"),
+     "for u in d.in_adj[v] for m in ends[u]]",
+     "for u in d.in_adj[v][1:] for m in ends[u]]",
+     "the path lister skips each vertex's least in-neighbour"),
+    ("src/trackset/dagtrack.py",
+     "(p := q // (fwd[s] * bwd[t]))",
+     "(p := q // fwd[s])",
+     "a rigid block's listed paths are compared with p b(t), not its p paths"),
+    ("src/trackset/setsystem.py",
+     "lower=max(lower, tracking_lower_bound(len(masks)))",
+     "lower=lower",
+     "the core's search starts below ceil(lg m)"),
 ]
 
 SEED = 1  # Hypothesis seed of every tier-1 run

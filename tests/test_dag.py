@@ -326,21 +326,41 @@ def test_recurrence_branches_pick_the_least_set(arcs, t, least):
     assert solve_dag(d, len(least) - 1).result == "NO"
 
 
+def spy_masks(monkeypatch):
+    """The number of masks each call of ``dagtrack.path_masks`` lists, in order."""
+    import trackset.dagtrack as dagtrack
+    listed, real = [], dagtrack.path_masks
+
+    def spy(*args):
+        masks = real(*args)
+        listed.append(len(masks))
+        return masks
+
+    monkeypatch.setattr(dagtrack, "path_masks", spy)
+    return listed
+
+
 class TestSeriesParallel:
-    def test_rigid_dag_takes_the_eager_route(self, monkeypatch):
-        """A reduced DAG that is one rigid block hands all its path masks to
-        ``solve_masks``, as before the split; one that splits calls neither."""
+    def test_every_dag_takes_one_route(self, monkeypatch):
+        """Rigid or not, a reduced DAG goes through the split: no call reaches
+        ``solve_masks``, each YES gets one ``violating_pair`` check, and the masks
+        listed are the rigid blocks' paths, the rigid DAG's 3 and none for the
+        diamonds, whose parts each have one path."""
         import trackset.dagtrack as dagtrack
-        calls = []
-        for name in ("path_masks", "solve_masks"):
-            monkeypatch.setattr(dagtrack, name, lambda *a, name=name, real=getattr(
-                dagtrack, name): calls.append(name) or real(*a))
-        for d, k, eager in ((RIGID, 2, True), (diamond_dag(), 1, False),
-                            (serial_diamond_dag(2, widths=[2, 3]), 3, False)):
-            calls.clear()
+        from trackset import setsystem
+        assert "solve_masks" not in vars(dagtrack)
+        monkeypatch.setattr(setsystem, "solve_masks", mock.Mock(
+            side_effect=AssertionError("the DAG route called solve_masks")))
+        listed, checks, real = spy_masks(monkeypatch), [], dagtrack.violating_pair
+        monkeypatch.setattr(dagtrack, "violating_pair",
+                            lambda d, trackers: checks.append(trackers) or real(d, trackers))
+        for d, k, paths in ((RIGID, 2, 3), (diamond_dag(), 1, 0),
+                            (serial_diamond_dag(2, widths=[2, 3]), 3, 0)):
+            listed.clear()
+            checks.clear()
             rep = solve_dag(d, k)
             assert rep.result == "YES"
-            assert calls == (["path_masks", "solve_masks"] if eager else []), d
+            assert (sum(listed), len(checks)) == (paths, 1), d
 
     def test_budget_on_serial_diamonds_and_catalog_graphs_in_series(self, monkeypatch):
         """Scaling smoke in the style of criterion 9. 40 serial diamonds (2^40 paths)
@@ -348,22 +368,25 @@ class TestSeriesParallel:
         minima 5, 5 and 6 from the brute-force oracle) search only their rigid blocks:
         each solve at the minimum and one below takes well under the 2 s budget here,
         where the unsplit route took seconds on the second and cannot list the first's
-        paths. The witness of a series is the union of its parts' witnesses."""
+        paths; only the rigid blocks list theirs, none for the diamonds and at most
+        all 24 + 12 + 15 for the series. The witness of a series is the union of its
+        parts' witnesses."""
         parts = [catalog_graph(seed) for seed in (0, 1, 3)]
         g, maps = in_series(parts)
         assert [count_paths(reduce_rule_1(p)[0].base).value for p in parts] == [24, 12, 15]
         want = sorted(m[v] for m, p, k in zip(maps, parts, (5, 5, 6))
                       for v in solve_shortest_paths(p, k).witness)
-        monkeypatch.setattr("trackset.dagtrack.path_masks", mock.Mock(
-            side_effect=AssertionError("a split DAG listed its paths")))
-        for solve, inst, minimum, witness in (
-                (solve_dag, serial_diamond_dag(40), 40, list(range(1, 120, 3))),
-                (solve_shortest_paths, g, 16, want)):
+        listed = spy_masks(monkeypatch)
+        for solve, inst, minimum, witness, most in (
+                (solve_dag, serial_diamond_dag(40), 40, list(range(1, 120, 3)), 0),
+                (solve_shortest_paths, g, 16, want, 24 + 12 + 15)):
             for k in (minimum, minimum - 1):
+                listed.clear()
                 start = time.perf_counter()
                 rep = solve(inst, k)
                 elapsed = time.perf_counter() - start
                 assert elapsed < 2.0, (inst, k, elapsed)
+                assert sum(listed) <= most, (inst, k, listed)
                 assert (rep.result, rep.witness) == (("YES", tuple(witness)) if k == minimum
                                                      else ("NO", None)), (inst, k)
 

@@ -71,5 +71,5 @@ def test_refuses_large_universe():
 def test_shares_no_solver_code():
     # the oracle checks rule 1 and the solvers, so it must not run their code
     solver = {"bfs_distances", "count_paths", "dagtrack", "path_masks", "reduce_rule_1",
-              "setsystem", "shortest", "solve_masks", "topological_order"}
+              "setsystem", "shortest", "solve_masks", "topological_order", "tracking_search"}
     assert not solver & set(vars(oracle))

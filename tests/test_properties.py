@@ -28,17 +28,17 @@ from hypothesis import strategies as st
 
 from trackset import setsystem
 from trackset.cli import main
-from trackset.dagtrack import (_pair_through, _pruned, count_paths, path_masks, reduce_dag,
-                               reduce_rule_2, solve_dag, violating_pair)
+from trackset.dagtrack import (_pair_through, _pruned, count_paths, reduce_dag, reduce_rule_2,
+                               solve_dag, violating_pair)
 from trackset.graph import Digraph, Graph, VertexRelabeling, topological_order
 from trackset.instance_io import format_digraph, format_graph, format_setsystem
 from trackset.oracle import (brute_is_tracking, brute_min_tracking, enumerate_all_paths,
                              enumerate_shortest_paths)
 from trackset.setsystem import (SetSystem, hitting_search, minimal_differences,
-                                solve_set_system, to_mask, violating_sets)
+                                solve_masks, solve_set_system, to_mask, violating_sets)
 from trackset.shortest import reduce_rule_1, solve_shortest_paths, to_dag
 
-from conftest import brute_shortest_path_sets, serial_diamond_dag
+from conftest import brute_shortest_path_sets, dag_path_masks, serial_diamond_dag
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -167,19 +167,57 @@ def compositions(draw):
     return Digraph(n, [(perm[u], perm[v]) for u, v in arcs], perm[s], perm[t])
 
 
+def is_rigid(d):
+    """True iff the DAG ``d``, every vertex on an s-t path, splits neither way: it
+    has two or more paths, no arc s-t, no vertex but s and t on every path, and its
+    other vertices are weakly connected through the arcs between them."""
+    paths = enumerate_all_paths(d)
+    inner = set(range(d.n)) - {d.s, d.t}
+    if len(paths) < 2 or (d.s, d.t) in d.arcs or inner.intersection(*paths):
+        return False
+    reached, stack = {min(inner)}, [min(inner)]
+    while stack:
+        v = stack.pop()
+        for w in d.out_adj[v] + d.in_adj[v]:
+            if w in inner and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return reached == inner
+
+
 @SETTINGS
 @given(compositions())
 @example(Digraph(7, [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4), (2, 5), (4, 6), (5, 6), (0, 6)],
                  0, 6))
+@example(Digraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], 0, 3))
 def test_series_parallel_compositions_match_brute_force(d):
     """The split route decides and picks the witness as brute force does, and prints
-    what the route with the split patched off prints, but for ``subsets_tried``."""
+    what the unsplit route prints, but for ``subsets_tried``; when the reduced DAG is
+    one rigid block, ``subsets_tried`` too."""
+    reduced, deleted = reduce_dag(d)
+    base = reduced and reduced.base
+    rigid = base is not None and is_rigid(base)
+
+    def unsplit(k):
+        """All the reduced DAG's paths to ``solve_masks``, relabeled; None where the
+        singleton or a gate decides, which the split does not reach."""
+        k = min(k, base.n)
+        if not 0 < count_paths(base).value <= 2 ** k:  # n > 5 * 2^k has more paths
+            return None
+        rep = solve_masks(dag_path_masks(base), k)
+        rep.relabel(reduced.relabeling)
+        rep.reductions = deleted
+        return rep
+
+    def lines(rep):
+        return [line for line in rep.to_text().splitlines() if "subsets_tried" not in line]
+
     def solve(k):
         rep = solve_dag(d, k)
-        with mock.patch("trackset.dagtrack._series_parallel", return_value=None):
-            eager = solve_dag(d, k)
-        assert [line for line in rep.to_text().splitlines() if "subsets_tried" not in line] \
-            == [line for line in eager.to_text().splitlines() if "subsets_tried" not in line]
+        if base is not None and (eager := unsplit(k)) is not None:
+            assert lines(rep) == lines(eager)
+            if rigid:
+                assert rep.subsets_tried == eager.subsets_tried
         return rep.result == "YES", rep.witness
 
     check_route(enumerate_all_paths(d), d.n, solve)
@@ -503,8 +541,11 @@ def test_columns_match_a_per_bit_build(rows, width):
 @example(d=serial_diamond_dag(5))
 @example(d=serial_diamond_dag(3, widths=[3, 1, 4]))
 def test_path_masks_are_the_oracle_paths(d):
-    masks = path_masks(d)
-    assert sorted(masks) == sorted(sum(1 << v for v in p) for p in enumerate_all_paths(d))
+    """On the DAG pruned by rule 2, every vertex on an s-t path: one mask per path
+    the oracle lists, of its vertices but s and t, and as many as the count."""
+    d = reduce_rule_2(d)[0]
+    masks = dag_path_masks(d)
+    assert sorted(masks) == sorted(sum(1 << v for v in p[1:-1]) for p in enumerate_all_paths(d))
     assert len(masks) == count_paths(d).value
 
 

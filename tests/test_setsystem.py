@@ -5,7 +5,6 @@ from itertools import combinations, product
 import pytest
 
 from trackset import setsystem
-from trackset.dagtrack import path_masks
 from trackset.generate import random_layered_graph, random_set_system
 from trackset.graph import Graph
 from trackset.instance_io import ParseError, parse_instance
@@ -15,6 +14,8 @@ from trackset.setsystem import (SetSystem, _union_masks, hitting_search, minimal
                                 violating_sets)
 from trackset.shortest import (reduce_rule_1, solve_shortest_paths, solve_via_set_system,
                                to_dag)
+
+from conftest import dag_path_masks
 
 
 def triangle_system():
@@ -230,7 +231,7 @@ def pinned_family(kind, *args):
         r, = args
         g = Graph(r + 2, [(0, v) for v in range(2, r + 2)] + [(v, 1) for v in range(2, r + 2)],
                   0, 1)
-    return path_masks(to_dag(reduce_rule_1(g)[0]))
+    return dag_path_masks(to_dag(reduce_rule_1(g)[0]))
 
 
 # (family, minimum hitting set of its minimal differences, nodes searched at

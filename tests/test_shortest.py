@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trackset.dagtrack import count_paths, path_masks
+from trackset.dagtrack import count_paths
 from trackset.errors import CapExceeded
 from trackset.generate import random_connected_graph
 from trackset.graph import Graph, bfs_distances, topological_order
@@ -11,7 +11,8 @@ from trackset.setsystem import to_mask
 from trackset.shortest import (reduce_rule_1, solve_shortest_paths, solve_via_set_system,
                                to_dag)
 
-from conftest import brute_shortest_path_sets, diamond_graph, serial_diamond_graph
+from conftest import (brute_shortest_path_sets, dag_path_masks, diamond_graph,
+                      serial_diamond_graph)
 
 
 class TestRule1:
@@ -100,14 +101,13 @@ class TestEnumerate:
 
 
 class TestToSetSystem:
-    """The family the set-system route hands the decision core: one vertex
-    mask per shortest path of the rule-1 DAG."""
+    """The family the set-system route hands the decision core: one mask per
+    shortest path of the rule-1 DAG, of its vertices but s and t."""
 
     def test_diamond_family(self):
         lg, _ = reduce_rule_1(diamond_graph())
-        masks = path_masks(to_dag(lg))
-        assert sorted(masks) == [to_mask({0, 1, 3}), to_mask({0, 2, 3})]
-        assert max(m.bit_count() for m in masks) == 3
+        masks = dag_path_masks(to_dag(lg))
+        assert sorted(masks) == [to_mask({1}), to_mask({2})]
 
     def test_single_path(self):
         rep = solve_via_set_system(Graph(3, [(0, 1), (1, 2)], 0, 2), 0)
@@ -115,9 +115,9 @@ class TestToSetSystem:
 
     def test_two_serial_diamonds(self):
         lg, _ = reduce_rule_1(serial_diamond_graph(2))
-        masks = path_masks(to_dag(lg))
+        masks = dag_path_masks(to_dag(lg))
         assert len(set(masks)) == len(masks) == 4
-        assert all(m.bit_count() == 5 for m in masks)
+        assert all(m.bit_count() == 3 for m in masks)
 
 
 class TestToDag:

@@ -78,7 +78,7 @@ def _pruned(d: Digraph) -> tuple[list[int], dict[int, list[int]]] | None:
     path. O(n + m) time, unless the test of :func:`reduce_rule_2` holds.
     """
     s, t = d.s, d.t
-    if d.in_adj.count(()) == 1 == d.out_adj.count(()) and not (d.in_adj[s] or d.out_adj[t]):
+    if d.in_adj.count([]) == 1 == d.out_adj.count([]) and not (d.in_adj[s] or d.out_adj[t]):
         return None
     on = _reach(d.in_adj, t, s, _reach(d.out_adj, s, t, bytearray(b"\1") * d.n))
     keep = [v for v in range(d.n) if on[v] or v == s]

@@ -1,8 +1,10 @@
 """Graph and digraph representations plus the traversal primitives.
 
-Vertices are dense integer ids 0..n-1. Both graph types are immutable
-after construction and all operations here are pure, except that
-:func:`topological_order` keeps the order it finds on the digraph.
+Vertices are dense integer ids 0..n-1. The constructors fill each
+adjacency list once, in ascending order, and no route mutates it; ``edges``
+and ``arcs`` are rebuilt from the sorted int keys on each read. All
+operations here are pure, except that :func:`topological_order` keeps the
+order it finds on the digraph.
 """
 
 from __future__ import annotations
@@ -85,22 +87,25 @@ class Graph(_Checked):
     at construction time; edges are checked first, in input order.
     """
 
-    __slots__ = ("n", "edges", "s", "t", "adj")
+    __slots__ = ("n", "_keys", "s", "t", "adj")
 
     def _fill(self, n: int, keys: list, s: int, t: int):
         _check_ends(n, s, t)
-        self.n, self.s, self.t = n, s, t
-        self.edges = tuple(map(divmod, keys, repeat(n)))
+        self.n, self.s, self.t, self._keys = n, s, t, keys
         # edges ascend with u < v, so adj[x] gets its smaller neighbours (edges
         # (u, x)) in order before its larger ones: no list needs a sort
-        adj = [[] for _ in range(n)]
-        for u, v in self.edges:
+        self.adj = adj = [[] for _ in range(n)]
+        for u, v in map(divmod, keys, repeat(n)):
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(map(tuple, adj))
+
+    @property
+    def edges(self) -> tuple:
+        """The edges (u, v), u < v, ascending, rebuilt from the sorted keys."""
+        return tuple(map(divmod, self._keys, repeat(self.n)))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)}, s={self.s}, t={self.t})"
+        return f"Graph(n={self.n}, m={len(self._keys)}, s={self.s}, t={self.t})"
 
 
 class Digraph(_Checked):
@@ -111,7 +116,7 @@ class Digraph(_Checked):
     keeps the order it finds in ``_order`` for later calls.
     """
 
-    __slots__ = ("n", "arcs", "s", "t", "out_adj", "in_adj", "_order")
+    __slots__ = ("n", "_keys", "s", "t", "out_adj", "in_adj", "_order")
 
     @classmethod
     def _derived(cls, relab: VertexRelabeling, arcs: Iterable[tuple[int, int]], s: int, t: int,
@@ -132,20 +137,22 @@ class Digraph(_Checked):
 
     def _fill(self, n: int, keys: list, s: int, t: int, order: tuple | None = None):
         _check_ends(n, s, t)
-        self.n, self.s, self.t = n, s, t
-        self.arcs = tuple(map(divmod, keys, repeat(n)))
+        self.n, self.s, self.t, self._keys = n, s, t, keys
         # arcs ascend, so every list fills in ascending order and needs no sort
-        out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
-        for u, v in self.arcs:
+        self.out_adj = out_adj = [[] for _ in range(n)]
+        self.in_adj = in_adj = [[] for _ in range(n)]
+        for u, v in map(divmod, keys, repeat(n)):
             out_adj[u].append(v)
             in_adj[v].append(u)
-        self.out_adj = tuple(map(tuple, out_adj))
-        self.in_adj = tuple(map(tuple, in_adj))
         self._order = order
 
+    @property
+    def arcs(self) -> tuple:
+        """The arcs (u, v), ascending, rebuilt from the sorted keys."""
+        return tuple(map(divmod, self._keys, repeat(self.n)))
+
     def __repr__(self):
-        return f"Digraph(n={self.n}, m={len(self.arcs)}, s={self.s}, t={self.t})"
+        return f"Digraph(n={self.n}, m={len(self._keys)}, s={self.s}, t={self.t})"
 
 
 class VertexRelabeling:

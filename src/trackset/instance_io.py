@@ -17,8 +17,9 @@ from .setsystem import SetSystem
 
 Instance = Graph | Digraph | SetSystem
 
-# Largest n a header may name: a graph allocates 64 bytes or more per vertex
-# whatever its edge count, so a one-line file could ask for gigabytes.
+# Largest n a header may name: whatever its edge count, a graph keeps one list per
+# vertex and a DAG two, each 56 bytes plus an 8-byte slot (about 64 and 176 bytes a
+# vertex at the parse's peak), so a one-line file could ask for gigabytes.
 MAX_IDS = 10**6
 
 

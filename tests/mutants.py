@@ -43,6 +43,20 @@ MUTANTS = [
      "if len(self.index) != len(self.to_original):",
      "if False:",
      "a relabeling that maps two reduced ids to one original id is accepted"),
+    ("src/trackset/graph.py",
+     "in_adj[v].append(u)",
+     "in_adj[v].append(v)",
+     "a digraph's fill appends each arc's head, not its tail, to the head's in-list"),
+    ("src/trackset/graph.py",
+     '''"""The arcs (u, v), ascending, rebuilt from the sorted keys."""
+        return tuple(map(divmod, self._keys, repeat(self.n)))''',
+     '''"""The arcs (u, v), ascending, rebuilt from the sorted keys."""
+        return tuple(map(divmod, reversed(self._keys), repeat(self.n)))''',
+     "a digraph's arcs come back from its keys in descending order"),
+    ("src/trackset/dagtrack.py",
+     "if d.in_adj.count([]) == 1 == d.out_adj.count([])",
+     "if d.in_adj.count(()) == 1 == d.out_adj.count(())",
+     "rule 2's degree test counts empty tuples among lists, so it never fires"),
     ("src/trackset/shortest.py",
      "Digraph._derived(relab, arcs, g.s, g.t, reversed(walk))",
      "Digraph._derived(relab, arcs, g.s, g.t, walk)",

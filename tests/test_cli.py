@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import trackset
 
 from trackset.cli import _plain_args, build_parser, main
+from trackset.dagtrack import reduce_rule_2
 from trackset.instance_io import format_digraph, format_graph, parse_instance
 from trackset.report import SolveReport
 
@@ -604,6 +605,33 @@ def test_one_witness_check_per_searched_yes(tmp_path, capsys, monkeypatch, text,
         got, out, _ = run(capsys, "solve", path, "--k", str(k), "--mode", mode)
         assert (got, "subsets_tried: 0\n" not in out, checks) == \
             (code, searched, checked), k
+
+
+# every vertex on an s-t path, so rule 2 hands it back; rules 3 and 4 then fire
+KEPT_DAG = "dag 7 0 5\n0 1\n1 2\n1 3\n2 6\n6 4\n3 4\n4 5\n"
+PRUNED_DAG = "dag 6 0 3\n0 1\n0 2\n1 3\n2 3\n4 1\n3 5\n"
+
+
+@pytest.mark.parametrize("text", [RULE_1_PIN, TWO_DIAMONDS, KEPT_DAG, RIGID_DAG, PRUNED_DAG],
+                         ids=["graph-rule-1", "graph", "dag-kept", "dag-rigid", "dag-pruned"])
+def test_no_route_mutates_the_adjacency_lists(capsys, monkeypatch, text):
+    """A graph owns the lists it fills: solve in every mode that takes the instance,
+    count, reduce and verify, all on the one parsed object, leave them as parsed. On a
+    DAG that rule 2 hands back, ``reduce_dag`` reads its ``out_adj`` and ``in_adj`` as
+    its own ``out`` and ``inc``."""
+    kind, inst = parse_instance(text)
+    lists = (inst.adj,) if kind == "graph" else (inst.out_adj, inst.in_adj)
+    before = [tuple(map(tuple, adj)) for adj in lists]
+    if kind == "dag":
+        assert (reduce_rule_2(inst)[0] is inst) == (text in (KEPT_DAG, RIGID_DAG))
+    monkeypatch.setattr("trackset.cli._load", lambda path: (kind, inst))
+    calls = [["solve", "x", "--k", k, "--mode", mode, "--oracle"] for k in "12"
+             for mode in (["shortest", "setsystem"] if kind == "graph" else ["dag"])]
+    calls += [["count", "x"], ["reduce", "x"], ["verify", "x", "--oracle", "--trackers"],
+              ["verify", "x", "--oracle", "--trackers", *map(str, range(inst.n))]]
+    for argv in calls:
+        assert main(argv) in (0, 1), argv
+    assert [tuple(map(tuple, adj)) for adj in lists] == before
 
 
 def test_parser_is_built_on_the_first_call_only():

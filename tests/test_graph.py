@@ -111,12 +111,12 @@ def test_adjacency_lists_ascend(case):
     n, pairs = case
     g = Graph(n, pairs, 0, 1)
     assert g.edges == tuple(sorted((min(e), max(e)) for e in pairs))
-    assert g.adj == tuple(tuple(sorted({u, v}.difference([x]).pop() for u, v in pairs
-                                       if x in (u, v))) for x in range(n))
+    assert g.adj == [sorted({u, v}.difference([x]).pop() for u, v in pairs if x in (u, v))
+                     for x in range(n)]
     d = Digraph(n, pairs, 0, 1)
     assert d.arcs == tuple(sorted(pairs))
-    assert d.out_adj == tuple(tuple(sorted(v for u, v in pairs if u == x)) for x in range(n))
-    assert d.in_adj == tuple(tuple(sorted(u for u, v in pairs if v == x)) for x in range(n))
+    assert d.out_adj == [sorted(v for u, v in pairs if u == x) for x in range(n)]
+    assert d.in_adj == [sorted(u for u, v in pairs if v == x) for x in range(n)]
 
 
 def loop_sorted_pairs(n, pairs, undirected):

@@ -61,6 +61,25 @@ def test_limit_is_inclusive():
     assert kind == "setsystem" and inst.universe_size == MAX_IDS
 
 
+# tracemalloc peak of a parse per header vertex, on 64-bit CPython: a graph keeps one
+# list per vertex (56 bytes, and 8 for its slot in ``adj``), about 64 in all; a DAG
+# keeps two, and its parse's topological order adds some 8-byte slots, about 176
+PEAK_PER_VERTEX = {"graph": 80, "dag": 200}
+
+
+@pytest.mark.parametrize("kind", ["graph", "dag"])
+def test_memory_per_header_vertex(kind):
+    n = 200_000
+    tracemalloc.start()
+    try:
+        _, inst = parse_instance(f"{kind} {n} 0 1\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.n == n
+    assert peak / n < PEAK_PER_VERTEX[kind]
+
+
 def test_header_sized_allocation_exits_2(tmp_path):
     # in a child capped at 1 GiB of address space, so that a missing limit
     # fails this test instead of allocating 10^9 adjacency lists

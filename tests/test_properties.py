@@ -242,7 +242,7 @@ def test_rule_2_degree_test_matches_the_path_vertices(d):
     an s-t path; exactly then rule 2 searches nothing and hands ``d`` back.
     (The reachability prune keeps s and t even when no path joins them, so
     on ``dag 2 0 1`` with no arc it keeps all n vertices, yet the test fails.)"""
-    ends = (d.in_adj.count(()) == 1 == d.out_adj.count(())
+    ends = (d.in_adj.count([]) == 1 == d.out_adj.count([])
             and not d.in_adj[d.s] and not d.out_adj[d.t])
     on_paths = set().union(*enumerate_all_paths(d)) == set(range(d.n))
     assert ends == on_paths

@@ -115,16 +115,16 @@ def _cmd_count(args) -> int:
         if (pruned := shortest.reduce_rule_1(inst)) is None:
             print(0)
             return 0
-        pc = dagtrack.count_paths(shortest.to_dag(pruned[0]), cap=args.cap)
+        paths = dagtrack.count_paths(shortest.to_dag(pruned[0]), cap=args.cap)
     elif kind == "dag":
-        pc = dagtrack.count_paths(inst, cap=args.cap)
+        paths = dagtrack.count_paths(inst, cap=args.cap)
     else:
         print("count supports graph and dag instances only", file=_sys.stderr)
         return 2
-    if pc.saturated:
+    if args.cap is not None and paths > args.cap:
         print(f"{args.cap}+")
         return 3
-    print(pc.value)
+    print(paths)
     return 0
 
 

@@ -11,7 +11,6 @@ pair of paths.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import reduce
 from operator import or_
 
@@ -47,10 +46,6 @@ class ReducedDag:
         except AttributeError:
             self._base = self.build()
             return self._base
-
-
-# an s-t path count: value is exact unless saturated, then cap + 1; equal counts compare equal
-PathCount = namedtuple("PathCount", "value saturated")
 
 
 def _reach(adj: tuple[tuple[int, ...], ...], src: int, stop: int, allowed: bytearray) -> bytearray:
@@ -124,8 +119,9 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     comes before v, x comes before y.
 
     Rules 3 and 4 are special cases of the series-parallel recurrence of :func:`solve_dag`:
-    an s or t walk is a series split into single arcs, and a chain is a one-path part,
-    whose hit is its least id, the one rule 4 keeps. They stay, as ``reduce`` prints them.
+    an s or t walk is a series split whose cut vertices are leaves, and a chain is a
+    one-path part, whose hit is its least id, the one rule 4 keeps. They stay, as
+    ``reduce`` prints them.
 
     Returns (reduced, vertices_deleted); reduced is None when the graph collapsed
     to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted; else
@@ -175,8 +171,8 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     return ReducedDag(len(kept), relab, build), d.n - len(kept)
 
 
-def count_paths(d: Digraph, cap: int | None = None) -> PathCount:
-    """Exact s-t path count by topological DP, saturating at ``cap``."""
+def count_paths(d: Digraph, cap: int | None = None) -> int:
+    """The s-t path count by topological DP: exact up to ``cap``, else ``cap + 1``."""
     counts = [0] * d.n
     counts[d.s] = 1
     for u in topological_order(d):
@@ -186,8 +182,7 @@ def count_paths(d: Digraph, cap: int | None = None) -> PathCount:
             counts[v] += counts[u]
             if cap is not None and counts[v] > cap:
                 counts[v] = cap + 1
-    total = counts[d.t]
-    return PathCount(total, cap is not None and total > cap)
+    return counts[d.t]
 
 
 def verify_tracking_condition(d: Digraph, trackers: frozenset[int]) -> bool:
@@ -289,30 +284,41 @@ def _least(a: int | None, b: int | None) -> int | None:
     return a if (a ^ b) & -(a ^ b) & a else b
 
 
+def _combine(parts: list, a: int, b: int) -> tuple[int | None, int | None]:
+    """(the union of every part's entry ``a``, the least union of one part's entry ``b``
+    with the other parts' ``a``); a union that needs an entry that is None is None."""
+    entries = [part[a] for part in parts]
+    union, missing = reduce(or_, filter(None, entries), 0), entries.count(None)
+    best = None
+    for part in parts:
+        if part[b] is not None and missing == (part[a] is None):
+            best = _least(best, union & ~(part[a] or 0) | part[b])
+    return None if missing else union, best
+
+
 def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
     """Solve the reduced DAG ``d`` by its series and parallel splits: (its lex-least
     minimum tracking set as a vertex mask, or None if that needs more than k; the
     candidates the core tested).
 
     A block is (s, t, its inner vertices in topological order, whether it has the arc
-    s-t). Its vertices and arcs lie on its s-t paths, so its counts are d's, f(v) over
-    f(s) and b(v) over b(t). tr is its least tracking set of inner vertices, and hit
-    the least that also meets every path (none with the arc s-t), "least" meaning the
-    smallest, then lexicographically least. An inner vertex with f(v) b(v) = p cuts a
-    block in series: tr is the union of the parts' tr, hit the best of that union plus
-    the least cut vertex and of one part's hit plus the other parts' tr. Else the weak
-    components of its inner vertices, and the arc s-t, split it in parallel: paths in
-    two parts meet the trackers alike only if both meet none, so hit is the union of the
-    parts' hit, tr the best of one part's tr plus the other parts' hit (with the arc
-    s-t, their hit alone). A one-path block has tr empty and hit its least inner id; the
-    core solves a rigid block, ``d`` itself included, on its paths' inner-vertex masks
-    from :func:`path_masks`, which must number p over f(s) b(t), plus the empty mask
-    for hit. The parts share only their ends, so for fixed part sizes the union of the
-    parts' least sets is the least union, and a least set takes one of the forms
-    compared. A set over k counts as none: every form holding it is over k. A series
-    part has no cut vertex and a parallel part is connected, so each tests the other
-    split alone. Blocks are split from an explicit stack and solved in reverse order,
-    so nesting is not bounded by the recursion limit."""
+    s-t); its counts are d's, f(v) over f(s) and b(v) over b(t). tr is its least tracking
+    set of inner vertices, hit the least that also meets every path (least: smallest, then
+    lexicographically least). An inner vertex with f(v) b(v) = p cuts a block in series,
+    each cut vertex c a leaf part with tr {} and hit {c}; else the weak components of its
+    inner vertices split it in parallel, the arc s-t a leaf part with tr {} and no hit.
+    The rules are duals, both from :func:`_combine`: in series tr is the union of the
+    parts' tr, hit the least of one part's hit plus the others' tr; in parallel, as paths
+    in two parts meet the trackers alike only if both meet none, hit is the union of the
+    parts' hit, tr the least of one part's tr plus the others' hit. The parts share only
+    their ends, so for fixed part sizes the union of their least sets is the least union;
+    two cut leaves' candidates differ only in their cut vertex, so the least one wins. A
+    one-path block has tr {} and hit its least inner id; the core solves a rigid block,
+    ``d`` included, on the inner-vertex masks of its p over f(s) b(t) paths from
+    :func:`path_masks`, plus the empty mask for hit. A set over k counts as none, as every
+    union holding it is over k: leaves need no cap. A series part has no cut vertex and a
+    parallel part is connected, so each tests the other split alone. An explicit stack
+    holds the blocks, so nesting is not bounded by the recursion limit."""
     n, in_adj, out_adj = d.n, d.in_adj, d.out_adj
     order = topological_order(d)
     fwd, bwd, up = [0] * n, [0] * n, list(range(n))
@@ -328,13 +334,13 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
 
     inner = [v for v in order if v != d.s and v != d.t]
     stack = [(d.s, d.t, inner, d.t in out_adj[d.s], False, [], None)]
-    nodes, tried = [], 0  # pre-order: [tr, hit, split, parts, cut vertices or arc s-t, hit?]
+    nodes, tried = [], 0  # pre-order: [tr, hit, split, parts]
     while stack:
         s, t, inner, direct, need_hit, siblings, only = stack.pop()
         into_t = [v for v in inner if t in out_adj[v]]  # t's in-neighbours in it, s aside
         # a block's counts are d's over fwd[s] and bwd[t]; q is its path count times both
         q = (direct * fwd[s] + sum(map(fwd.__getitem__, into_t))) * bwd[t]
-        node = [0, None, None, [], direct, need_hit]
+        node = [0, None, None, []]
         siblings.append(node)
         nodes.append(node)
         if q == fwd[s] * bwd[t]:  # one path
@@ -343,7 +349,7 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
         if only != "parallel" and (
                 cuts := [i for i, v in enumerate(inner) if fwd[v] * bwd[v] == q]):
             joints, at = [s, *(inner[i] for i in cuts), t], [-1, *cuts, len(inner)]
-            node[2], node[4] = "series", sum(1 << inner[i] for i in cuts)
+            node[2:] = "series", [[0, 1 << inner[i]] for i in cuts]  # cut vertex leaves
             stack += [(a, b, inner[at[j] + 1:at[j + 1]], b in out_adj[a], need_hit, node[3],
                        "parallel") for j, (a, b) in enumerate(zip(joints, joints[1:]))]
             continue
@@ -358,7 +364,7 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
             for v in inner:
                 comps.setdefault(root(v), []).append(v)
             if len(comps) + direct > 1:
-                node[2] = "parallel"
+                node[2:] = "parallel", [[0, None]] * direct  # the arc s-t as a leaf
                 stack += [(s, t, comp, False, True, node[3], "series")
                           for comp in comps.values()]
                 continue
@@ -374,25 +380,11 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
                 break
             node[i], lower = to_mask(rank.map_set(from_mask(found))), found.bit_count()
     for node in reversed(nodes):
-        tr, hit, split, parts, extra, need_hit = node
+        tr, hit, split, parts = node
         if split == "series":
-            trs = [part[0] for part in parts]
-            tr, hit = None if None in trs else reduce(or_, trs), None
-            if tr is not None and need_hit:
-                hit = tr | extra & -extra
-                for part_tr, part_hit, *_ in parts:
-                    if part_hit is not None:
-                        hit = _least(hit, tr & ~part_tr | part_hit)
+            tr, hit = _combine(parts, 0, 1)
         elif split == "parallel":
-            hits = [part[1] for part in parts]
-            rest, missing = reduce(or_, filter(None, hits), 0), hits.count(None)
-            union = None if missing else rest
-            # the arc s-t meets no tracker, so then no part may leave a path unmet
-            tr, hit = (union, None) if extra else (None, union)
-            if not extra:
-                for part_tr, part_hit, *_ in parts:
-                    if part_tr is not None and missing == (part_hit is None):
-                        tr = _least(tr, rest & ~(part_hit or 0) | part_tr)
+            hit, tr = _combine(parts, 1, 0)
         node[:2] = (None if x is None or x.bit_count() > k else x for x in (tr, hit))
     return nodes[0][0], tried
 
@@ -422,23 +414,23 @@ def solve_dag(d: Digraph, k: int) -> SolveReport:
                            paths_saturated=True,
                            reason=f"n/5 = {n}/5 paths exceed 2^{k}")
     base = reduced.base
-    pc = count_paths(base, cap=cap)
-    if pc.value == 0:
+    paths = count_paths(base, cap=cap)
+    if paths == 0:
         return SolveReport("YES", witness=(), paths=0, reductions=deleted,
                            reason=NO_PATH_REASON)
-    if pc.saturated:
-        return SolveReport("NO", paths=pc.value, paths_saturated=True,
+    if paths > cap:
+        return SolveReport("NO", paths=paths, paths_saturated=True,
                            reductions=deleted,
                            reason=f"more than 2^{k} paths need more than {k} trackers")
     found, tried = _series_parallel(base, k)
     if found is None:
-        report = SolveReport("NO", paths=pc.value, subsets_tried=tried,
+        report = SolveReport("NO", paths=paths, subsets_tried=tried,
                              reason=SEARCH_EXHAUSTED.format(k))
     else:
         witness = from_mask(found)
         if violating_pair(base, witness) is not None:
             raise InternalError("series-parallel witness does not track the DAG")
-        report = SolveReport("YES", witness=tuple(sorted(witness)), paths=pc.value,
+        report = SolveReport("YES", witness=tuple(sorted(witness)), paths=paths,
                              subsets_tried=tried)
     report.relabel(reduced.relabeling)
     report.reductions = deleted

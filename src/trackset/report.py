@@ -35,10 +35,6 @@ class SolveReport:
         if self.witness is not None:
             self.witness = tuple(sorted(relab.map_set(self.witness)))
 
-    @property
-    def size(self) -> int | None:
-        return len(self.witness) if self.witness is not None else None
-
     def to_text(self) -> str:
         lines = [f"result: {self.result}"]
         if self.witness is not None:
@@ -57,7 +53,7 @@ class SolveReport:
         doc = {
             "result": self.result,
             "witness": list(self.witness) if self.witness is not None else None,
-            "size": self.size,
+            "size": len(self.witness) if self.witness is not None else None,
             "paths": self.paths,
             "paths_saturated": self.paths_saturated,
             "reductions": self.reductions,

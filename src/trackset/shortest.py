@@ -104,11 +104,11 @@ def solve_via_set_system(g: Graph, k: int, cap: int | None = None) -> SolveRepor
     lg, relab = pruned
     d = to_dag(lg)
     clamped = min(k, g.n)  # all n vertices always track
-    pc = count_paths(d, cap=2 ** clamped + 1 if cap is None else cap)
-    if pc.saturated:
+    limit = 2 ** clamped + 1 if cap is None else cap
+    if (paths := count_paths(d, cap=limit)) > limit:
         if cap is not None:
-            raise CapExceeded(pc.value)
-        return SolveReport("NO", paths=pc.value, paths_saturated=True,
+            raise CapExceeded(paths)
+        return SolveReport("NO", paths=paths, paths_saturated=True,
                            reason=f"more than 2^{clamped} shortest paths need more "
                                   f"than {clamped} trackers")
     inner = [v for v in topological_order(d) if v != d.s and v != d.t]

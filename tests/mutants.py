@@ -62,29 +62,37 @@ MUTANTS = [
      "Digraph._derived(relab, arcs, g.s, g.t, walk)",
      "rule 1's DAG inherits its walk from t, by descending level, as its order"),
     ("src/trackset/dagtrack.py",
-     "reduce(or_, trs)",
-     "reduce(or_, trs[:-1], 0)",
-     "a series block's tr leaves out its last part's tr"),
+     "[[0, 1 << inner[i]] for i in cuts]",
+     "[[0, None] for i in cuts]",
+     "a cut vertex leaf has no hit, so a series block's hit never takes a cut vertex"),
     ("src/trackset/dagtrack.py",
-     "hit = tr | extra & -extra",
-     "hit = tr | 1 << extra.bit_length() - 1",
-     "a series block's hit through a cut vertex takes the greatest one, not the least"),
+     "[[0, None]] * direct",
+     "[[0, 0]] * direct",
+     "the arc s-t leaf has the empty hit, as if a tracker met its path"),
     ("src/trackset/dagtrack.py",
-     "hit = _least(hit, tr & ~part_tr | part_hit)",
-     "hit = _least(hit, part_hit)",
-     "a series block's hit through one part's hit drops the other parts' tr"),
+     "[[0, None]] * direct",
+     "[]",
+     "a parallel split drops the arc s-t leaf"),
     ("src/trackset/dagtrack.py",
-     "tr = _least(tr, rest & ~(part_hit or 0) | part_tr)",
-     "tr = _least(tr, rest | part_tr)",
-     "a parallel block's tr lets no part miss a path"),
+     "missing == (part[a] is None)",
+     "missing == 0",
+     "the one-part union never uses a part whose entry a is None"),
     ("src/trackset/dagtrack.py",
-     "tr, hit = (union, None) if extra else (None, union)",
-     "tr, hit = (union, None) if extra else (None, None)",
-     "a parallel block has no hit"),
+     "union & ~(part[a] or 0) | part[b]",
+     "union | part[b]",
+     "the one-part union keeps that part's entry a as well as its b"),
     ("src/trackset/dagtrack.py",
-     "if not extra:",
-     "if True:",
-     "a parallel block with the arc s-t still lets one part miss a path"),
+     "hit, tr = _combine(parts, 1, 0)",
+     "tr, hit = _combine(parts, 0, 1)",
+     "a parallel block combines its parts by the series rule"),
+    ("src/trackset/dagtrack.py",
+     "tr, hit = _combine(parts, 0, 1)",
+     "hit, tr = _combine(parts, 1, 0)",
+     "a series block combines its parts by the parallel rule"),
+    ("src/trackset/dagtrack.py",
+     "return None if missing else union, best",
+     "return union, best",
+     "the union of every part's entry a ignores a part whose entry is None"),
     ("src/trackset/dagtrack.py",
      "[masks, masks + [0]]",
      "[masks, masks]",

@@ -110,7 +110,7 @@ def _random_reduced_dags(seed, count, max_n):
         rd, _ = reduce_dag(random_dag(rng, n, arc_prob=rng.uniform(0.1, 0.6)))
         if rd is None or rd.base.n > max_n:
             continue
-        if count_paths(rd.base).value == 0:
+        if count_paths(rd.base) == 0:
             continue
         out.append(rd)
     return out
@@ -118,7 +118,7 @@ def _random_reduced_dags(seed, count, max_n):
 
 def test_criterion_5_path_count_lower_bounds():
     for rd in _random_reduced_dags(505, 1000, 100):
-        p = count_paths(rd.base).value
+        p = count_paths(rd.base)
         d = rd.base
         degree_bound = 1 + sum(len(d.out_adj[v]) - 1 for v in range(d.n) if v != d.t)
         assert p >= degree_bound

@@ -91,14 +91,16 @@ def _relabel_lines(relab) -> str:
 
 def _cmd_reduce(args) -> int:
     kind, inst = _load(args.input)
+    # each route lets go of the parsed instance before it builds and formats its result
     if kind == "graph":
-        if (pruned := shortest.reduce_rule_1(inst)) is None:
+        pruned, inst = shortest.reduce_rule_1(inst), None
+        if pruned is None:
             print("# no s-t path: zero paths, trivially YES")
             return 0
         _sys.stdout.write(format_graph(pruned[0].base) + _relabel_lines(pruned[1]))
         return 0
     if kind == "dag":
-        reduced, _ = dagtrack.reduce_dag(inst)
+        reduced, inst = dagtrack.reduce_dag(inst)[0], None
         if reduced is None:
             print("# singleton after reduction: trivially YES")
             return 0

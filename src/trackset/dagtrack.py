@@ -31,7 +31,8 @@ class ReducedDag:
     deg(t) >= 2, and no two adjacent interior degree-2 vertices remain.
     ``n`` is its vertex count and ``relabeling`` maps its vertex ids back to
     the pre-reduction ids. ``base``, the DAG itself, is built by ``build`` on
-    first read, so a gate on ``n`` builds no digraph.
+    first read, so a gate on ``n`` builds no digraph; then ``build`` is
+    dropped, and with it whatever of the input it held.
     """
 
     __slots__ = ("n", "relabeling", "build", "_base")
@@ -41,11 +42,9 @@ class ReducedDag:
 
     @property
     def base(self) -> Digraph:
-        try:
-            return self._base
-        except AttributeError:
-            self._base = self.build()
-            return self._base
+        if self.build is not None:
+            self._base, self.build = self.build(), None
+        return self._base
 
 
 def _reach(adj: tuple[tuple[int, ...], ...], src: int, stop: int, allowed: bytearray) -> bytearray:
@@ -62,23 +61,22 @@ def _reach(adj: tuple[tuple[int, ...], ...], src: int, stop: int, allowed: bytea
     return seen
 
 
-def _pruned(d: Digraph) -> tuple[list[int], dict[int, list[int]]] | None:
+def _pruned(d: Digraph) -> tuple[list[int], bytearray] | None:
     """Rule 2 as reachability: the vertices of the DAG ``d`` on s-t paths plus s and t,
-    ascending, and each one's out-neighbours along s-t paths; None if that is all of ``d``.
+    ascending, and the marks of those on s-t paths; None if that is all of ``d``.
 
     A vertex lies on an s-t path iff s reaches it without passing t and it
     reaches t without passing s; the backward search goes only through the
     forward one's vertices, so it marks exactly those. In a DAG every arc
-    between marked vertices, except one into s or out of t, lies on an s-t
-    path. O(n + m) time, unless the test of :func:`reduce_rule_2` holds.
+    between marked vertices lies on an s-t path; only a cycle puts an arc into
+    s or out of t between them. O(n + m) time, unless the test of
+    :func:`reduce_rule_2` holds.
     """
     s, t = d.s, d.t
     if d.in_adj.count([]) == 1 == d.out_adj.count([]) and not (d.in_adj[s] or d.out_adj[t]):
         return None
     on = _reach(d.in_adj, t, s, _reach(d.out_adj, s, t, bytearray(b"\1") * d.n))
-    keep = [v for v in range(d.n) if on[v] or v == s]
-    return keep, {u: [v for v in d.out_adj[u] if on[v] and v != s] if u != t else []
-                  for u in keep}
+    return [v for v in range(d.n) if on[v] or v == s], on
 
 
 def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
@@ -87,14 +85,15 @@ def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
     If s alone has no in-arc and t alone no out-arc (two C-level counts), walking back
     from any vertex ends at s and on at t, so in a DAG every vertex and arc lies on an
     s-t path: ``d`` comes back, with the identity relabeling. Else the one builder of
-    derived digraphs, :meth:`Digraph._derived`, renumbers it. Not exact if d has a cycle.
+    derived digraphs, :meth:`Digraph._derived`, renumbers it. Not exact if d has a cycle,
+    but an arc into s or out of t, which only a cycle puts on marked ends, is dropped.
     """
     if (pruned := _pruned(d)) is None:
         return d, VertexRelabeling(range(d.n))
-    keep, out = pruned
-    relab = VertexRelabeling(keep)
-    return Digraph._derived(relab, [(u, v) for u in keep for v in out[u]], d.s, d.t,
-                            d._order), relab
+    keep, on = pruned
+    relab, s, t = VertexRelabeling(keep), d.s, d.t
+    arcs = ((u, v) for u in keep if u != t for v in d.out_adj[u] if on[v] and v != s)
+    return Digraph._derived(relab, arcs, s, t, d._order), relab
 
 
 def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
@@ -123,16 +122,20 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     one-path part, whose hit is its least id, the one rule 4 keeps. They stay, as
     ``reduce`` prints them.
 
+    A list that rule 2 keeps whole is d's own, which no route mutates. The builder of
+    ``base`` holds only d's order and what it reads of the rules' results, not d.
+
     Returns (reduced, vertices_deleted); reduced is None when the graph collapsed
     to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted; else
     its ``base`` comes from :meth:`Digraph._derived`, the one builder of derived digraphs.
     """
-    pruned = _pruned(d)
-    keep, out = pruned or (range(d.n), d.out_adj)
-    inc = d.in_adj if pruned is None else {v: [] for v in keep}  # in_adj ascends as well
-    for u in (keep if pruned else ()):
-        for v in out[u]:
-            inc[v].append(u)
+    if (pruned := _pruned(d)) is None:
+        keep, out, inc = range(d.n), d.out_adj, d.in_adj
+    else:
+        keep, on = pruned
+        out, inc = ({v: a if all(map(on.__getitem__, a)) else [x for x in a if on[x]]
+                     for v, a in zip(keep, map(adj.__getitem__, keep))}
+                    for adj in (d.out_adj, d.in_adj))
     s, t, gone = d.s, d.t, set()
     while s != t and len(out[s]) == 1:
         gone.add(s)
@@ -155,12 +158,12 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     kept = [v for v in live if least.get(v, v) == v]
     if pruned is None and len(kept) == d.n:
         return ReducedDag(d.n, VertexRelabeling(range(d.n)), lambda: d), 0
-    relab = VertexRelabeling(kept)
+    relab, order = VertexRelabeling(kept), d._order
 
     def build() -> Digraph:
-        arcs = [(a, b) for u in live for v in out[u] if v not in gone
-                if (a := least.get(u, u)) != (b := least.get(v, v))]
-        reduced = Digraph._derived(relab, arcs, s, t, d._order)
+        arcs = ((a, b) for u in live for v in out[u] if v not in gone
+                if (a := least.get(u, u)) != (b := least.get(v, v)))
+        reduced = Digraph._derived(relab, arcs, s, t, order)
         # each chain's least id, kept[i], is vertex i of the result: one arc in, one out
         bad = [x for i, x in enumerate(kept)
                if x in least and not len(reduced.in_adj[i]) == 1 == len(reduced.out_adj[i])]

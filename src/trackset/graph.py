@@ -1,10 +1,10 @@
 """Graph and digraph representations plus the traversal primitives.
 
-Vertices are dense integer ids 0..n-1. The constructors fill each
-adjacency list once, in ascending order, and no route mutates it; ``edges``
-and ``arcs`` are rebuilt from the sorted int keys on each read. All
-operations here are pure, except that :func:`topological_order` keeps the
-order it finds on the digraph.
+Vertices are dense integer ids 0..n-1. The constructors fill each adjacency
+list once, in ascending order, from sorted int keys they do not keep, and no
+route mutates a list; ``edges`` and ``arcs`` are rebuilt from the lists on
+each read. All operations here are pure, except that :func:`topological_order`
+keeps the order it finds on the digraph.
 """
 
 from __future__ import annotations
@@ -75,8 +75,13 @@ class _Checked:
     @classmethod
     def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int], s: int, t: int):
         """The instance with the pairs (us[i], vs[i]), checked as the constructor checks them."""
+        return cls._from_keys(n, _checked_keys(n, us, vs, issubclass(cls, Graph)), s, t)
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: list, *fields):
+        """The instance with the pairs of the sorted, unchecked ``keys`` and ``fields``."""
         x = cls.__new__(cls)
-        x._fill(n, _checked_keys(n, us, vs, issubclass(cls, Graph)), s, t)
+        x._fill(n, keys, *fields)
         return x
 
 
@@ -87,11 +92,11 @@ class Graph(_Checked):
     at construction time; edges are checked first, in input order.
     """
 
-    __slots__ = ("n", "_keys", "s", "t", "adj")
+    __slots__ = ("n", "s", "t", "adj")
 
     def _fill(self, n: int, keys: list, s: int, t: int):
         _check_ends(n, s, t)
-        self.n, self.s, self.t, self._keys = n, s, t, keys
+        self.n, self.s, self.t = n, s, t
         # edges ascend with u < v, so adj[x] gets its smaller neighbours (edges
         # (u, x)) in order before its larger ones: no list needs a sort
         self.adj = adj = [[] for _ in range(n)]
@@ -101,11 +106,11 @@ class Graph(_Checked):
 
     @property
     def edges(self) -> tuple:
-        """The edges (u, v), u < v, ascending, rebuilt from the sorted keys."""
-        return tuple(map(divmod, self._keys, repeat(self.n)))
+        """The edges (u, v), u < v, ascending, rebuilt from the ascending lists."""
+        return tuple([(u, v) for u, a in enumerate(self.adj) for v in a if u < v])
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self._keys)}, s={self.s}, t={self.t})"
+        return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2}, s={self.s}, t={self.t})"
 
 
 class Digraph(_Checked):
@@ -116,7 +121,7 @@ class Digraph(_Checked):
     keeps the order it finds in ``_order`` for later calls.
     """
 
-    __slots__ = ("n", "_keys", "s", "t", "out_adj", "in_adj", "_order")
+    __slots__ = ("n", "s", "t", "out_adj", "in_adj", "_order")
 
     @classmethod
     def _derived(cls, relab: VertexRelabeling, arcs: Iterable[tuple[int, int]], s: int, t: int,
@@ -131,13 +136,11 @@ class Digraph(_Checked):
         keys.sort()
         if order is not None:
             order = tuple(filter(partial(is_not, None), map(index.get, order)))
-        d = cls.__new__(cls)
-        d._fill(n, keys, index[s], index[t], order)
-        return d
+        return cls._from_keys(n, keys, index[s], index[t], order)
 
     def _fill(self, n: int, keys: list, s: int, t: int, order: tuple | None = None):
         _check_ends(n, s, t)
-        self.n, self.s, self.t, self._keys = n, s, t, keys
+        self.n, self.s, self.t = n, s, t
         # arcs ascend, so every list fills in ascending order and needs no sort
         self.out_adj = out_adj = [[] for _ in range(n)]
         self.in_adj = in_adj = [[] for _ in range(n)]
@@ -148,11 +151,11 @@ class Digraph(_Checked):
 
     @property
     def arcs(self) -> tuple:
-        """The arcs (u, v), ascending, rebuilt from the sorted keys."""
-        return tuple(map(divmod, self._keys, repeat(self.n)))
+        """The arcs (u, v), ascending, rebuilt from the ascending out-lists."""
+        return tuple([(u, v) for u, a in enumerate(self.out_adj) for v in a])
 
     def __repr__(self):
-        return f"Digraph(n={self.n}, m={len(self._keys)}, s={self.s}, t={self.t})"
+        return f"Digraph(n={self.n}, m={sum(map(len, self.out_adj))}, s={self.s}, t={self.t})"
 
 
 class VertexRelabeling:

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 
 from .errors import CycleError, EdgeError
-from .graph import Digraph, Graph, topological_order
+from .graph import Digraph, Graph, _checked_keys, topological_order
 from .setsystem import SetSystem
 
 Instance = Graph | Digraph | SetSystem
 
 # Largest n a header may name: whatever its edge count, a graph keeps one list per
-# vertex and a DAG two, each 56 bytes plus an 8-byte slot (about 64 and 176 bytes a
-# vertex at the parse's peak), so a one-line file could ask for gigabytes.
+# vertex and a DAG two and its order (measured: 64 and 168 bytes a vertex, 64 and 176
+# at the parse's peak, on 64-bit CPython), so a one-line file could ask for gigabytes.
 MAX_IDS = 10**6
 
 
@@ -122,7 +122,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         rows = lines[header_no:]
         columns = _canonical_columns(rows)
         if columns is None:
-            columns = us, vs = [], []
+            columns = [], []
             for i, raw in enumerate(rows, header_no + 1):
                 tokens = raw.split("#", 1)[0].split()
                 if tokens:
@@ -131,16 +131,19 @@ def parse_instance(text: str) -> tuple[str, Instance]:
                     except ValueError:
                         _int_fields(tokens, i)  # names a token that is no integer
                         raise ParseError(i, "expected 'u v'")
-                    us.append(u)
-                    vs.append(v)
+                    columns[0].append(u)
+                    columns[1].append(v)
         try:
-            if kind == "graph":
-                return kind, Graph.from_columns(n, *columns, s, t)
-            d = Digraph.from_columns(n, *columns, s, t)
-            topological_order(d)
-            return kind, d
+            keys = _checked_keys(n, *columns, kind == "graph")
+            # the lists fill beside one copy of the edge set, the keys, then drop it too
+            del lines, rows, columns
+            inst = (Graph if kind == "graph" else Digraph)._from_keys(n, keys, s, t)
+            del keys
+            if kind == "dag":
+                topological_order(inst)
+            return kind, inst
         except EdgeError as exc:
-            # the constructor names the first bad pair by its index; find its line
+            # the check names the first bad pair by its index; find its line
             pair_lines = [i for i, raw in enumerate(rows, header_no + 1) if _strip(raw)]
             raise ParseError(pair_lines[exc.index], str(exc))
         except CycleError:

@@ -37,19 +37,20 @@ def reduce_rule_1(g: Graph) -> tuple[LayeredGraph, VertexRelabeling] | None:
     ds = bfs_distances(g, g.s)
     if ds[g.t] is None:
         return None
-    adj, arcs, seen = g.adj, [], bytearray(g.n)
+    adj, us, vs, seen = g.adj, [], [], bytearray(g.n)
     seen[g.t] = 1
     walk = [g.t]
     for v in walk:  # grows while it is read, so by descending level
         below = ds[v] - 1
         for u in adj[v]:
             if ds[u] == below:
-                arcs.append((u, v))
+                us.append(u)
+                vs.append(v)
                 if not seen[u]:
                     seen[u] = 1
                     walk.append(u)
     relab = VertexRelabeling(sorted(walk))
-    return LayeredGraph(Digraph._derived(relab, arcs, g.s, g.t, reversed(walk))), relab
+    return LayeredGraph(Digraph._derived(relab, zip(us, vs), g.s, g.t, reversed(walk))), relab
 
 
 def enumerate_shortest_paths(lg: LayeredGraph, cap: int | None = None) -> list[tuple]:

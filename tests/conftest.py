@@ -44,6 +44,30 @@ def serial_diamond_dag(d, widths=None):
     return Digraph(junction + 1, arcs, 0, junction)
 
 
+def sparse_backbone_text(kind, n, seed=26):
+    """The file of a sparse graph or DAG on n vertices that the rules shrink a lot, in
+    shuffled ids and line order: an s-t backbone of gadgets (2 or 3 branches of length
+    2) in series over a third of the vertices, and trees of 5-40 vertices hanging off
+    it through one vertex, in a DAG oriented away from it or towards it."""
+    rng = random.Random(seed)
+    pairs, cur, nxt = [], 0, 1
+    while nxt < n // 3:
+        join = nxt + rng.choice((2, 3))
+        pairs += [p for m in range(nxt, join) for p in ((cur, m), (m, join))]
+        cur, nxt = join, join + 1
+    while nxt < n:
+        size = min(n - nxt, rng.randint(5, 40))
+        members = [rng.randrange(cur + 1), *range(nxt, nxt + size)]
+        tree = [(members[rng.randrange(i)], members[i]) for i in range(1, len(members))]
+        pairs += [(v, u) for u, v in tree] if kind == "dag" and rng.random() < 0.5 else tree
+        nxt += size
+    ids = list(range(n))
+    rng.shuffle(ids)
+    lines = [f"{ids[u]} {ids[v]}" for u, v in pairs]
+    rng.shuffle(lines)
+    return "\n".join([f"{kind} {n} {ids[0]} {ids[cur]}", *lines]) + "\n"
+
+
 def dag_path_masks(d):
     """The s-t paths of a DAG whose every vertex lies on one, as masks of their
     vertices but s and t with vertex ids as bits: what the set-system route hands

@@ -48,18 +48,32 @@ MUTANTS = [
      "in_adj[v].append(v)",
      "a digraph's fill appends each arc's head, not its tail, to the head's in-list"),
     ("src/trackset/graph.py",
-     '''"""The arcs (u, v), ascending, rebuilt from the sorted keys."""
-        return tuple(map(divmod, self._keys, repeat(self.n)))''',
-     '''"""The arcs (u, v), ascending, rebuilt from the sorted keys."""
-        return tuple(map(divmod, reversed(self._keys), repeat(self.n)))''',
-     "a digraph's arcs come back from its keys in descending order"),
+     "enumerate(self.out_adj) for v in a]",
+     "enumerate(self.out_adj) for v in reversed(a)]",
+     "a digraph's arcs come back with each tail's heads in descending order"),
+    ("src/trackset/graph.py",
+     "for v in a if u < v]",
+     "for v in a]",
+     "a graph's edges come back twice, once from each end's list"),
     ("src/trackset/dagtrack.py",
      "if d.in_adj.count([]) == 1 == d.out_adj.count([])",
      "if d.in_adj.count(()) == 1 == d.out_adj.count(())",
      "rule 2's degree test counts empty tuples among lists, so it never fires"),
+    ("src/trackset/dagtrack.py",
+     "a if all(map(on.__getitem__, a)) else",
+     "a if any(map(on.__getitem__, a)) else",
+     "rule 2 reuses a list that still holds a vertex on no s-t path"),
+    ("src/trackset/dagtrack.py",
+     "if on[v] and v != s)",
+     "if on[v])",
+     "rule 2 keeps an arc into s, which only a cycle puts between vertices on s-t paths"),
+    ("src/trackset/dagtrack.py",
+     "self._base, self.build = self.build(), None",
+     "self._base = self.build()",
+     "a reduced DAG keeps its builder, and what it holds of the input, after the build"),
     ("src/trackset/shortest.py",
-     "Digraph._derived(relab, arcs, g.s, g.t, reversed(walk))",
-     "Digraph._derived(relab, arcs, g.s, g.t, walk)",
+     "reversed(walk))), relab",
+     "walk)), relab",
      "rule 1's DAG inherits its walk from t, by descending level, as its order"),
     ("src/trackset/dagtrack.py",
      "[[0, 1 << inner[i]] for i in cuts]",

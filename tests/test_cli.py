@@ -7,19 +7,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trackset
-
+from trackset import cli
 from trackset.cli import _plain_args, build_parser, main
 from trackset.dagtrack import reduce_rule_2
 from trackset.instance_io import format_digraph, format_graph, parse_instance
 from trackset.report import SolveReport
 
-from conftest import serial_diamond_dag, serial_diamond_graph
+from conftest import serial_diamond_dag, serial_diamond_graph, sparse_backbone_text
 
 DIAMOND = "graph 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
 DIAMOND_DAG = "dag 4 0 3\n0 1\n0 2\n1 3\n2 3\n"
@@ -632,6 +633,38 @@ def test_no_route_mutates_the_adjacency_lists(capsys, monkeypatch, text):
     for argv in calls:
         assert main(argv) in (0, 1), argv
     assert [tuple(map(tuple, adj)) for adj in lists] == before
+
+
+@pytest.mark.parametrize("kind", ["graph", "dag"])
+def test_reduce_formats_after_the_parsed_instance_is_gone(tmp_path, capsys, monkeypatch,
+                                                           kind):
+    """``reduce`` drops the parsed instance before it builds and formats the reduced one,
+    so the traced memory when the formatter is entered is below what the parsed instance
+    alone retains. Slotted graphs take no weakref, so the memory tells it."""
+    text = sparse_backbone_text(kind, 3_000)
+    path = write(tmp_path, f"backbone.{kind}", text)
+    tracemalloc.start()
+    try:
+        _, inst = parse_instance(text)
+        retained = tracemalloc.get_traced_memory()[0]
+        del inst
+    finally:
+        tracemalloc.stop()
+    name = "format_graph" if kind == "graph" else "format_digraph"
+    real, entered = getattr(cli, name), []
+
+    def spy(g):
+        entered.append(tracemalloc.get_traced_memory()[0])
+        return real(g)
+
+    monkeypatch.setattr(cli, name, spy)
+    build_parser()  # built on a process's first call, and kept
+    tracemalloc.start()
+    try:
+        assert main(["reduce", path]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(entered) == 1 and entered[0] < retained
 
 
 def test_parser_is_built_on_the_first_call_only():

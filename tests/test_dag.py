@@ -110,6 +110,15 @@ class TestRule4:
         assert {(0, 2), (2, 1)} <= set(as_original_arcs(out, relab))
 
 
+def test_reduced_dag_drops_its_builder():
+    # the chain 1-2 collapses, so base comes from the builder, which holds d's lists
+    reduced, deleted = reduce_dag(Digraph(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], 0, 4))
+    assert deleted == 1 and reduced.build is not None
+    first = reduced.base
+    assert reduced.build is None
+    assert reduced.base is first
+
+
 def test_reduce_dag_invariants():
     rng = random.Random(11)
     checked = 0

@@ -58,6 +58,19 @@ def test_topological_order_is_kept_on_success_only():
 def test_graph_rejects_invalid_edges(edges, msg):
     with pytest.raises(ValueError, match=msg):
         Graph(3, edges, 0, 2)
+    with pytest.raises(ValueError, match=msg):
+        Graph.from_columns(3, *zip(*edges), 0, 2)
+
+
+@pytest.mark.parametrize("cls", [Graph, Digraph])
+def test_from_columns_builds_what_the_constructor_builds(cls):
+    pairs = [(3, 1), (0, 2), (1, 0), (2, 3)]
+    a, b = cls(4, pairs, 0, 3), cls.from_columns(4, [3, 0, 1, 2], [1, 2, 0, 3], 0, 3)
+    assert repr(a) == repr(b) == f"{cls.__name__}(n=4, m=4, s=0, t=3)"
+    if cls is Graph:
+        assert a.adj == b.adj and a.edges == b.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+    else:
+        assert a.out_adj == b.out_adj and a.arcs == b.arcs == ((0, 2), (1, 0), (2, 3), (3, 1))
 
 
 def test_graph_rejects_equal_endpoints():

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 
 import trackset
 from trackset import instance_io
+from trackset.cli import build_parser, main
 from trackset.instance_io import MAX_IDS, ParseError, _canonical_columns, parse_instance
 from trackset.setsystem import _union_masks
+
+from conftest import sparse_backbone_text
 
 
 @pytest.mark.parametrize("text,line,msg", [
@@ -78,6 +81,45 @@ def test_memory_per_header_vertex(kind):
         tracemalloc.stop()
     assert inst.n == n
     assert peak / n < PEAK_PER_VERTEX[kind]
+
+
+# tracemalloc bytes per arc on the file of ``sparse_backbone_text(kind, 12_000)`` (13,716
+# arcs), as measured on 64-bit CPython 3.11 before and after the parse dropped its lines,
+# id columns and keys (parse, and the retained graph), rule 2 its copied lists and
+# ``reduce`` the parsed instance before the formatter:
+#   dag:   parse 431 -> 264, retained 276 -> 235, count 441 -> 321, reduce 538 -> 321
+#   graph: parse 338 -> 192, retained 192 -> 151, count 364 -> 298, reduce 409 -> 295
+# Each bound lies between the two. A count's peak also holds the exact path counts
+# along the backbone, ints of up to 445 digits.
+PEAK_PER_ARC = {("dag", "parse"): 350, ("dag", "retained"): 255, ("dag", "count"): 380,
+                ("dag", "reduce"): 430, ("graph", "parse"): 265, ("graph", "retained"): 170,
+                ("graph", "count"): 330, ("graph", "reduce"): 350}
+
+
+@pytest.mark.parametrize("route", ["parse", "count", "reduce"])
+@pytest.mark.parametrize("kind", ["graph", "dag"])
+def test_memory_per_arc(tmp_path, capsys, kind, route):
+    """A parse holds one copy of the edge set while the lists fill, a parsed graph keeps
+    only its lists (and a DAG its order), and count and reduce, which read the file,
+    stay within a bound per arc on a sparse file of the kind that the rules shrink."""
+    text = sparse_backbone_text(kind, 12_000)
+    arcs = text.count("\n") - 1
+    path = tmp_path / f"backbone.{kind}"
+    path.write_text(text)
+    build_parser()  # built on a process's first call, and kept: not this route's cost
+    tracemalloc.start()
+    try:
+        if route == "parse":
+            _, inst = parse_instance(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        else:
+            assert main([route, str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / arcs < PEAK_PER_ARC[kind, route]
+    if route == "parse":
+        assert inst.n == 12_000 and retained / arcs < PEAK_PER_ARC[kind, "retained"]
 
 
 def test_header_sized_allocation_exits_2(tmp_path):

@@ -241,18 +241,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _argv_tables(parser: argparse.ArgumentParser) -> dict:
+    """Per command, read once and shared by every call, so never mutated: the positionals (each
+    takes one token, or None where declined), required dests, defaults, option table, function."""
+    commands = next(a for a in parser._actions if a.nargs == argparse.PARSER).choices
+    return {name: ([a if a.nargs is None else None for a in sub._actions if not a.option_strings],
+                   [a.dest for a in sub._actions if a.required or not a.option_strings],
+                   {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS},
+                   sub._option_string_actions, sub.get_default("func"))
+            for name, sub in commands.items()}
+
+
 def _plain_args(parser: argparse.ArgumentParser, argv: list[str]
                 ) -> argparse.Namespace | None:
-    """``parser.parse_args(argv)``, read in one pass from the command's own actions, or None
-    where argparse must read ``argv``: help, errors, ``--``, abbreviations, ``=`` forms,
-    repeats and values starting with "-". ``*`` takes the tokens up to the next "-" one."""
-    commands = next(a for a in parser._actions if a.nargs == argparse.PARSER).choices
-    if not argv or (sub := commands.get(argv[0])) is None:
+    """``parser.parse_args(argv)``, read in one pass from the command's table, or None where
+    argparse must read ``argv``: help, errors, ``--``, abbreviations, ``=`` forms, repeats
+    and values starting with "-". ``*`` takes the tokens up to the next "-" one."""
+    if not argv or (table := _argv_tables(parser).get(argv[0])) is None:
         return None
+    positionals, required, defaults, options, func = table
+    positionals, seen, i = iter(positionals), {}, 1
     dash = [token.startswith("-") for token in argv] + [True]  # True ends every run
-    positionals = iter([a if a.nargs is None else None for a in sub._actions
-                        if not a.option_strings])  # each takes one token, or is declined
-    options, seen, i = sub._option_string_actions, {}, 1
     while i < len(argv):
         if dash[i]:
             act, run, i = options.get(argv[i]), dash.index(True, i + 1) - i - 1, i + 1
@@ -268,10 +278,11 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]
         if act.choices is not None and any(v not in act.choices for v in values):
             return None
         seen[act.dest], i = values if act.nargs == "*" else (values or [act.const])[0], i + take
-    if any((a.required or not a.option_strings) and a.dest not in seen for a in sub._actions):
+    if any(dest not in seen for dest in required):
         return None
-    defaults = {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS}
-    return argparse.Namespace(**(defaults | seen), command=argv[0], func=sub.get_default("func"))
+    args = argparse.Namespace()  # filled by one update, not one setattr per dest
+    vars(args).update(defaults, **seen, command=argv[0], func=func)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,7 @@ pair of paths.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 from .errors import InternalError
@@ -76,7 +77,8 @@ def _pruned(d: Digraph) -> tuple[list[int], bytearray] | None:
     if d.in_adj.count([]) == 1 == d.out_adj.count([]) and not (d.in_adj[s] or d.out_adj[t]):
         return None
     on = _reach(d.in_adj, t, s, _reach(d.out_adj, s, t, bytearray(b"\1") * d.n))
-    return [v for v in range(d.n) if on[v] or v == s], on
+    keep = list(compress(range(d.n), on))  # s is marked unless t is out of its reach
+    return (keep if on[s] else sorted((s, t))), on
 
 
 def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
@@ -99,15 +101,15 @@ def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
 def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     """Apply rules 2, 3 and 4 once each, in that order, which reaches their fixpoint.
 
-    Rule 2 leaves only vertices on s-t paths, so s has no in-arc and t no out-arc;
-    if they are the only such ends already, walking back from any vertex ends at s
-    and on at t, so rule 2 searches nothing. Rule 3 walks s forward while it has one
-    out-neighbour and t back while it has one in-neighbour; in a DAG each vertex
-    passed has no other in-arc (out-arc), so the walks change no interior degree.
-    Rule 4 maps each maximal chain of interior in-1/out-1 vertices to its least id,
-    which keeps witnesses lex-least as a chain's vertices lie on the same paths, and
-    drops the arcs left inside a chain. It changes neither deg(s) nor deg(t) nor any
-    other vertex's degree: no rule fires again.
+    Rule 2 leaves only vertices on s-t paths, so s has no in-arc and t no out-arc; if they
+    are the only such ends already, walking back from any vertex ends at s and on at t, so
+    rule 2 searches nothing. Rule 3 walks s forward while it has one out-neighbour and t
+    back while it has one in-neighbour; in a DAG each vertex passed has no other in-arc
+    (out-arc), so the walks change no interior degree. Rule 4 maps each maximal chain of
+    interior in-1/out-1 vertices to its least id, which keeps witnesses lex-least as a
+    chain's vertices lie on the same paths, and drops the arcs left inside a chain; a chain
+    of one vertex keeps its id, with no map entry. It changes neither deg(s) nor deg(t) nor
+    any other vertex's degree: no rule fires again.
 
     The result inherits d's topological order restricted to the kept vertices, and
     that is one of its own. Every rule keeps ids in ascending order, and rule 4 keeps
@@ -146,16 +148,16 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     if s == t:
         return None, d.n - 1
 
-    live = [v for v in keep if v not in gone]
+    live = [v for v in keep if v not in gone] if gone else keep
     inner = {v for v in live if len(inc[v]) == 1 == len(out[v])} - {s, t}
-    least: dict[int, int] = {}
+    least: dict[int, int] = {}  # the members of chains of two or more, to their least id
     for head in inner:  # a chain's head is the member whose in-neighbour is no member
-        if inc[head][0] not in inner:
-            chain = [head]
-            while (z := out[chain[-1]][0]) in inner:
+        if inc[head][0] not in inner and (z := out[head][0]) in inner:
+            chain = [head, z]
+            while (z := out[z][0]) in inner:
                 chain.append(z)
             least.update(dict.fromkeys(chain, min(chain)))
-    kept = [v for v in live if least.get(v, v) == v]
+    kept = [v for v in live if least.get(v, v) == v] if least else live
     if pruned is None and len(kept) == d.n:
         return ReducedDag(d.n, VertexRelabeling(range(d.n)), lambda: d), 0
     relab, order = VertexRelabeling(kept), d._order
@@ -164,9 +166,9 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
         arcs = ((a, b) for u in live for v in out[u] if v not in gone
                 if (a := least.get(u, u)) != (b := least.get(v, v)))
         reduced = Digraph._derived(relab, arcs, s, t, order)
-        # each chain's least id, kept[i], is vertex i of the result: one arc in, one out
+        # each chain's kept id, kept[i], is vertex i of the result: one arc in, one out
         bad = [x for i, x in enumerate(kept)
-               if x in least and not len(reduced.in_adj[i]) == 1 == len(reduced.out_adj[i])]
+               if x in inner and not len(reduced.in_adj[i]) == 1 == len(reduced.out_adj[i])]
         if bad:
             raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
         return reduced
@@ -304,31 +306,35 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
     minimum tracking set as a vertex mask, or None if that needs more than k; the
     candidates the core tested).
 
-    A block is (s, t, its inner vertices in topological order, whether it has the arc
-    s-t); its counts are d's, f(v) over f(s) and b(v) over b(t). tr is its least tracking
-    set of inner vertices, hit the least that also meets every path (least: smallest, then
+    A block is (s, t, its inner vertices in topological order, whether it has the arc s-t);
+    its counts are d's, f(v) over f(s) and b(v) over b(t). tr is its least tracking set of
+    inner vertices, hit the least that also meets every path (least: smallest, then
     lexicographically least). An inner vertex with f(v) b(v) = p cuts a block in series,
     each cut vertex c a leaf part with tr {} and hit {c}; else the weak components of its
-    inner vertices split it in parallel, the arc s-t a leaf part with tr {} and no hit.
-    The rules are duals, both from :func:`_combine`: in series tr is the union of the
-    parts' tr, hit the least of one part's hit plus the others' tr; in parallel, as paths
-    in two parts meet the trackers alike only if both meet none, hit is the union of the
-    parts' hit, tr the least of one part's tr plus the others' hit. The parts share only
-    their ends, so for fixed part sizes the union of their least sets is the least union;
-    two cut leaves' candidates differ only in their cut vertex, so the least one wins. A
-    one-path block has tr {} and hit its least inner id; the core solves a rigid block,
-    ``d`` included, on the inner-vertex masks of its p over f(s) b(t) paths from
-    :func:`path_masks`, plus the empty mask for hit. A set over k counts as none, as every
-    union holding it is over k: leaves need no cap. A series part has no cut vertex and a
-    parallel part is connected, so each tests the other split alone. An explicit stack
-    holds the blocks, so nesting is not bounded by the recursion limit."""
+    inner vertices split it in parallel, a lone vertex v (the path s-v-t) a leaf part as a
+    cut vertex is, the arc s-t a leaf part with tr {} and no hit. The rules are duals, both
+    from :func:`_combine`: in series tr is the union of the parts' tr, hit the least of one
+    part's hit plus the others' tr; in parallel, as paths in two parts meet the trackers
+    alike only if both meet none, hit is the union of the parts' hit, tr the least of one
+    part's tr plus the others' hit. The parts share only their ends, so for fixed part sizes
+    the union of their least sets is the least union; two such leaves' candidates differ
+    only in their vertex, so the least one wins. A one-path block has tr {} and hit its
+    least inner id; the core solves a rigid block, ``d`` included, on the inner-vertex masks
+    of its p over f(s) b(t) paths from :func:`path_masks`, bit i for its i-th least inner
+    id, plus the empty mask for hit. A set over k counts as none, as every union holding it
+    is over k: leaves need no cap. A series part has no cut vertex and a parallel part is
+    connected, so each tests the other split alone. An explicit stack holds the blocks, so
+    nesting is not bounded by the recursion limit."""
     n, in_adj, out_adj = d.n, d.in_adj, d.out_adj
     order = topological_order(d)
     fwd, bwd, up = [0] * n, [0] * n, list(range(n))
-    for v in order:  # s alone has no in-arc and t alone no out-arc: their counts are 1
-        fwd[v] = sum(map(fwd.__getitem__, in_adj[v])) or 1
-    for v in reversed(order):
-        bwd[v] = sum(map(bwd.__getitem__, out_adj[v])) or 1
+    # s alone has no in-arc and t alone no out-arc: their counts are 1. Plain loops, as a
+    # sum over a map costs more at these degrees
+    for count, adj, walk in ((fwd, in_adj, order), (bwd, out_adj, reversed(order))):
+        for v in walk:
+            for u in adj[v]:
+                count[v] += count[u]
+            count[v] = count[v] or 1
 
     def root(x: int) -> int:  # union-find with path halving
         while up[x] != x:
@@ -368,11 +374,14 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
                 comps.setdefault(root(v), []).append(v)
             if len(comps) + direct > 1:
                 node[2:] = "parallel", [[0, None]] * direct  # the arc s-t as a leaf
-                stack += [(s, t, comp, False, True, node[3], "series")
-                          for comp in comps.values()]
+                for comp in comps.values():  # a one-vertex part s-v-t is a leaf
+                    if len(comp) == 1:
+                        node[3].append([0, 1 << comp[0]])
+                    else:
+                        stack.append((s, t, comp, False, True, node[3], "series"))
                 continue
-        rank = VertexRelabeling(sorted(inner))  # the core's bits: inner ids, in order
-        masks = path_masks(d, s, inner, into_t, rank.index)
+        ids = sorted(inner)  # the core's bit i is ids[i], so its least set is the least
+        masks = path_masks(d, s, inner, into_t, dict(zip(ids, range(len(ids)))))
         if len(masks) != (p := q // (fwd[s] * bwd[t])):
             raise InternalError(f"{len(masks)} paths listed but {p} counted from {s} to {t}")
         node[0], lower = None, 0
@@ -381,14 +390,16 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
             tried += tested
             if found is None:  # over k; a hit tracks too, so it is no smaller than tr
                 break
-            node[i], lower = to_mask(rank.map_set(from_mask(found))), found.bit_count()
+            node[i] = to_mask(v for j, v in enumerate(ids) if found >> j & 1)
+            lower = found.bit_count()
     for node in reversed(nodes):
         tr, hit, split, parts = node
         if split == "series":
             tr, hit = _combine(parts, 0, 1)
         elif split == "parallel":
             hit, tr = _combine(parts, 1, 0)
-        node[:2] = (None if x is None or x.bit_count() > k else x for x in (tr, hit))
+        node[0] = None if tr is None or tr.bit_count() > k else tr
+        node[1] = None if hit is None or hit.bit_count() > k else hit
     return nodes[0][0], tried
 
 

@@ -10,6 +10,7 @@ Formats ('#' starts a comment, ids are 0-based):
 from __future__ import annotations
 
 import json
+from operator import add
 
 from .errors import CycleError, EdgeError
 from .graph import Digraph, Graph, _checked_keys, topological_order
@@ -195,18 +196,16 @@ def parse_instance(text: str) -> tuple[str, Instance]:
 
 
 def format_graph(g: Graph | Digraph) -> str:
-    """``g`` in the graph format; a digraph, such as rule 1's, prints as its Graph would."""
-    edges = g.edges if isinstance(g, Graph) else sorted(
-        (u, v) if u < v else (v, u) for u, v in g.arcs)
-    lines = [f"graph {g.n} {g.s} {g.t}"]
-    lines += [f"{u} {v}" for u, v in edges]
-    return "\n".join(lines) + "\n"
+    """``g`` in the graph format; a digraph, such as rule 1's, prints as its Graph would.
+    Each edge is read from the ascending neighbour list of its smaller end."""
+    adj = g.adj if isinstance(g, Graph) else map(sorted, map(add, g.out_adj, g.in_adj))
+    return f"graph {g.n} {g.s} {g.t}\n" + "".join(
+        [f"{u} {v}\n" for u, a in enumerate(adj) for v in a if v > u])
 
 
 def format_digraph(d: Digraph) -> str:
-    lines = [f"dag {d.n} {d.s} {d.t}"]
-    lines += [f"{u} {v}" for u, v in d.arcs]
-    return "\n".join(lines) + "\n"
+    return f"dag {d.n} {d.s} {d.t}\n" + "".join(
+        [f"{u} {v}\n" for u, a in enumerate(d.out_adj) for v in a])
 
 
 def format_setsystem(sys: SetSystem) -> str:

@@ -23,6 +23,9 @@ if TYPE_CHECKING:  # annotations only, so a cold start never imports them
 
 # Pairs of sets whose differences minimal_differences holds at once.
 PAIR_CHUNK = 1 << 14
+# Families of fewer masks are filtered pairwise by minimal_differences: from 16 random
+# masks over 16 or 32 elements up, its column transposition costs less.
+PAIRWISE_BELOW = 16
 
 
 class SetSystem:
@@ -116,17 +119,25 @@ def minimal_differences(masks: Sequence[int]) -> list[int]:
     superset-free family is an equivalent hitting instance. Sorted by size,
     then by mask value.
 
-    The pairs are taken ``PAIR_CHUNK`` at a time, so memory stays at one
-    chunk of distinct differences plus the minimal family, not at the
-    number of pairs. Each chunk's differences join the family found so far,
-    sorted by size, and are eliminated column-wise: the lowest candidate
-    still alive is minimal, as any subset of it comes earlier and would have
-    removed it, so it is kept, and the AND of its elements' columns (its
-    alive supersets, itself included) leaves ``alive``. Sets of one size
-    never contain each other, so the value order is applied once, at the end.
+    Below ``PAIRWISE_BELOW`` masks each distinct difference, by size, is kept unless a
+    kept set is a subset of it. Otherwise the pairs are taken ``PAIR_CHUNK`` at a
+    time, so memory stays at one chunk of distinct differences plus the minimal
+    family, not at the number of pairs. Each chunk's differences join the family found
+    so far, sorted by size, and are eliminated column-wise: the lowest candidate still
+    alive is minimal, as any subset of it comes earlier and would have removed it, so
+    it is kept, and the AND of its elements' columns (its alive supersets, itself
+    included) leaves ``alive``. Sets of one size never contain each other, so the
+    value order is applied once, at the end.
     """
     pairs = combinations(masks, 2)
     minimal: list[int] = []
+    if len(masks) < PAIRWISE_BELOW:  # drains ``pairs``, so the chunk loop does not run
+        for f in sorted(set(starmap(xor, pairs)), key=int.bit_count):
+            for c in minimal:
+                if f & c == c:
+                    break
+            else:
+                minimal.append(f)
     while diffs := set(starmap(xor, islice(pairs, PAIR_CHUNK))):
         diffs.update(minimal)
         cands = sorted(diffs, key=int.bit_count)

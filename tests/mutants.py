@@ -119,6 +119,38 @@ MUTANTS = [
      "(p := q // (fwd[s] * bwd[t]))",
      "(p := q // fwd[s])",
      "a rigid block's listed paths are compared with p b(t), not its p paths"),
+    ("src/trackset/dagtrack.py",
+     "node[3].append([0, 1 << comp[0]])",
+     "node[3].append([1 << comp[0], 1 << comp[0]])",
+     "a one-vertex leaf part of a parallel split has tr {v}, not {}"),
+    ("src/trackset/dagtrack.py",
+     "for j, v in enumerate(ids) if found >> j & 1",
+     "for j, v in enumerate(inner) if found >> j & 1",
+     "a rigid block maps the core's bits back through its topological inner list"),
+    ("src/trackset/dagtrack.py",
+     "if inc[head][0] not in inner and (z := out[head][0]) in inner:",
+     "if inc[head][0] not in inner and False:",
+     "rule 4 merges no chain, as if every chain head were alone"),
+    ("src/trackset/dagtrack.py",
+     "if x in inner and not len(reduced.in_adj[i])",
+     "if x in least and not len(reduced.in_adj[i])",
+     "rule 4's check skips the one-vertex chains, which have no map entry"),
+    ("src/trackset/dagtrack.py",
+     "(keep if on[s] else sorted((s, t)))",
+     "keep",
+     "rule 2 keeps no s when t is out of its reach"),
+    ("src/trackset/setsystem.py",
+     "if f & c == c:",
+     "if f & c != c:",
+     "the pairwise filter keeps a difference only if it contains every kept set"),
+    ("src/trackset/setsystem.py",
+     "if f & c == c:",
+     "if f & c == f:",
+     "the pairwise filter tests the candidate inside a kept set, so it keeps supersets"),
+    ("src/trackset/cli.py",
+     "_argv_tables(parser).get(argv[0])",
+     "_argv_tables(parser).get(\"solve\")",
+     "the one-pass reader reads every command with the solve table"),
     ("src/trackset/setsystem.py",
      "lower=max(lower, tracking_lower_bound(len(masks)))",
      "lower=lower",

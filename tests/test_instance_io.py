@@ -89,7 +89,9 @@ def test_memory_per_header_vertex(kind):
 # ``reduce`` the parsed instance before the formatter:
 #   dag:   parse 431 -> 264, retained 276 -> 235, count 441 -> 321, reduce 538 -> 321
 #   graph: parse 338 -> 192, retained 192 -> 151, count 364 -> 298, reduce 409 -> 295
-# Each bound lies between the two. A count's peak also holds the exact path counts
+# and before and after ``reduce`` wrote its lines from the adjacency lists, with no arc
+# or edge tuples: dag reduce 321 -> 305, graph reduce 295 -> 295 (there the peak comes
+# before the formatter). Each bound lies between the two. A count's peak also holds the exact path counts
 # along the backbone, ints of up to 445 digits.
 PEAK_PER_ARC = {("dag", "parse"): 350, ("dag", "retained"): 255, ("dag", "count"): 380,
                 ("dag", "reduce"): 430, ("graph", "parse"): 265, ("graph", "retained"): 170,

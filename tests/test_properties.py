@@ -522,6 +522,36 @@ def test_minimal_differences_matches_reference(patched, masks, chunk):
         assert minimal_differences(masks) == reference_minimal_differences(masks)
 
 
+@st.composite
+def crossover_families(draw):
+    """Distinct masks on either side of ``PAIRWISE_BELOW``: 0-40 free draws over 6-24
+    elements, or every sum of 1-5 generators (2-32 masks), whose differences repeat."""
+    mask = st.integers(0, 2 ** draw(st.integers(6, 24)) - 1)
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 40))
+        return draw(st.lists(mask, min_size=size, max_size=size, unique=True))
+    masks = {0}
+    for g in draw(st.lists(mask, min_size=1, max_size=5)):
+        masks |= {m ^ g for m in masks}
+    return draw(st.permutations(sorted(masks)))
+
+
+@SETTINGS
+@given(masks=crossover_families(), chunk=st.sampled_from([1, 3, setsystem.PAIR_CHUNK]))
+@example(masks=[0, 1, 2, 3], chunk=1)  # 0^1 = 2^3 and 0^2 = 1^3
+@example(masks=list(range(16)), chunk=setsystem.PAIR_CHUNK)  # every difference 8 times
+@example(masks=[1 << e for e in range(20)], chunk=3)
+def test_pairwise_filter_matches_column_elimination(masks, chunk):
+    """Each of minimal_differences' two filters, forced on one family, gives the same
+    list, sorted by size and then by value, whichever side of the crossover it is on."""
+    with mock.patch.object(setsystem, "PAIR_CHUNK", chunk):
+        with mock.patch.object(setsystem, "PAIRWISE_BELOW", len(masks) + 1):
+            pairwise = minimal_differences(masks)
+        with mock.patch.object(setsystem, "PAIRWISE_BELOW", 0):
+            columns = minimal_differences(masks)
+    assert pairwise == columns == sorted(set(columns), key=lambda f: (f.bit_count(), f))
+
+
 @SETTINGS
 @given(rows=st.lists(st.integers(0, 2 ** 70 - 1), max_size=40), width=st.integers(0, 72))
 @example(rows=[], width=0)

@@ -47,7 +47,7 @@ def _oracle_check(report: SolveReport, kind: str, inst, k: int, cap: int | None)
     family = _oracle_family(kind, inst, cap)
     best = oracle.brute_min_tracking(family, universe, max_k=k)
     agree = (best is not None) == (report.result == "YES")
-    if report.result == "YES" and report.witness is not None:
+    if report.result == "YES":
         agree = agree and len(report.witness) == best
         agree = agree and oracle.brute_is_tracking(family, report.witness)
     if not agree:

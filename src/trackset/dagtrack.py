@@ -105,8 +105,9 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     are the only such ends already, walking back from any vertex ends at s and on at t, so
     rule 2 searches nothing. Rule 3 walks s forward while it has one out-neighbour and t
     back while it has one in-neighbour; in a DAG each vertex passed has no other in-arc
-    (out-arc), so the walks change no interior degree. Rule 4 maps each maximal chain of
-    interior in-1/out-1 vertices to its least id, which keeps witnesses lex-least as a
+    (out-arc), so the walks change no interior degree; s stops at an out-degree and t at
+    an in-degree other than 1, so neither is an in-1/out-1 vertex. Rule 4 maps each
+    maximal chain of in-1/out-1 vertices to its least id, which keeps witnesses lex-least as a
     chain's vertices lie on the same paths, and drops the arcs left inside a chain; a chain
     of one vertex keeps its id, with no map entry. It changes neither deg(s) nor deg(t) nor
     any other vertex's degree: no rule fires again.
@@ -149,7 +150,7 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
         return None, d.n - 1
 
     live = [v for v in keep if v not in gone] if gone else keep
-    inner = {v for v in live if len(inc[v]) == 1 == len(out[v])} - {s, t}
+    inner = {v for v in live if len(inc[v]) == 1 == len(out[v])}
     least: dict[int, int] = {}  # the members of chains of two or more, to their least id
     for head in inner:  # a chain's head is the member whose in-neighbour is no member
         if inc[head][0] not in inner and (z := out[head][0]) in inner:

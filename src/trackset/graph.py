@@ -63,7 +63,7 @@ def _check_ends(n: int, s: int, t: int):
 
 
 class _Checked:
-    """The checking constructors of Graph and Digraph; each fills itself in ``_fill``."""
+    """The one checking constructor of Graph and Digraph; each fills itself in ``_fill``."""
 
     __slots__ = ()
 
@@ -71,11 +71,6 @@ class _Checked:
         # a pair that is not two ids raises ValueError here, before any pair is checked
         us, vs = tuple(zip(*pairs, strict=True)) or ((), ())
         self._fill(n, _checked_keys(n, us, vs, isinstance(self, Graph)), s, t)
-
-    @classmethod
-    def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int], s: int, t: int):
-        """The instance with the pairs (us[i], vs[i]), checked as the constructor checks them."""
-        return cls._from_keys(n, _checked_keys(n, us, vs, issubclass(cls, Graph)), s, t)
 
     @classmethod
     def _from_keys(cls, n: int, keys: list, *fields):

@@ -54,19 +54,6 @@ class SetSystem:
         return f"SetSystem(universe_size={self.universe_size}, m={len(self.family)})"
 
 
-class HittingInstance:
-    """Hitting-set instance built from the pairwise symmetric differences."""
-
-    __slots__ = ("universe_size", "family")
-
-    def __init__(self, universe_size: int, family: Iterable[Iterable[int]]):
-        fam = tuple(map(frozenset, family))
-        if not all(fam):
-            raise ValueError("hitting family contains an empty set (infeasible)")
-        self.universe_size = universe_size
-        self.family = fam
-
-
 def to_mask(elements: Iterable[int]) -> int:
     """Bitmask with bit e set for every element e."""
     return reduce(or_, map((1).__lshift__, elements), 0)
@@ -123,11 +110,11 @@ def minimal_differences(masks: Sequence[int]) -> list[int]:
     kept set is a subset of it. Otherwise the pairs are taken ``PAIR_CHUNK`` at a
     time, so memory stays at one chunk of distinct differences plus the minimal
     family, not at the number of pairs. Each chunk's differences join the family found
-    so far, sorted by size, and are eliminated column-wise: the lowest candidate still
-    alive is minimal, as any subset of it comes earlier and would have removed it, so
-    it is kept, and the AND of its elements' columns (its alive supersets, itself
-    included) leaves ``alive``. Sets of one size never contain each other, so the
-    value order is applied once, at the end.
+    so far, sorted by value, and are eliminated column-wise: the lowest candidate still
+    alive is minimal, as any proper subset of it has a smaller value, comes earlier and
+    would have removed it, so it is kept, and the AND of its elements' columns (its
+    alive supersets, itself included) leaves ``alive``. The (size, value) order is
+    applied once, at the end.
     """
     pairs = combinations(masks, 2)
     minimal: list[int] = []
@@ -140,7 +127,7 @@ def minimal_differences(masks: Sequence[int]) -> list[int]:
                 minimal.append(f)
     while diffs := set(starmap(xor, islice(pairs, PAIR_CHUNK))):
         diffs.update(minimal)
-        cands = sorted(diffs, key=int.bit_count)
+        cands = sorted(diffs)
         col = _columns(cands, max(diffs).bit_length())
         alive, minimal = (1 << len(cands)) - 1, []
         while alive:
@@ -156,14 +143,14 @@ def minimal_differences(masks: Sequence[int]) -> list[int]:
     return sorted(sorted(minimal), key=int.bit_count)
 
 
-def reduce_to_hitting(sys: SetSystem) -> HittingInstance:
-    """Symmetric-difference reduction: T tracks sys iff T hits the output.
+def reduce_to_hitting(sys: SetSystem) -> SetSystem:
+    """Symmetric-difference reduction: T tracks sys iff T hits every set of the output.
 
     Only the inclusion-minimal differences are kept; hitting those is
     equivalent to hitting all of them.
     """
     diffs = minimal_differences([to_mask(s) for s in sys.family])
-    return HittingInstance(sys.universe_size, (from_mask(f) for f in diffs))
+    return SetSystem(sys.universe_size, map(from_mask, diffs))
 
 
 def hitting_search(sets: Sequence[int], k: int, lower: int = 0
@@ -172,23 +159,23 @@ def hitting_search(sets: Sequence[int], k: int, lower: int = 0
 
     Returns (mask, nodes), where nodes counts the candidate sets tested.
     Deepens the size from ``lower`` (a valid lower bound on the minimum) to
-    min(k, |union of sets|), since a minimum hitting set lies inside the
-    union. Each pass picks elements in ascending order, so the first
-    hitting set found is the minimum one that is lexicographically least.
+    k. The union of the sets hits them all, unless one is empty, so a pass
+    at size |union| always returns: no pass above it runs. Each pass picks
+    elements in ascending order, so the first hitting set found is the
+    minimum one that is lexicographically least.
 
     The passes share tables over set indices, each a mask with bit i for
     ``sets[i]``: ``col[e]`` holds the sets that contain element e and
     ``bylen[L]`` those whose highest element is L - 1; ``nbr[b]`` caches,
     per set bit, the sets that share an element >= b with that set.
     """
-    union = reduce(or_, sets, 0)
-    col = _columns(sets, union.bit_length())
+    col = _columns(sets, max(sets, default=0).bit_length())
     bylen = [0] * (len(col) + 1)
     for i, s in enumerate(sets):
         bylen[s.bit_length()] |= 1 << i
     tables = sets, col, bylen, [{} for _ in bylen]
     nodes = 0
-    for size in range(lower, min(k, union.bit_count()) + 1):
+    for size in range(lower, k + 1):
         found, tested = _search_size(tables, size)
         nodes += tested
         if found is not None:
@@ -247,8 +234,8 @@ def _search_size(tables: tuple, size: int) -> tuple[int | None, int]:
     return None, nodes
 
 
-def solve_hitting(h: HittingInstance, k: int) -> frozenset[int] | None:
-    """Minimum, lexicographically least hitting set of size <= k, or None."""
+def solve_hitting(h: SetSystem, k: int) -> frozenset[int] | None:
+    """Minimum, lexicographically least hitting set of size <= k of the family, or None."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     found, _ = hitting_search([to_mask(f) for f in h.family], k)

@@ -1,8 +1,10 @@
 """Hand-written mutants of ``src/trackset``, each run against the tier-1 tests.
 
-Each entry of ``MUTANTS`` is (file, old text, new text, what it breaks). The old
-text must occur exactly once in its file, so a refactor that moves the code
-stops this script instead of leaving a mutant that changes nothing. For each
+Each entry of ``MUTANTS`` is (file, old text, new text, what it breaks), or, for
+an expected survivor, (file, old text, new text, what it changes, why no result
+can change): such an entry prints its one-line argument and does not fail the
+run. The old text must occur exactly once in its file, so a refactor that moves
+the code stops this script instead of leaving a mutant that changes nothing. For each
 mutant the repository is copied to a temporary directory, the one replacement
 is made there, and tier-1 runs on the copy with ``-x`` and a fixed Hypothesis
 seed: a failing run kills the mutant. The unchanged copy runs first and must
@@ -12,7 +14,7 @@ Usage, from any directory (stdlib only; pytest does not collect this file):
 
     python tests/mutants.py
 
-The exit code is 1 if a mutant survives, else 0.
+The exit code is 1 if a mutant not marked as a survivor survives, else 0.
 """
 
 from __future__ import annotations
@@ -155,6 +157,52 @@ MUTANTS = [
      "lower=max(lower, tracking_lower_bound(len(masks)))",
      "lower=lower",
      "the core's search starts below ceil(lg m)"),
+    ("src/trackset/setsystem.py",
+     "if need > budget:",
+     "if need > budget + 1:",
+     "the packing prune never fires, as the packing loop stops at budget + 1"),
+    ("src/trackset/setsystem.py",
+     "if left != unhit and (budget > 1 or not left):",
+     "if left != unhit:",
+     "the last pick need not hit every unhit set"),
+    ("src/trackset/setsystem.py",
+     "diffs = minimal_differences([to_mask(s) for s in sys.family])",
+     "diffs = sorted(set(starmap(xor, combinations([to_mask(s) for s in sys.family], 2))))",
+     "the reduction to hitting set keeps every difference, not just the minimal ones"),
+    ("src/trackset/dagtrack.py",
+     "while s != t and len(out[s]) == 1:",
+     "if s != t and len(out[s]) == 1:",
+     "rule 3 walks s forward one step at most"),
+    ("src/trackset/dagtrack.py",
+     "while t != s and len(inc[t]) == 1:",
+     "while t != s and len(inc[t]) == 1 and len(out[s]) != 1:",
+     "rule 3's second walk also requires s's out-degree to differ from 1",
+     "the first walk stops at s == t or at an out-degree other than 1, and the second "
+     "walk moves only t"),
+    ("src/trackset/dagtrack.py",
+     "least.update(dict.fromkeys(chain, min(chain)))",
+     "least.update(dict.fromkeys(chain, max(chain)))",
+     "rule 4 maps each chain to its greatest id"),
+    ("src/trackset/dagtrack.py",
+     "for u in sorted(trackers | {d.s}):",
+     "for u in sorted(trackers):",
+     "violating_pair starts no walk at s"),
+    ("src/trackset/dagtrack.py",
+     "for v in sorted(trackers | {d.t}) if counts[v] == 2",
+     "for v in sorted(trackers) if counts[v] == 2",
+     "violating_pair looks for two u-paths at the trackers but not at t"),
+    ("src/trackset/dagtrack.py",
+     "if n > 5 * cap:",
+     "if n > 4 * cap:",
+     "the n/5 gate answers NO from n > 4 * 2^k"),
+    ("src/trackset/shortest.py",
+     "Digraph._derived(relab, zip(us, vs),",
+     "Digraph._derived(relab, zip(vs, us),",
+     "rule 1 orients every arc towards s"),
+    ("src/trackset/cli.py",
+     "traceback.print_exc(file=_sys.stderr)\n            return 4",
+     "traceback.print_exc(file=_sys.stderr)\n            return 1",
+     "a crash exits 1, as a NO does"),
 ]
 
 SEED = 1  # Hypothesis seed of every tier-1 run
@@ -178,7 +226,7 @@ def tier_1_fails(tree: str) -> bool:
 
 
 def main() -> int:
-    for file, old, _, what in MUTANTS:
+    for file, old, _, what, *_ in MUTANTS:
         with open(os.path.join(ROOT, file)) as f:
             if (count := f.read().count(old)) != 1:
                 sys.exit(f"{file}: the old text of {what!r} occurs {count} times, not once")
@@ -187,8 +235,8 @@ def main() -> int:
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         if tier_1_fails(tree):
             sys.exit("tier-1 fails on the unchanged copy: no mutant was run")
-        survivors = 0
-        for file, old, new, what in MUTANTS:
+        killed_count = survivors = 0
+        for file, old, new, what, *why in MUTANTS:
             path = os.path.join(tree, file)
             with open(path) as f:
                 text = f.read()
@@ -198,10 +246,13 @@ def main() -> int:
             killed = tier_1_fails(tree)
             with open(path, "w") as f:
                 f.write(text)
-            survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED'}  {time.monotonic() - start:5.1f} s  "
-                  f"{file}: {what}", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+            killed_count += killed
+            survivors += not killed and not why
+            status = "killed" if killed else "survived, as expected" if why else "SURVIVED"
+            print(f"{status}  {time.monotonic() - start:5.1f} s  {file}: {what}"
+                  + "".join(f": {line}" for line in why), flush=True)
+    print(f"{killed_count} of {len(MUTANTS)} mutants killed, "
+          f"{len(MUTANTS) - killed_count - survivors} survived as expected")
     return 1 if survivors else 0
 
 

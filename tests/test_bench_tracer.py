@@ -68,3 +68,29 @@ def test_rule_1_counters_on_a_graph_it_prunes(tracing, tmp_path, capsys):
     assert out.startswith("result: YES\nwitness: 1\n") and out.endswith("\n2\n")
     counters = tracer.counters["shortest.reduce_rule_1"]
     assert (counters["calls"], counters["vertices_removed"]) == (2, 2)
+
+
+def test_hitting_reduction_counters(tracing):
+    """The hook of ``reduce_to_hitting`` reads ``.family`` off its argument and its
+    result, so a traced reduction and search over a small family fail if either
+    function changes name or shape. Of the three differences {1}, {2} and {1, 2} of
+    {}, {1} and {1, 2}, only the first two are minimal."""
+    setsystem = importlib.import_module("trackset.setsystem")
+    sys_ = setsystem.SetSystem(3, [set(), {1}, {1, 2}])
+
+    def reduce_and_solve(_):
+        h = setsystem.reduce_to_hitting(sys_)
+        return h.family, [setsystem.solve_hitting(h, k) for k in (2, 1)]
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        family, found = tracer.root(0, reduce_and_solve, [])
+    finally:
+        tracer.uninstall()
+    assert family == (frozenset({1}), frozenset({2}))
+    assert found == [frozenset({1, 2}), None]
+    reduce, solve = (tracer.counters[f"setsystem.{name}"]
+                     for name in ("reduce_to_hitting", "solve_hitting"))
+    assert (reduce["calls"], reduce["pairs_in"], reduce["sets_out"]) == (1, 3, 2)
+    assert solve["calls"] == 2

@@ -260,6 +260,17 @@ class TestSolveDag:
             assert brute_is_tracking(paths, rep.witness)
 
 
+@pytest.mark.parametrize("widths,reason", [
+    ([2, 2, 2], "more than 2^1 paths need more than 1 trackers"),
+    ([3, 2, 2], "n/5 = 11/5 paths exceed 2^1"),
+])
+def test_n_over_5_gate_threshold(widths, reason):
+    """Serial diamonds, already reduced, at k = 1: n = 10 is not over 5 * 2^1, so the
+    path count answers; n = 11 is, so the n/5 gate answers first, with ceil(11/5)."""
+    text = solve_dag(serial_diamond_dag(3, widths), 1).to_text().splitlines()
+    assert "paths: 3+" in text and f"reason: {reason}" in text
+
+
 def test_solve_dag_clamps_k_before_the_path_gate(monkeypatch):
     import trackset.dagtrack as dagtrack
     caps = []

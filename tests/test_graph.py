@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trackset.errors import CycleError, EdgeError
-from trackset.graph import Digraph, Graph, VertexRelabeling, bfs_distances, topological_order
+from trackset.graph import (Digraph, Graph, VertexRelabeling, _checked_keys, bfs_distances,
+                            topological_order)
 
 
 def test_bfs_line_graph():
@@ -58,14 +59,15 @@ def test_topological_order_is_kept_on_success_only():
 def test_graph_rejects_invalid_edges(edges, msg):
     with pytest.raises(ValueError, match=msg):
         Graph(3, edges, 0, 2)
-    with pytest.raises(ValueError, match=msg):
-        Graph.from_columns(3, *zip(*edges), 0, 2)
 
 
 @pytest.mark.parametrize("cls", [Graph, Digraph])
-def test_from_columns_builds_what_the_constructor_builds(cls):
+def test_parse_keys_build_what_the_constructor_builds(cls):
+    """The parse checks its id columns into keys and builds from those: the same
+    instance as the constructor over the pairs."""
     pairs = [(3, 1), (0, 2), (1, 0), (2, 3)]
-    a, b = cls(4, pairs, 0, 3), cls.from_columns(4, [3, 0, 1, 2], [1, 2, 0, 3], 0, 3)
+    keys = _checked_keys(4, [3, 0, 1, 2], [1, 2, 0, 3], cls is Graph)
+    a, b = cls(4, pairs, 0, 3), cls._from_keys(4, keys, 0, 3)
     assert repr(a) == repr(b) == f"{cls.__name__}(n=4, m=4, s=0, t=3)"
     if cls is Graph:
         assert a.adj == b.adj and a.edges == b.edges == ((0, 1), (0, 2), (1, 3), (2, 3))

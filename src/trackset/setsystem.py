@@ -10,7 +10,7 @@ reach that search through :func:`tracking_search`, as bitmasks.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, islice, starmap
+from itertools import chain, combinations, repeat, starmap
 from operator import or_, xor
 
 from .errors import InternalError
@@ -21,11 +21,11 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only, so a cold start never imports them
     from collections.abc import Iterable, Sequence
 
-# Pairs of sets whose differences minimal_differences holds at once.
+# Pairs of sets whose differences minimal_differences holds at once, in whole rows.
 PAIR_CHUNK = 1 << 14
-# Families of fewer masks are filtered pairwise by minimal_differences: from 16 random
-# masks over 16 or 32 elements up, its column transposition costs less.
-PAIRWISE_BELOW = 16
+# Families of fewer masks are filtered pairwise by minimal_differences: from 24 random
+# masks over 8 elements up (about 20 over 16 or 32), its popcount levels cost less.
+PAIRWISE_BELOW = 24
 
 
 class SetSystem:
@@ -91,12 +91,17 @@ def tracking_lower_bound(m: int) -> int:
     return (m - 1).bit_length()
 
 
+def _read_columns(packed: int, count: int, size: int, width: int) -> list[int]:
+    """Bit p of column e < ``width`` is bit e of the p-th ``size``-byte field of ``packed``."""
+    digits, step = bin(packed | 1 << 8 * size * count), 8 * size
+    return [int(digits[at::step] or "0", 2) for at in range(step + 2, step + 2 - width, -1)]
+
+
 def _columns(sets: Sequence[int], width: int) -> list[int]:
-    """Columns of bitmask rows below bit ``width``: bit i of column e is bit e
-    of ``sets[i]``. The rows are written as equal-length strings, the last
-    row first, so each column is a strided slice of their join."""
-    rows = "".join(map(bin, map((1 << width).__or__, reversed(sets))))
-    return [int(rows[at::width + 3] or "0", 2) for at in range(width + 2, 2, -1)]
+    """Columns of bitmask rows below bit ``width``: bit i of column e is bit e of ``sets[i]``."""
+    size = (width + 7) // 8
+    rows = b"".join(map(int.to_bytes, sets, repeat(size), repeat("little")))
+    return _read_columns(int.from_bytes(rows, "little"), len(sets), size, width)
 
 
 def minimal_differences(masks: Sequence[int]) -> list[int]:
@@ -107,40 +112,64 @@ def minimal_differences(masks: Sequence[int]) -> list[int]:
     then by mask value.
 
     Below ``PAIRWISE_BELOW`` masks each distinct difference, by size, is kept unless a
-    kept set is a subset of it. Otherwise the pairs are taken ``PAIR_CHUNK`` at a
-    time, so memory stays at one chunk of distinct differences plus the minimal
-    family, not at the number of pairs. Each chunk's differences join the family found
-    so far, sorted by value, and are eliminated column-wise: the lowest candidate still
-    alive is minimal, as any proper subset of it has a smaller value, comes earlier and
-    would have removed it, so it is kept, and the AND of its elements' columns (its
-    alive supersets, itself included) leaves ``alive``. The (size, value) order is
-    applied once, at the end.
+    kept set is a subset of it. Otherwise the masks are little-endian fields of
+    ceil(width / 8) bytes, and the pairs (i, j), i < j, come in runs of rows i of at most
+    ``PAIR_CHUNK`` pairs, or one row, so memory stays at one run plus the minimal
+    family. A run's differences, in ``combinations`` order, are the XOR of two joins,
+    with no Python step per pair: each row's field once per later row, then the
+    minimal family so far, and the fields after each row. A bit-sliced counter over
+    the XOR's element columns gives planes (bit p of ``planes[j]`` is bit j of field
+    p's size) that AND to each size's fields. Walked up from size 0 (equal masks give
+    ``[0]``), a field still alive is minimal: its proper subsets lie lower, kept or
+    dead with a kept subset that killed it too. It is kept, and the AND of its
+    elements' columns, its supersets and repeats, leaves ``alive``.
     """
-    pairs = combinations(masks, 2)
-    minimal: list[int] = []
-    if len(masks) < PAIRWISE_BELOW:  # drains ``pairs``, so the chunk loop does not run
-        for f in sorted(set(starmap(xor, pairs)), key=int.bit_count):
+    m, minimal = len(masks), []
+    if m < PAIRWISE_BELOW:
+        for f in sorted(sorted(set(starmap(xor, combinations(masks, 2)))), key=int.bit_count):
             for c in minimal:
                 if f & c == c:
                     break
             else:
                 minimal.append(f)
-    while diffs := set(starmap(xor, islice(pairs, PAIR_CHUNK))):
-        diffs.update(minimal)
-        cands = sorted(diffs)
-        col = _columns(cands, max(diffs).bit_length())
-        alive, minimal = (1 << len(cands)) - 1, []
-        while alive:
-            low = alive & -alive
-            f = cands[low.bit_length() - 1]
-            minimal.append(f)
-            supersets = alive
-            while f:
-                e = f & -f
-                supersets &= col[e.bit_length() - 1]
-                f ^= e
-            alive &= ~supersets
-    return sorted(sorted(minimal), key=int.bit_count)
+        return minimal
+    width = max(masks, default=0).bit_length()
+    size = (width + 7) // 8 or 1
+    fields = list(map(int.to_bytes, masks, repeat(size), repeat("little")))
+    rows, lo = b"".join(fields), 0
+    while lo < m - 1:  # rows lo..hi-1: row lo, the longest, times their count <= PAIR_CHUNK
+        hi = min(m - 1, lo + max(1, PAIR_CHUNK // (m - 1 - lo)))
+        left = b"".join(chain(map(bytes.__mul__, fields[lo:hi], range(m - 1 - lo, 0, -1)),
+                              map(int.to_bytes, minimal, repeat(size), repeat("little"))))
+        right = b"".join(rows[i * size + size:] for i in range(lo, hi))
+        packed = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
+        diffs, count = packed.to_bytes(len(left), "little"), len(left) // size
+        cols, planes = _read_columns(packed, count, size, width), [0] * width.bit_length()
+        for carry in cols:
+            for i, plane in enumerate(planes):
+                planes[i], carry = plane ^ carry, plane & carry
+                if not carry:
+                    break
+        alive, minimal = (1 << count) - 1, []
+        for level in range(width + 1):
+            if not alive:
+                break
+            at_level, kept = alive, []
+            for j, plane in enumerate(planes):
+                at_level &= plane if level >> j & 1 else ~plane
+            while at_level:
+                at = (at_level.bit_length() - 1) * size
+                kept.append(f := int.from_bytes(diffs[at:at + size], "little"))
+                supersets = alive
+                while f:
+                    e = f & -f
+                    supersets &= cols[e.bit_length() - 1]
+                    f ^= e
+                alive &= ~supersets
+                at_level &= alive
+            minimal += sorted(kept)
+        lo = hi
+    return minimal
 
 
 def reduce_to_hitting(sys: SetSystem) -> SetSystem:
@@ -164,16 +193,17 @@ def hitting_search(sets: Sequence[int], k: int, lower: int = 0
     elements in ascending order, so the first hitting set found is the
     minimum one that is lexicographically least.
 
-    The passes share tables over set indices, each a mask with bit i for
-    ``sets[i]``: ``col[e]`` holds the sets that contain element e and
-    ``bylen[L]`` those whose highest element is L - 1; ``nbr[b]`` caches,
-    per set bit, the sets that share an element >= b with that set.
+    The passes share tables over set indices, each a mask with bit n - 1 - i for
+    ``sets[i]``, so a mask's first set is found by ``bit_length()``: ``col[e]`` holds
+    the sets that contain element e and ``bylen[L]`` those whose highest element is
+    L - 1; ``nbr[b]``, made on first use, holds at n - i those with no element >= b
+    in common with ``sets[i]``.
     """
-    col = _columns(sets, max(sets, default=0).bit_length())
+    col = _columns(sets[::-1], max(sets, default=0).bit_length())
     bylen = [0] * (len(col) + 1)
-    for i, s in enumerate(sets):
+    for i, s in enumerate(reversed(sets)):
         bylen[s.bit_length()] |= 1 << i
-    tables = sets, col, bylen, [{} for _ in bylen]
+    tables = sets, col, bylen, [None] * len(bylen)
     nodes = 0
     for size in range(lower, k + 1):
         found, tested = _search_size(tables, size)
@@ -186,50 +216,59 @@ def hitting_search(sets: Sequence[int], k: int, lower: int = 0
 def _search_size(tables: tuple, size: int) -> tuple[int | None, int]:
     """Lexicographically least hitting set of at most ``size`` ascending picks.
 
-    Depth-first with an explicit stack, so the depth is not bounded by the
-    recursion limit. A node is (mask of its unhit sets, picks so far, b =
-    one above the last pick, picks left); picking x leaves the unhit sets
-    outside ``col[x]``. Every remaining pick is at least b, which gives the
-    prunes. Disjoint unhit sets need one pick each: greedy packing takes the
-    lowest unhit set and drops its ``nbr[b]``, again and again, and a set
-    with no element >= b, which can no longer be hit, drops nothing and is
-    taken until the count passes the budget. So every unhit set of a node
-    that survives lies in some ``bylen[L]``, L > b; one with the least L
-    must be hit, so the next pick is below L. An element in no unhit set is
-    never picked, since a minimum set would not need it, and the last pick
-    must lie in every unhit set.
+    Depth-first with an explicit stack, so the depth is not bounded by the recursion
+    limit. A node is (mask of its unhit sets, picks so far, b = one above the last
+    pick, picks left); picking x leaves the unhit sets outside ``col[x]``. Every
+    remaining pick is at least b, which gives the prunes. Disjoint unhit sets need one
+    pick each: greedy packing takes the first unhit set and drops its ``nbr[b]``, again
+    and again, and a set with no element >= b, which can no longer be hit, drops
+    nothing and is taken until the count passes the budget. So every unhit set of a
+    node that survives lies in some ``bylen[L]``, L > b; one with the least L must be
+    hit, so the next pick is below L. An element in no unhit set is never picked, since
+    a minimum set would not need it. With one pick left, a node returns one node later
+    with the least x >= b in every unhit set, an element of the first, or is dropped.
+    Pushing children ends alike: if x exists, every unhit set shares x with the first,
+    so the packing keeps the node, and its child x, the least to leave nothing unhit,
+    is popped next and returns; if not, the node pushes no child.
     """
     sets, col, bylen, nbr = tables
-    nodes = 0
-    stack = [((1 << len(sets)) - 1, 0, 0, size)]
+    n, nodes = len(sets), 0
+    stack = [((1 << n) - 1, 0, 0, size)]
     while stack:
         unhit, chosen, b, budget = stack.pop()
         nodes += 1
         if not unhit:
             return chosen, nodes
-        if not budget:
+        if budget < 2:  # the last pick: the least x >= b in every unhit set
+            s = sets[n - unhit.bit_length()] >> b << b if budget else 0
+            while s:
+                e = s & -s
+                if unhit & col[e.bit_length() - 1] == unhit:
+                    return chosen | e, nodes + 1
+                s ^= e
             continue
-        near, rest, need = nbr[b], unhit, 0
+        near = nbr[b] = nbr[b] or [None] * (n + 1)
+        rest, need = unhit, 0
         while rest and need <= budget:
-            low = rest & -rest
-            hit = near.get(low)
-            if hit is None:
-                s, hit = sets[low.bit_length() - 1] >> b << b, 0
+            top = rest.bit_length()
+            miss = near[top]
+            if miss is None:
+                s, hit = sets[n - top] >> b << b, 0
                 while s:
                     e = s & -s
                     hit |= col[e.bit_length() - 1]
                     s ^= e
-                near[low] = hit
-            rest &= ~hit
+                miss = near[top] = ~hit
+            rest &= miss
             need += 1
         if need > budget:
             continue
-        top = b + 1
-        while not unhit & bylen[top]:
-            top += 1
-        for x in range(top - 1, b - 1, -1):
+        end = b + 1
+        while not unhit & bylen[end]:
+            end += 1
+        for x in range(end - 1, b - 1, -1):
             left = unhit & ~col[x]
-            if left != unhit and (budget > 1 or not left):
+            if left != unhit:
                 stack.append((left, chosen | 1 << x, x + 1, budget - 1))
     return None, nodes
 

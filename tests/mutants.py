@@ -162,9 +162,33 @@ MUTANTS = [
      "if need > budget + 1:",
      "the packing prune never fires, as the packing loop stops at budget + 1"),
     ("src/trackset/setsystem.py",
-     "if left != unhit and (budget > 1 or not left):",
-     "if left != unhit:",
+     "if unhit & col[e.bit_length() - 1] == unhit:",
+     "if unhit & col[e.bit_length() - 1]:",
      "the last pick need not hit every unhit set"),
+    ("src/trackset/setsystem.py",
+     ">> b << b if budget else 0",
+     ">> b << b",
+     "a pass of size 0 still takes a last pick"),
+    ("src/trackset/setsystem.py",
+     "s, hit = sets[n - top] >> b << b, 0",
+     "s, hit = sets[top] >> b << b, 0",
+     "the packing reads the first unhit set at index top, not at its reversed index"),
+    ("src/trackset/setsystem.py",
+     "planes[i], carry = plane ^ carry, plane & carry",
+     "planes[i], carry = plane ^ carry, plane | carry",
+     "the popcount counter carries where either bit is set, not both"),
+    ("src/trackset/setsystem.py",
+     "for level in range(width + 1):",
+     "for level in reversed(range(width + 1)):",
+     "the popcount levels are walked from the top, so supersets come first"),
+    ("src/trackset/setsystem.py",
+     "at = (at_level.bit_length() - 1) * size",
+     "at = at_level.bit_length() * size",
+     "a kept field's value is read from the next field"),
+    ("src/trackset/setsystem.py",
+     "map(int.to_bytes, minimal, repeat(size)",
+     "map(int.to_bytes, (), repeat(size)",
+     "a chunk drops the minimal family found so far"),
     ("src/trackset/setsystem.py",
      "diffs = minimal_differences([to_mask(s) for s in sys.family])",
      "diffs = sorted(set(starmap(xor, combinations([to_mask(s) for s in sys.family], 2))))",

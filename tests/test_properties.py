@@ -19,7 +19,8 @@ import io
 import json
 import os
 import tempfile
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import xor
 from unittest import mock
 
 import pytest
@@ -516,9 +517,11 @@ def reference_minimal_differences(masks):
 @example(masks=[0, 1 << 29, 1 << 30, 1 << 59 | 1 << 30, 1 << 60, 1 << 69 | 1], chunk=1)
 @example(masks=[0, (1 << 70) - 1], chunk=2)
 def test_minimal_differences_matches_reference(patched, masks, chunk):
-    """Chunks of 1-3 pairs make every chunk merge into the family so far."""
-    with mock.patch.object(setsystem, "PAIR_CHUNK",
-                           chunk if patched else setsystem.PAIR_CHUNK):
+    """Chunks of 1-3 pairs, through the popcount levels whatever the family's size,
+    make every chunk merge into the family so far."""
+    below, chunk = (0, chunk) if patched else (setsystem.PAIRWISE_BELOW, setsystem.PAIR_CHUNK)
+    with mock.patch.object(setsystem, "PAIR_CHUNK", chunk), \
+            mock.patch.object(setsystem, "PAIRWISE_BELOW", below):
         assert minimal_differences(masks) == reference_minimal_differences(masks)
 
 
@@ -607,6 +610,147 @@ def test_hitting_search_matches_brute_force(masks):
             for lower in {0, 0 if best is None else best.bit_count()}:
                 expect = best if best is not None and best.bit_count() <= k else None
                 assert hitting_search(sets, k, lower)[0] == expect, (sets, k, lower)
+
+
+# Test-local references: the column transposition, the sorted-column filter and the
+# search as they were before the popcount levels and the reversed set order, kept
+# here to pin the kernels that replaced them to the same lists, trees and witnesses.
+
+def reference_columns(sets, width):
+    """Bit i of column e is bit e of ``sets[i]``, from one string of base-2 rows."""
+    rows = "".join(map(bin, map((1 << width).__or__, reversed(sets))))
+    return [int(rows[at::width + 3] or "0", 2) for at in range(width + 2, 2, -1)]
+
+
+def reference_column_filter(masks):
+    """The distinct differences, sorted by value: the lowest candidate still alive
+    is minimal and kept, and the AND of its elements' columns leaves ``alive``."""
+    cands = sorted(set(starmap(xor, combinations(masks, 2))))
+    col = reference_columns(cands, max(cands, default=0).bit_length())
+    alive, minimal = (1 << len(cands)) - 1, []
+    while alive:
+        low = alive & -alive
+        f = cands[low.bit_length() - 1]
+        minimal.append(f)
+        supersets = alive
+        while f:
+            e = f & -f
+            supersets &= col[e.bit_length() - 1]
+            f ^= e
+        alive &= ~supersets
+    return sorted(sorted(minimal), key=int.bit_count)
+
+
+def reference_tables(sets):
+    """The search's tables with ``sets[i]`` at bit i and a dict cache per b."""
+    col = reference_columns(sets, max(sets, default=0).bit_length())
+    bylen = [0] * (len(col) + 1)
+    for i, s in enumerate(sets):
+        bylen[s.bit_length()] |= 1 << i
+    return sets, col, bylen, [{} for _ in bylen]
+
+
+def reference_search_size(tables, size):
+    """One pass of the search, every node pushed and popped."""
+    sets, col, bylen, nbr = tables
+    nodes = 0
+    stack = [((1 << len(sets)) - 1, 0, 0, size)]
+    while stack:
+        unhit, chosen, b, budget = stack.pop()
+        nodes += 1
+        if not unhit:
+            return chosen, nodes
+        if not budget:
+            continue
+        near, rest, need = nbr[b], unhit, 0
+        while rest and need <= budget:
+            low = rest & -rest
+            hit = near.get(low)
+            if hit is None:
+                s, hit = sets[low.bit_length() - 1] >> b << b, 0
+                while s:
+                    e = s & -s
+                    hit |= col[e.bit_length() - 1]
+                    s ^= e
+                near[low] = hit
+            rest &= ~hit
+            need += 1
+        if need > budget:
+            continue
+        top = b + 1
+        while not unhit & bylen[top]:
+            top += 1
+        for x in range(top - 1, b - 1, -1):
+            left = unhit & ~col[x]
+            if left != unhit and (budget > 1 or not left):
+                stack.append((left, chosen | 1 << x, x + 1, budget - 1))
+    return None, nodes
+
+
+def deepened(passes, k, lower):
+    """(witness, nodes) of passes ``lower``..k of one family, as the search deepens."""
+    nodes = 0
+    for size in range(lower, k + 1):
+        found, tested = passes[size]
+        nodes += tested
+        if found is not None:
+            return found, nodes
+    return None, nodes
+
+
+@st.composite
+def core_families(draw):
+    """What the decision core is handed, and a repeated mask: random families of 2-60
+    masks over 1-72 elements (dense up to 16 elements, at most 5 elements a set
+    above, so the searches stay small), or the path masks of a DAG pruned by rule 2,
+    whose differences repeat heavily; then, at times, one mask drawn twice."""
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 72))
+        sparse = st.sets(st.integers(0, width - 1), max_size=5).map(lambda s: sum(1 << e for e in s))
+        mask = st.integers(0, 2 ** width - 1) if width <= 16 else sparse
+        size = draw(st.integers(2, min(60, 2 ** width)))
+        masks = draw(st.lists(mask, min_size=size, max_size=size, unique=True))
+    else:
+        masks = dag_path_masks(reduce_rule_2(draw(any_dags()))[0])
+    if masks and draw(st.booleans()):
+        masks = [*masks, draw(st.sampled_from(masks))]
+    return draw(st.permutations(masks))
+
+
+@SETTINGS
+@given(masks=core_families())
+@example(masks=[5, 3, 5])  # 5 ^ 5 = 0 is a subset of every difference: [0]
+@example(masks=list(range(24)))  # the first family filtered by levels
+@example(masks=[1 << e for e in range(30)])  # 435 differences, every one minimal
+def test_kernels_match_their_references(masks):
+    """The minimal family, as-is and through the levels with chunks of 1, 3 and
+    ``PAIR_CHUNK`` pairs (chunks of 1 and 3 merge the family found so far into every
+    chunk), equals the reference filter's; and the search on it returns the
+    reference's (witness, nodes) at every k <= width + 1 from every lower <= k. Each
+    side runs each pass once per family: the passes are memoised by size, as only
+    the neighbour cache outlives a pass, and it changes no count. One call deepens
+    unmemoised from 0 to width + 1."""
+    want = reference_column_filter(masks)
+    assert minimal_differences(masks) == want
+    for chunk in (1, 3, setsystem.PAIR_CHUNK):
+        with mock.patch.object(setsystem, "PAIRWISE_BELOW", 0), \
+                mock.patch.object(setsystem, "PAIR_CHUNK", chunk):
+            assert minimal_differences(masks) == want, chunk
+    width = max(masks, default=0).bit_length()
+    tables = reference_tables(want)
+    passes = [reference_search_size(tables, size) for size in range(width + 2)]
+    assert hitting_search(want, width + 1) == deepened(passes, width + 1, 0)
+    search_size, memo = setsystem._search_size, {}
+
+    def once(tables, size):
+        if size not in memo:
+            memo[size] = search_size(tables, size)
+        return memo[size]
+
+    with mock.patch.object(setsystem, "_search_size", once):
+        for k in range(width + 2):
+            for lower in range(k + 1):
+                assert hitting_search(want, k, lower) == deepened(passes, k, lower), (k, lower)
 
 
 def check_verify(text, paths, trackers):

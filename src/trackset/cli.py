@@ -1,9 +1,10 @@
 """Command-line front end: solve, reduce, count, verify, gen.
 
-Exit codes: 0 = YES/true, 1 = NO/false, 2 = input error, 3 = cap exceeded
-without a decision, 4 = internal error (a failed self-check or an
-unexpected exception; never a decision). Output is deterministic for
-identical inputs and flags, regardless of --threads.
+Exit codes: 0 = YES/true, 1 = NO/false, 2 = input error (the parse, a file
+that cannot be read, an out-of-range argument), 3 = cap exceeded without a
+decision, 4 = internal error (a failed self-check or an unexpected exception,
+a ValueError from a route among them; never a decision). Output is
+deterministic for identical inputs and flags, regardless of --threads.
 
 Plain argv is read in one pass from the parser's own actions; help, errors,
 abbreviations and ``=`` forms go through argparse, so their output is argparse's.
@@ -22,7 +23,7 @@ import gc
 import sys as _sys
 
 from . import dagtrack, oracle, setsystem, shortest
-from .errors import CapExceeded, InternalError
+from .errors import CapExceeded, InputError, InternalError
 from .instance_io import (ParseError, format_digraph, format_graph,
                           format_instance, parse_instance)
 from .report import SolveReport
@@ -35,8 +36,22 @@ def _load(path: str):
         return parse_instance(f.read())
 
 
+def _unlimited(format_, *args) -> str:
+    """``format_(*args)`` with no cap on the digits that ``str`` of an int may have, so that
+    a path count of any size prints; the caller's cap comes back after, and the parse
+    keeps it. Where the interpreter has no such cap, the call runs as it is."""
+    if (get_cap := getattr(_sys, "get_int_max_str_digits", None)) is None:
+        return format_(*args)
+    cap = get_cap()
+    _sys.set_int_max_str_digits(0)
+    try:
+        return format_(*args)
+    finally:
+        _sys.set_int_max_str_digits(cap)
+
+
 def _emit(report: SolveReport, as_json: bool) -> int:
-    print(report.to_json() if as_json else report.to_text())
+    print(_unlimited(report.to_json if as_json else report.to_text))
     return 0 if report.result == "YES" else 1
 
 
@@ -126,7 +141,7 @@ def _cmd_count(args) -> int:
     if args.cap is not None and paths > args.cap:
         print(f"{args.cap}+")
         return 3
-    print(paths)
+    print(_unlimited(str, paths))
     return 0
 
 
@@ -306,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         try:
             return args.func(args)
-        except (ParseError, OSError, ValueError) as exc:
+        # a file that is not text fails to decode; any other ValueError is a fault (exit 4)
+        except (ParseError, InputError, OSError, UnicodeDecodeError) as exc:
             print(str(exc), file=_sys.stderr)
             return 2
         except CapExceeded as exc:

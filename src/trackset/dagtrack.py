@@ -93,9 +93,14 @@ def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
     if (pruned := _pruned(d)) is None:
         return d, VertexRelabeling(range(d.n))
     keep, on = pruned
-    relab, s, t = VertexRelabeling(keep), d.s, d.t
-    arcs = ((u, v) for u in keep if u != t for v in d.out_adj[u] if on[v] and v != s)
-    return Digraph._derived(relab, arcs, s, t, d._order), relab
+    relab, s, t, us, vs = VertexRelabeling(keep), d.s, d.t, [], []
+    for u in keep:
+        if u != t:
+            for v in d.out_adj[u]:
+                if on[v] and v != s:
+                    us.append(u)
+                    vs.append(v)
+    return Digraph._derived(relab, us, vs, s, t, d._order), relab
 
 
 def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
@@ -164,9 +169,14 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     relab, order = VertexRelabeling(kept), d._order
 
     def build() -> Digraph:
-        arcs = ((a, b) for u in live for v in out[u] if v not in gone
-                if (a := least.get(u, u)) != (b := least.get(v, v)))
-        reduced = Digraph._derived(relab, arcs, s, t, order)
+        us, vs = [], []
+        for u in live:
+            a = least.get(u, u)
+            for v in out[u]:
+                if v not in gone and (b := least.get(v, v)) != a:
+                    us.append(a)
+                    vs.append(b)
+        reduced = Digraph._derived(relab, us, vs, s, t, order)
         # each chain's kept id, kept[i], is vertex i of the result: one arc in, one out
         bad = [x for i, x in enumerate(kept)
                if x in inner and not len(reduced.in_adj[i]) == 1 == len(reduced.out_adj[i])]

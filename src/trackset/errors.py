@@ -13,6 +13,11 @@ class EdgeError(ValueError):
         self.index = index
 
 
+class InputError(ValueError):
+    """Raised for a request that the program refuses as given, such as a generator size
+    out of range: the CLI exits 2 for it, and 4 for any other ValueError."""
+
+
 class CapExceeded(Exception):
     """Raised when an enumeration produces more paths than the caller's cap.
 

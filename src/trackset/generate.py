@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 from math import comb
 
+from .errors import InputError
 from .graph import Digraph, Graph
 from .setsystem import SetSystem
 
@@ -14,7 +15,7 @@ MAX_SIZE = 1000  # vertex pairs are drawn one by one, so time grows as size^2
 
 def _check(what: str, value: int, low: int, high: int = MAX_SIZE):
     if not low <= value <= high:
-        raise ValueError(f"{what} must be between {low} and {high}, got {value}")
+        raise InputError(f"{what} must be between {low} and {high}, got {value}")
 
 
 def random_connected_graph(rng: random.Random, n: int,
@@ -81,7 +82,7 @@ def random_set_system(rng: random.Random, universe: int, m: int,
     _check("number of sets", m, 0)
     top = universe if d is None else min(d, universe)
     if m > sum(comb(universe, size) for size in range(top + 1)):
-        raise ValueError(f"cannot draw {m} distinct subsets of that size")
+        raise InputError(f"cannot draw {m} distinct subsets of that size")
     family = set()
     while len(family) < m:
         if d is None:

@@ -1,17 +1,16 @@
 """Graph and digraph representations plus the traversal primitives.
 
 Vertices are dense integer ids 0..n-1. The constructors fill each adjacency
-list once, in ascending order, from sorted int keys they do not keep, and no
-route mutates a list; ``edges`` and ``arcs`` are rebuilt from the lists on
-each read. All operations here are pure, except that :func:`topological_order`
-keeps the order it finds on the digraph.
+list from the two id columns of the pairs, which they do not keep, and sort it
+in place; no route mutates a list after that. ``edges`` and ``arcs`` are
+rebuilt from the lists on each read. All operations here are pure, except that
+:func:`topological_order` keeps the order it finds on the digraph.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice, repeat
-from operator import add, eq, is_not, mul
+from operator import eq, is_not
 
 from .errors import CycleError, EdgeError, InternalError
 
@@ -20,37 +19,20 @@ if TYPE_CHECKING:  # annotations only, so a cold start never imports them
     from collections.abc import Iterable, Sequence
 
 
-def _checked_keys(n: int, us: Sequence[int], vs: Sequence[int], undirected: bool) -> list:
-    """Check the pairs (us[i], vs[i]); return their keys u * n + v (u < v if undirected)
-    ascending, so that ``divmod(key, n)`` gives them back in (u, v) order.
-
-    The checks run as C-level passes over the columns: ends in range, no self-loop,
-    then no sorted key equal to the next. A failed bulk check tells that some pair
-    is bad, not which comes first, so the per-pair loop then runs in input order to
-    raise EdgeError with that pair's index; if it accepts them, that is a bug.
-    """
-    if not us:
-        return []
-    if min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n \
-            and not any(map(eq, us, vs)):
-        if undirected:
-            keys = [u * n + v if u < v else v * n + u for u, v in zip(us, vs)]
-        else:
-            keys = list(map(add, map(mul, us, repeat(n)), vs))
-        keys.sort()
-        if not any(map(eq, keys, islice(keys, 1, None))):
-            return keys
+def _pair_error(n: int, us: Sequence[int], vs: Sequence[int], undirected: bool
+                ) -> EdgeError | None:
+    """The EdgeError of the first bad pair (us[i], vs[i]) in input order, None if none is."""
     seen = set()
     for i, (u, v) in enumerate(zip(us, vs)):
         if not (0 <= u < n and 0 <= v < n):
-            raise EdgeError(i, f"endpoint out of range: {u} {v}")
+            return EdgeError(i, f"endpoint out of range: {u} {v}")
         if u == v:
-            raise EdgeError(i, f"self-loop at vertex {u}")
+            return EdgeError(i, f"self-loop at vertex {u}")
         e = (v, u) if undirected and v < u else (u, v)
         if e in seen:
-            raise EdgeError(i, f"duplicate {'edge' if undirected else 'arc'} {u} {v}")
+            return EdgeError(i, f"duplicate {'edge' if undirected else 'arc'} {u} {v}")
         seen.add(e)
-    raise InternalError("the bulk edge check rejected pairs that the per-pair loop accepts")
+    return None
 
 
 def _check_ends(n: int, s: int, t: int):
@@ -70,14 +52,36 @@ class _Checked:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]], s: int, t: int):
         # a pair that is not two ids raises ValueError here, before any pair is checked
         us, vs = tuple(zip(*pairs, strict=True)) or ((), ())
-        self._fill(n, _checked_keys(n, us, vs, isinstance(self, Graph)), s, t)
+        self._fill_checked(n, us, vs, s, t)
 
     @classmethod
-    def _from_keys(cls, n: int, keys: list, *fields):
-        """The instance with the pairs of the sorted, unchecked ``keys`` and ``fields``."""
+    def _checked(cls, n: int, us: Sequence[int], vs: Sequence[int], s: int, t: int):
+        """The instance with the pairs (us[i], vs[i]), checked as the constructor checks them."""
         x = cls.__new__(cls)
-        x._fill(n, keys, *fields)
+        x._fill_checked(n, us, vs, s, t)
         return x
+
+    def _fill_checked(self, n: int, us: Sequence[int], vs: Sequence[int], s: int, t: int):
+        """``_fill`` with the pairs checked by C-level passes: over the columns before the
+        lists fill (ends in range, no self-loop), and over the sorted lists after, where a
+        repeated pair, or in a graph a pair and its reverse, puts one id twice into a list.
+        A failed pass, or a bad s or t, tells that something is bad, not which pair comes
+        first, so the per-pair loop then raises EdgeError for the first bad pair in input
+        order, if there is one: the pairs are checked before s and t. If it finds none
+        after a failed pass, that is a bug."""
+        undirected = isinstance(self, Graph)
+        good = not us or (min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n
+                          and not any(map(eq, us, vs)))
+        if good:
+            try:
+                self._fill(n, us, vs, s, t)
+            except ValueError as exc:  # s or t
+                raise _pair_error(n, us, vs, undirected) or exc from None
+            lists = self.adj if undirected else self.out_adj
+            good = sum(map(len, map(set, lists))) == len(us) << undirected
+        if not good:
+            raise _pair_error(n, us, vs, undirected) or InternalError(
+                "the bulk edge check rejected pairs that the per-pair loop accepts")
 
 
 class Graph(_Checked):
@@ -89,15 +93,14 @@ class Graph(_Checked):
 
     __slots__ = ("n", "s", "t", "adj")
 
-    def _fill(self, n: int, keys: list, s: int, t: int):
+    def _fill(self, n: int, us: Iterable[int], vs: Iterable[int], s: int, t: int):
         _check_ends(n, s, t)
         self.n, self.s, self.t = n, s, t
-        # edges ascend with u < v, so adj[x] gets its smaller neighbours (edges
-        # (u, x)) in order before its larger ones: no list needs a sort
         self.adj = adj = [[] for _ in range(n)]
-        for u, v in map(divmod, keys, repeat(n)):
+        for u, v in zip(us, vs):
             adj[u].append(v)
             adj[v].append(u)
+        any(map(list.sort, adj))  # each sort returns None: one C-level pass sorts them all
 
     @property
     def edges(self) -> tuple:
@@ -119,29 +122,32 @@ class Digraph(_Checked):
     __slots__ = ("n", "s", "t", "out_adj", "in_adj", "_order")
 
     @classmethod
-    def _derived(cls, relab: VertexRelabeling, arcs: Iterable[tuple[int, int]], s: int, t: int,
-                 order: Iterable[int] | None) -> Digraph:
-        """The one builder of a digraph that a rule derived from a checked graph: ``arcs``,
-        s, t and ``order`` in the parent's ids, renumbered through ``relab.index``; the keys
-        are sorted, not checked. ``order``, unless None, is the parent's topological order,
-        which restricted to the kept ids must be one of the result's; it is kept as
+    def _derived(cls, relab: VertexRelabeling, us: Iterable[int], vs: Iterable[int], s: int,
+                 t: int, order: Iterable[int] | None) -> Digraph:
+        """The one builder of a digraph that a rule derived from a checked graph: the arcs
+        (us[i], vs[i]), s, t and ``order`` in the parent's ids, renumbered through
+        ``relab.index``, not checked. ``order``, unless None, is the parent's topological
+        order, which restricted to the kept ids must be one of the result's; it is kept as
         :func:`topological_order` keeps one."""
-        index, n = relab.index, len(relab.to_original)
-        keys = [index[u] * n + index[v] for u, v in arcs]
-        keys.sort()
+        index = relab.index
         if order is not None:
             order = tuple(filter(partial(is_not, None), map(index.get, order)))
-        return cls._from_keys(n, keys, index[s], index[t], order)
+        x = cls.__new__(cls)
+        x._fill(len(relab.to_original), map(index.__getitem__, us), map(index.__getitem__, vs),
+                index[s], index[t], order)
+        return x
 
-    def _fill(self, n: int, keys: list, s: int, t: int, order: tuple | None = None):
+    def _fill(self, n: int, us: Iterable[int], vs: Iterable[int], s: int, t: int,
+              order: tuple | None = None):
         _check_ends(n, s, t)
         self.n, self.s, self.t = n, s, t
-        # arcs ascend, so every list fills in ascending order and needs no sort
         self.out_adj = out_adj = [[] for _ in range(n)]
         self.in_adj = in_adj = [[] for _ in range(n)]
-        for u, v in map(divmod, keys, repeat(n)):
+        for u, v in zip(us, vs):
             out_adj[u].append(v)
             in_adj[v].append(u)
+        any(map(list.sort, out_adj))  # each sort returns None: one C-level pass each
+        any(map(list.sort, in_adj))
         self._order = order
 
     @property

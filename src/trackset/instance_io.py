@@ -13,7 +13,7 @@ import json
 from operator import add
 
 from .errors import CycleError, EdgeError
-from .graph import Digraph, Graph, _checked_keys, topological_order
+from .graph import Digraph, Graph, topological_order
 from .setsystem import SetSystem
 
 Instance = Graph | Digraph | SetSystem
@@ -44,13 +44,17 @@ def _int_fields(tokens: list[str], line_no: int) -> list[int]:
     return fields
 
 
+# the line breaks of ``str.splitlines`` other than "\n": a text that holds one is first
+# rewritten with "\n" ends, line for line, so one ``str.find`` walk finds the header
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _DELETE_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
 
 
-def _canonical_columns(rows: list[str]) -> tuple[list, list] | None:
+def _canonical_columns(body: str) -> tuple[list, list] | None:
     """The two id columns of an edge body whose every line is 'digits SPACE digits',
-    read in bulk; None for any other body, which the line loop then reads.
+    read in bulk; None for any other body, which the line loop then reads. ``body``
+    is the lines after the header, joined by "\\n", with no final line end.
 
     Deleting the ASCII digits must leave one space per line and the newlines
     between them; then every space and newline becomes a comma and one
@@ -59,8 +63,8 @@ def _canonical_columns(rows: list[str]) -> tuple[list, list] | None:
     line loop: an empty token (a double, leading or trailing space, or a
     blank line), a leading zero as in '007', more digits than ``int()`` takes.
     """
-    body = "\n".join(rows)
-    if body.translate(_DELETE_DIGITS) != " \n" * (len(rows) - 1) + " ":
+    shape = body.translate(_DELETE_DIGITS)
+    if shape != " \n" * (len(shape) // 2) + " ":
         return None
     try:
         ints = json.loads("[" + body.translate(_TO_COMMAS) + "]")
@@ -72,10 +76,11 @@ def _canonical_columns(rows: list[str]) -> tuple[list, list] | None:
 _DELETE_DIGITS_SPACES = str.maketrans("", "", "0123456789 ")
 
 
-def _canonical_sets(rows: list[str], m: int) -> list | None:
+def _canonical_sets(body: str | None, m: int) -> list | None:
     """The element lists of a set-system body of exactly m rows, each empty or
     'digits' split by single spaces, read in bulk; None for any other body,
-    which the line loop then reads.
+    which the line loop then reads. ``body`` is the rows after the header,
+    joined by "\\n", with no final line end, or None where no row follows it.
 
     Deleting the ASCII digits and spaces must leave only the newlines between
     the rows; then each row becomes a JSON array, and one ``json.loads`` reads
@@ -84,12 +89,10 @@ def _canonical_sets(rows: list[str], m: int) -> list | None:
     double, leading or trailing space, or a row of spaces alone), a leading
     zero as in '007', more digits than ``int()`` takes.
     """
-    if len(rows) != m:
-        return None
-    if not rows:
-        return []
-    body = "\n".join(rows)
-    if body.translate(_DELETE_DIGITS_SPACES) != "\n" * (m - 1):
+    if body is None:
+        return None if m else []
+    # the count first: m comes from the header, and "\n" * (m - 1) must not outgrow the text
+    if body.count("\n") != m - 1 or body.translate(_DELETE_DIGITS_SPACES) != "\n" * (m - 1):
         return None
     try:
         return json.loads("[[" + body.replace(" ", ",").replace("\n", "],[") + "]]")
@@ -104,15 +107,21 @@ def parse_instance(text: str) -> tuple[str, Instance]:
     including duplicate edges, self-loops, cyclic 'dag' payloads, duplicate
     family sets and headers naming more than MAX_IDS ids.
     """
-    lines = text.splitlines()
-    header_no = None
-    for i, raw in enumerate(lines, 1):
-        if _strip(raw):
-            header_no = i
-            break
-    if header_no is None:
-        raise ParseError(1, "empty instance")
-    header = _strip(lines[header_no - 1]).split()
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        # the final "\n" keeps a last blank line, which "\n".join alone would drop
+        text = "\n".join(text.splitlines()) + "\n"
+    start = header_no = 0
+    header = []
+    while not header:  # one line a round, until the first that is not blank or comment
+        if start > len(text):
+            raise ParseError(1, "empty instance")
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        header = _strip(text[start:end]).split()
+        header_no, start = header_no + 1, end + 1
+    # the lines after the header without the text's final line end: what
+    # "\n".join(text.splitlines()[header_no:]) gives, with no list of lines
+    body = text[start:len(text) - text.endswith("\n")]
     kind = header[0]
     if kind in ("graph", "dag"):
         if len(header) != 4:
@@ -120,11 +129,10 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         n, s, t = _int_fields(header[1:], header_no)
         if n > MAX_IDS:
             raise ParseError(header_no, f"n = {n} is above the limit of {MAX_IDS}")
-        rows = lines[header_no:]
-        columns = _canonical_columns(rows)
+        columns = _canonical_columns(body)
         if columns is None:
             columns = [], []
-            for i, raw in enumerate(rows, header_no + 1):
+            for i, raw in enumerate(body.split("\n"), header_no + 1):
                 tokens = raw.split("#", 1)[0].split()
                 if tokens:
                     try:
@@ -134,18 +142,18 @@ def parse_instance(text: str) -> tuple[str, Instance]:
                         raise ParseError(i, "expected 'u v'")
                     columns[0].append(u)
                     columns[1].append(v)
+        del body
         try:
-            keys = _checked_keys(n, *columns, kind == "graph")
-            # the lists fill beside one copy of the edge set, the keys, then drop it too
-            del lines, rows, columns
-            inst = (Graph if kind == "graph" else Digraph)._from_keys(n, keys, s, t)
-            del keys
+            # the lists fill beside the columns, whose ints they take, and drop them after
+            inst = (Graph if kind == "graph" else Digraph)._checked(n, *columns, s, t)
+            del columns
             if kind == "dag":
                 topological_order(inst)
             return kind, inst
         except EdgeError as exc:
             # the check names the first bad pair by its index; find its line
-            pair_lines = [i for i, raw in enumerate(rows, header_no + 1) if _strip(raw)]
+            pair_lines = [i for i, raw in enumerate(text[start:].splitlines(), header_no + 1)
+                          if _strip(raw)]
             raise ParseError(pair_lines[exc.index], str(exc))
         except CycleError:
             raise ParseError(header_no, "digraph contains a cycle")
@@ -157,7 +165,8 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         n, m = _int_fields(header[1:], header_no)
         if not (0 <= n <= MAX_IDS and m >= 0):
             raise ParseError(header_no, f"need 0 <= n <= {MAX_IDS} and m >= 0")
-        rows = _canonical_sets(lines[header_no:], m)
+        rows = _canonical_sets(body if start < len(text) else None, m)
+        del body
         try:
             inst = None if rows is None else SetSystem(n, rows)
         except ValueError:
@@ -166,6 +175,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         if inst is not None and list(map(len, inst.family)) == list(map(len, rows)):
             return kind, inst
         # any other body, or a bulk check that failed: the line loop names the line
+        lines = text.splitlines()
         family = []
         seen_sets = {}
         taken = 0

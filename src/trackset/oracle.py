@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InputError
 from .graph import Digraph, Graph
 
 TYPE_CHECKING = False
@@ -60,9 +60,9 @@ def enumerate_shortest_paths(g: Graph, cap: int | None = None) -> list[tuple[int
 
 
 def check_universe(universe_size: int) -> None:
-    """Raise ValueError if the brute-force minimum would refuse this universe."""
+    """Raise InputError if the brute-force minimum would refuse this universe."""
     if universe_size > MAX_UNIVERSE:
-        raise ValueError(f"oracle refuses universes larger than {MAX_UNIVERSE}")
+        raise InputError(f"oracle refuses universes larger than {MAX_UNIVERSE}")
 
 
 def _distinct_intersections(family: Sequence[frozenset[int]],

@@ -50,7 +50,7 @@ def reduce_rule_1(g: Graph) -> tuple[LayeredGraph, VertexRelabeling] | None:
                     seen[u] = 1
                     walk.append(u)
     relab = VertexRelabeling(sorted(walk))
-    return LayeredGraph(Digraph._derived(relab, zip(us, vs), g.s, g.t, reversed(walk))), relab
+    return LayeredGraph(Digraph._derived(relab, us, vs, g.s, g.t, reversed(walk))), relab
 
 
 def enumerate_shortest_paths(lg: LayeredGraph, cap: int | None = None) -> list[tuple]:

@@ -30,9 +30,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MUTANTS = [
     ("src/trackset/graph.py",
-     "keys = [index[u] * n + index[v] for u, v in arcs]",
-     "keys = [index[v] * n + index[u] for u, v in arcs]",
+     "map(index.__getitem__, us), map(index.__getitem__, vs),",
+     "map(index.__getitem__, vs), map(index.__getitem__, us),",
      "the one builder of derived digraphs turns every arc it renumbers around"),
+    ("src/trackset/graph.py",
+     "good = sum(map(len, map(set, lists))) == len(us) << undirected",
+     "good = True",
+     "the check after the fill is dropped: a repeated pair, or a graph's pair and its "
+     "reverse, is accepted"),
+    ("src/trackset/graph.py",
+     "e = (v, u) if undirected and v < u else (u, v)",
+     "e = (u, v)",
+     "the per-pair loop takes a graph's pair and its reverse for two edges, so it names "
+     "no pair where the check after the fill found that reverse"),
+    ("src/trackset/graph.py",
+     "any(map(list.sort, in_adj))",
+     "None",
+     "a digraph's in-lists are left in fill order, unsorted"),
+    ("src/trackset/instance_io.py",
+     "\\x1e\\x85\\u2028",
+     "\\x1e\\u2028",
+     "the parse does not rewrite a text whose lines end in U+0085 (NEL) with \"\\n\" ends"),
     ("src/trackset/graph.py",
      "order = tuple(filter(partial(is_not, None), map(index.get, order)))",
      "order = tuple(map(index.get, order))",
@@ -66,8 +84,8 @@ MUTANTS = [
      "a if any(map(on.__getitem__, a)) else",
      "rule 2 reuses a list that still holds a vertex on no s-t path"),
     ("src/trackset/dagtrack.py",
-     "if on[v] and v != s)",
-     "if on[v])",
+     "if on[v] and v != s:",
+     "if on[v]:",
      "rule 2 keeps an arc into s, which only a cycle puts between vertices on s-t paths"),
     ("src/trackset/dagtrack.py",
      "self._base, self.build = self.build(), None",
@@ -220,8 +238,8 @@ MUTANTS = [
      "if n > 4 * cap:",
      "the n/5 gate answers NO from n > 4 * 2^k"),
     ("src/trackset/shortest.py",
-     "Digraph._derived(relab, zip(us, vs),",
-     "Digraph._derived(relab, zip(vs, us),",
+     "Digraph._derived(relab, us, vs,",
+     "Digraph._derived(relab, vs, us,",
      "rule 1 orients every arc towards s"),
     ("src/trackset/cli.py",
      "traceback.print_exc(file=_sys.stderr)\n            return 4",

@@ -460,6 +460,53 @@ class TestExitCodes:
         code, out, _ = run(capsys, "solve", path, "--k", "1")
         assert code == 4 and out == ""
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no cap on int digits in this interpreter")
+    def test_huge_path_counts_print(self, tmp_path, capsys):
+        # 14,500 serial diamonds: 2^14,500 paths, 4,365 digits, above the interpreter's
+        # default cap of 4,300 on str() of an int; the 2^k gate decides k = 14,400, NO
+        path = write(tmp_path, "huge.dag", format_digraph(serial_diamond_dag(14_500)))
+        cap = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            count, gate = str(2 ** 14_500), str(2 ** 14_400 + 1)  # the gate counts to 2^k + 1
+            sys.set_int_max_str_digits(4_300)
+            code, out, err = run(capsys, "count", path)
+            assert (code, out, err) == (0, count + "\n", "")
+            code, out, err = run(capsys, "solve", path, "--k", "14400")
+            assert (code, err) == (1, "") and len(gate) == 4_335
+            assert out.splitlines()[:2] == ["result: NO", f"paths: {gate}+"]
+            code, out, err = run(capsys, "solve", path, "--k", "14400", "--json")
+            assert (code, err) == (1, "") and f'"paths": {gate},' in out
+            assert sys.get_int_max_str_digits() == 4_300  # the caller's cap, back
+            # the parse keeps the cap: an id token of 5,000 digits is no integer
+            big = write(tmp_path, "big.graph", f"graph 3 0 1\n0 {'9' * 5_000}\n")
+            code, out, err = run(capsys, "count", big)
+            assert (code, out) == (2, "")
+            assert err.startswith("parse error line 2: expected integer, got '999")
+        finally:
+            sys.set_int_max_str_digits(cap)
+
+    @pytest.mark.parametrize("command", ["solve", "count"])
+    def test_route_value_error_exits_4(self, tmp_path, capsys, monkeypatch, command):
+        # the input was accepted: a ValueError after the parse is a fault, not bad input
+        def fault(*args, **kwargs):
+            raise ValueError("a route's own fault")
+
+        monkeypatch.setattr("trackset.dagtrack.solve_dag", fault)
+        monkeypatch.setattr("trackset.dagtrack.count_paths", fault)
+        path = write(tmp_path, "d.dag", DIAMOND_DAG)
+        code, out, err = run(capsys, command, path, *(["--k", "1"] if command == "solve" else []))
+        assert code == 4 and out == ""
+        assert "ValueError: a route's own fault" in err
+
+    def test_file_that_is_not_text_exits_2(self, tmp_path, capsys):
+        # a decode error is a ValueError raised before any route runs: bad input, not a fault
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"graph 4 0 3\n\xff\xfe\n")
+        code, out, err = run(capsys, "count", str(path))
+        assert (code, out) == (2, "") and err
+
     def test_verify_long_chain_without_enumeration(self, tmp_path, capsys):
         # a true answer lists no paths
         path = write(tmp_path, "chain.dag", CHAIN_DAG)
@@ -495,7 +542,8 @@ class TestExitCodes:
                   "    sys.exit(99)\n"
                   "real = Digraph._derived.__func__\n"
                   "Digraph._derived = classmethod(\n"
-                  "    lambda cls, relab, arcs, s, t, order: real(cls, relab, [], s, t, order))\n"
+                  "    lambda cls, relab, us, vs, s, t, order:\n"
+                  "    real(cls, relab, [], [], s, t, order))\n"
                   f"sys.exit(main(['reduce', {path!r}]))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(trackset.__file__)))
         proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trackset.errors import CycleError, EdgeError
-from trackset.graph import (Digraph, Graph, VertexRelabeling, _checked_keys, bfs_distances,
+from trackset.graph import (Digraph, Graph, VertexRelabeling, bfs_distances,
                             topological_order)
 
 
@@ -62,17 +62,77 @@ def test_graph_rejects_invalid_edges(edges, msg):
 
 
 @pytest.mark.parametrize("cls", [Graph, Digraph])
-def test_parse_keys_build_what_the_constructor_builds(cls):
-    """The parse checks its id columns into keys and builds from those: the same
-    instance as the constructor over the pairs."""
+def test_parse_columns_build_what_the_constructor_builds(cls):
+    """The parse builds from its two id columns, checked: the same instance as the
+    constructor over the pairs."""
     pairs = [(3, 1), (0, 2), (1, 0), (2, 3)]
-    keys = _checked_keys(4, [3, 0, 1, 2], [1, 2, 0, 3], cls is Graph)
-    a, b = cls(4, pairs, 0, 3), cls._from_keys(4, keys, 0, 3)
+    a, b = cls(4, pairs, 0, 3), cls._checked(4, [3, 0, 1, 2], [1, 2, 0, 3], 0, 3)
     assert repr(a) == repr(b) == f"{cls.__name__}(n=4, m=4, s=0, t=3)"
     if cls is Graph:
         assert a.adj == b.adj and a.edges == b.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
     else:
         assert a.out_adj == b.out_adj and a.arcs == b.arcs == ((0, 2), (1, 0), (2, 3), (3, 1))
+
+
+def _reference_build(n, pairs, s, t, undirected):
+    """The constructor's result by a per-pair reference: ("edge", index, message) for the
+    first bad pair in input order, else ("ends",) for a bad s or t, else the ascending
+    lists (adj of a graph, out- and in-lists of a digraph)."""
+    seen = set()
+    for i, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            return "edge", i, f"endpoint out of range: {u} {v}"
+        if u == v:
+            return "edge", i, f"self-loop at vertex {u}"
+        key = frozenset((u, v)) if undirected else (u, v)
+        if key in seen:
+            return "edge", i, f"duplicate {'edge' if undirected else 'arc'} {u} {v}"
+        seen.add(key)
+    if not (2 <= n and 0 <= s < n and 0 <= t < n and s != t):
+        return ("ends",)
+    out = [sorted(v for u, v in pairs if u == x) for x in range(n)]
+    inc = [sorted(u for u, v in pairs if v == x) for x in range(n)]
+    return [sorted(a + b) for a, b in zip(out, inc)] if undirected else (out, inc)
+
+
+@st.composite
+def pair_lists(draw):
+    """n, s, t and pairs over ids -1..n, with reversed copies and repeats drawn in."""
+    n = draw(st.integers(1, 6))
+    ids = st.integers(-1, n)
+    s, t = draw(st.sampled_from([(0, 1), (1, 0), (n - 1, 0)])) if draw(st.integers(0, 2)) \
+        else (draw(ids), draw(ids))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=10, unique=True))
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs if u != v]
+    extra = draw(st.lists(st.one_of(
+        st.sampled_from(pairs or [(0, 0)]).map(lambda p: p[::-1]),  # a reversed pair
+        st.sampled_from(pairs or [(0, 0)]),  # a repeat
+        st.tuples(ids, ids)), max_size=3))  # out of range, or a self-loop
+    for pair in extra:
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return n, s, t, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists(), st.sampled_from([Graph, Digraph]), st.booleans())
+def test_checked_build_matches_per_pair_reference(case, cls, columns):
+    """The constructor, and the parse's build from two id columns, check the pairs in
+    bulk before and after the fill: either EdgeError names the pair that a per-pair
+    reference names first, or s and t fail after every pair passed, or the lists are
+    the ascending lists the reference builds."""
+    n, s, t, pairs = case
+    want = _reference_build(n, pairs, s, t, cls is Graph)
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    try:
+        got = cls._checked(n, us, vs, s, t) if columns else cls(n, pairs, s, t)
+    except EdgeError as exc:
+        assert ("edge", exc.index, str(exc)) == want
+        return
+    except ValueError:
+        assert want == ("ends",)
+        return
+    assert (got.adj if cls is Graph else (got.out_adj, got.in_adj)) == want
 
 
 def test_graph_rejects_equal_endpoints():

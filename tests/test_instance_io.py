@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import trackset
 from trackset import instance_io
 from trackset.cli import build_parser, main
-from trackset.instance_io import MAX_IDS, ParseError, _canonical_columns, parse_instance
+from trackset.instance_io import (MAX_IDS, ParseError, _canonical_columns, format_instance,
+                                  parse_instance)
 from trackset.setsystem import _union_masks
 
 from conftest import sparse_backbone_text
@@ -91,8 +92,12 @@ def test_memory_per_header_vertex(kind):
 #   graph: parse 338 -> 192, retained 192 -> 151, count 364 -> 298, reduce 409 -> 295
 # and before and after ``reduce`` wrote its lines from the adjacency lists, with no arc
 # or edge tuples: dag reduce 321 -> 305, graph reduce 295 -> 295 (there the peak comes
-# before the formatter). Each bound lies between the two. A count's peak also holds the exact path counts
-# along the backbone, ints of up to 445 digits.
+# before the formatter), and before and after the parse read its body from the text with
+# no list of lines and filled the lists from its id columns, with no keys:
+#   dag:   parse 264 -> 236, retained 235 -> 227, count 321 -> 313, reduce 305 -> 297
+#   graph: parse 192 -> 159, retained 151 -> 143, count 299 -> 266, reduce 295 -> 245
+# Each bound lies between the first and the last figure. A count's peak also holds the
+# exact path counts along the backbone, ints of up to 445 digits.
 PEAK_PER_ARC = {("dag", "parse"): 350, ("dag", "retained"): 255, ("dag", "count"): 380,
                 ("dag", "reduce"): 430, ("graph", "parse"): 265, ("graph", "retained"): 170,
                 ("graph", "count"): 330, ("graph", "reduce"): 350}
@@ -176,6 +181,12 @@ def test_only_parse_errors_escape(text):
         assert kind in ("graph", "dag", "setsystem")
 
 
+def _body(text):
+    """The body that the parse hands the bulk reads where the header is line 1: the
+    lines after it, joined by "\\n", with no final line end."""
+    return "\n".join(text.splitlines()[1:])
+
+
 def _outcome(text):
     """("ok", kind, n, s, t, pairs) of a graph or dag text, or ("error", line, message)."""
     try:
@@ -210,8 +221,8 @@ def edge_bodies(draw):
 @given(edge_bodies())
 def test_bulk_read_matches_line_loop(case):
     canonical, noisy, line_of = case
-    assert _canonical_columns(canonical.splitlines()[1:]) is not None
-    assert _canonical_columns(noisy.splitlines()[1:]) is None
+    assert _canonical_columns(_body(canonical)) is not None
+    assert _canonical_columns(_body(noisy)) is None
     got = _outcome(canonical)
     if got[0] == "error" and got[1] > 1:  # a bad pair: the same pair's line in the noisy text
         got = ("error", line_of[got[1] - 2], got[2])
@@ -243,8 +254,8 @@ def test_overlong_integer_reads_as_in_the_line_loop():
 def test_body_scan_edge_cases(text, bulk, want):
     # a comment line after the body sends the same pairs through the line loop
     noisy = text + ("" if text.endswith("\n") else "\n") + "# end\n"
-    assert (_canonical_columns(text.splitlines()[1:]) is not None) == bulk
-    assert _canonical_columns(noisy.splitlines()[1:]) is None
+    assert (_canonical_columns(_body(text)) is not None) == bulk
+    assert _canonical_columns(_body(noisy)) is None
     got = _outcome(text)
     assert got == _outcome(noisy)
     if want is None:  # the line loop names the token that int() refuses
@@ -256,7 +267,7 @@ def test_body_scan_edge_cases(text, bulk, want):
 def _set_outcome(text, bulk=True):
     """("ok", n, masks, ids, family) of a set-system text, or ("error", line,
     message); with ``bulk`` False the line loop reads every body."""
-    read = instance_io._canonical_sets if bulk else lambda rows, m: None
+    read = instance_io._canonical_sets if bulk else lambda body, m: None
     with mock.patch.object(instance_io, "_canonical_sets", read):
         try:
             kind, inst = parse_instance(text)
@@ -269,7 +280,8 @@ def _set_outcome(text, bulk=True):
 
 def _bulk_reads(text):
     lines = text.splitlines()
-    return instance_io._canonical_sets(lines[1:], int(lines[0].split()[2])) is not None
+    body = _body(text) if lines[1:] else None
+    return instance_io._canonical_sets(body, int(lines[0].split()[2])) is not None
 
 
 # tokens JSON reads but int() does not or reads otherwise, and tokens int() reads
@@ -336,6 +348,7 @@ def test_set_bulk_read_matches_line_loop(case):
     ("setsystem 3 0\n1\n", False, ("error", 2, "extra content after 0 sets")),
     ("setsystem 3 1\n1\n\n\n", False, ("ok", 3, [0b1], (1,), ({1},))),
     ("setsystem 3 3\n0\n1\n", False, ("error", 3, "expected 3 sets, found 2")),
+    (f"setsystem 3 {10 ** 13}\n\n", False, ("error", 2, f"expected {10 ** 13} sets, found 1")),
     ("setsystem 3 1\n0\n1\n", False, ("error", 3, "extra content after 1 sets")),
     ("setsystem 3 2\n0 1\n2 2\n", True, ("error", 3, "repeated element within a set")),
     ("setsystem 3 2\n0 1 0\n2\n", True, ("error", 2, "repeated element within a set")),
@@ -346,9 +359,9 @@ def test_set_bulk_read_matches_line_loop(case):
 ], ids=["true", "null", "nan", "float", "exponent", "minus", "plus", "leading-zero",
         "arabic-indic-digit", "tab", "double-space", "crlf", "comment-line",
         "trailing-comment", "blank-row", "spaces-row", "m0", "m0-no-newline", "m0-body",
-        "trailing-blank-lines", "too-few-rows", "too-many-rows", "repeated-element",
-        "repeated-element-apart", "duplicate-set", "id-n", "id-far-above-n",
-        "over-digit-limit"])
+        "trailing-blank-lines", "too-few-rows", "m-far-above-rows", "too-many-rows",
+        "repeated-element", "repeated-element-apart", "duplicate-set", "id-n",
+        "id-far-above-n", "over-digit-limit"])
 def test_set_body_scan_edge_cases(text, bulk, want):
     assert _bulk_reads(text) == bulk
     got = _set_outcome(text)
@@ -357,6 +370,52 @@ def test_set_body_scan_edge_cases(text, bulk, want):
         assert got[:2] == ("error", 2) and got[2].startswith("expected integer, got '999")
     else:
         assert got == (want if want[0] == "error" else (*want[:4], tuple(map(frozenset, want[4]))))
+
+
+# every line break of str.splitlines other than "\n", and CRLF
+_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _any_outcome(text):
+    """("ok", kind, the instance written out) of any text, or ("error", line, message)."""
+    try:
+        kind, inst = parse_instance(text)
+    except ParseError as exc:
+        return "error", exc.line_no, str(exc)
+    return "ok", kind, format_instance(inst)
+
+
+@pytest.mark.parametrize("end", _BREAKS,
+                         ids=lambda end: "CRLF" if end == "\r\n" else f"U+{ord(end):04X}")
+@pytest.mark.parametrize("text", [
+    "graph 4 0 3\n0 1\n0 2\n1 3\n2 3\n",
+    "# a comment\n\ndag 4 0 3\n0 1\n1 3\n",
+    "dag 4 0 3\n0 1\n1 3",
+    "graph 4 0 3\n0 1\n\n# again\n1 0\n",
+    "dag 4 0 3\n0 1\n# c\n1 2\n\n2 0\n2 3\n",
+    "graph 4 0 3\n0  1\n1 3 # chord\n",
+    "setsystem 3 3\n0 2\n1\n\n",
+    "setsystem 3 2\n# sets\n0 2\n\n",
+    "setsystem 3 3\n0\n1\n",
+    "setsystem 3 0\n\n",
+    "\n# nothing\n",
+], ids=["graph", "comment-first", "no-final-break", "duplicate", "cycle", "line-loop",
+        "last-row-empty", "comment-row", "too-few-rows", "m0-blank-line", "empty"])
+def test_line_breaks_read_as_newlines(text, end):
+    """Each line break that str.splitlines knows gives the instance, or the error line
+    and message, that a newline gives: the parse rewrites such a text with newline
+    ends, line for line, a last blank line too."""
+    assert _any_outcome(text.replace("\n", end)) == _any_outcome(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(edge_bodies().flatmap(lambda case: st.sampled_from(case[:2])),
+                 set_bodies().map(lambda case: case[0].replace("\r\n", "\n"))), st.data())
+def test_mixed_line_breaks_read_as_newlines(plain, data):
+    """A text whose lines end in any mix of breaks parses as its newline form does."""
+    lines = plain.split("\n")
+    mixed = lines[0] + "".join(data.draw(st.sampled_from(_BREAKS)) + line for line in lines[1:])
+    assert _any_outcome(mixed) == _any_outcome(plain)
 
 
 def test_sparse_set_ids_give_narrow_masks():

@@ -340,7 +340,8 @@ def test_unchecked_digraph_path_matches_checking_constructor(inst, data):
     arcs = data.draw(st.permutations([(u, v) for u, v in pairs if u in new and v in new]))
     order = data.draw(st.sampled_from([None, topological_order(Digraph(inst.n, pairs,
                                                                        inst.s, inst.t))]))
-    built = Digraph._derived(VertexRelabeling(keep), arcs, inst.s, inst.t, order)
+    built = Digraph._derived(VertexRelabeling(keep), [u for u, _ in arcs],
+                             [v for _, v in arcs], inst.s, inst.t, order)
     fresh = Digraph(len(keep), [(new[u], new[v]) for u, v in arcs], new[inst.s], new[inst.t])
     assert shape(built) == shape(fresh)
     assert built._order == (order and tuple(new[v] for v in order if v in new))

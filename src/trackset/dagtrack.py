@@ -48,43 +48,50 @@ class ReducedDag:
         return self._base
 
 
-def _reach(adj: tuple[tuple[int, ...], ...], src: int, stop: int, allowed: bytearray) -> bytearray:
-    """Marks of the vertices reached from ``src`` through allowed ones, not going past ``stop``."""
-    seen = bytearray(len(adj))
-    seen[src] = 1
-    stack = [src]
-    while stack:
-        for x in adj[stack.pop()]:
-            if allowed[x] and not seen[x]:
-                seen[x] = 1
-                if x != stop:
-                    stack.append(x)
-    return seen
-
-
 def _pruned(d: Digraph) -> tuple[list[int], bytearray] | None:
     """Rule 2 as reachability: the vertices of the DAG ``d`` on s-t paths plus s and t,
     ascending, and the marks of those on s-t paths; None if that is all of ``d``.
 
-    A vertex lies on an s-t path iff s reaches it without passing t and it
-    reaches t without passing s; the backward search goes only through the
-    forward one's vertices, so it marks exactly those. In a DAG every arc
-    between marked vertices lies on an s-t path; only a cycle puts an arc into
-    s or out of t between them. O(n + m) time, unless the test of
-    :func:`reduce_rule_2` holds.
+    A vertex lies on an s-t path iff s reaches it without passing t and it reaches t
+    without passing s. One depth-first walk from s over the out-lists, which passes
+    neither end, marks a vertex once every out-neighbour is done, if one of them is t or
+    marked; s's own mark waits in a last slot until the walk ends, so an arc into s marks
+    nothing. A vertex with no out-arc is not entered. In a DAG every arc between marked
+    vertices lies on an s-t path; only a cycle puts an arc into s or out of t between
+    them, and a cycle that misses s may leave a vertex on an s-t path unmarked. O(n + m)
+    time, unless the test of :func:`reduce_rule_2` holds.
     """
-    s, t = d.s, d.t
-    if d.in_adj.count([]) == 1 == d.out_adj.count([]) and not (d.in_adj[s] or d.out_adj[t]):
+    s, t, n, out_adj = d.s, d.t, d.n, d.out_adj
+    if d.indeg.count(0) == 1 == out_adj.count([]) and not (d.indeg[s] or out_adj[t]):
         return None
-    on = _reach(d.in_adj, t, s, _reach(d.out_adj, s, t, bytearray(b"\1") * d.n))
-    keep = list(compress(range(d.n), on))  # s is marked unless t is out of its reach
+    on, seen = bytearray(n + 1), bytearray(n)
+    seen[s] = seen[t] = on[t] = 1
+    v, heads, stack = n, iter(out_adj[s]), []
+    while True:
+        for x in heads:
+            if not seen[x]:
+                seen[x] = 1
+                if out_adj[x]:
+                    stack.append((v, heads))
+                    v, heads = x, iter(out_adj[x])
+                    break
+            elif on[x]:
+                on[v] = 1
+        else:  # every out-neighbour of v is done
+            if not stack:
+                break
+            done, (v, heads) = v, stack.pop()
+            if on[done]:
+                on[v] = 1
+    on[s] = on.pop()
+    keep = list(compress(range(n), on))  # s is marked unless t is out of its reach
     return (keep if on[s] else sorted((s, t))), on
 
 
 def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
     """Delete vertices and arcs on no s-t path of the DAG ``d`` (s and t always survive).
 
-    If s alone has no in-arc and t alone no out-arc (two C-level counts), walking back
+    If s alone has in-degree 0 and t alone no out-arc (two C-level counts), walking back
     from any vertex ends at s and on at t, so in a DAG every vertex and arc lies on an
     s-t path: ``d`` comes back, with the identity relabeling. Else the one builder of
     derived digraphs, :meth:`Digraph._derived`, renumbers it. Not exact if d has a cycle,
@@ -130,56 +137,66 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
     one-path part, whose hit is its least id, the one rule 4 keeps. They stay, as
     ``reduce`` prints them.
 
-    A list that rule 2 keeps whole is d's own, which no route mutates. The builder of
-    ``base`` holds only d's order and what it reads of the rules' results, not d.
+    The rules read d's out-lists alone, never mutating them: one pass over the kept
+    vertices' out-lists counts each one's in- and out-degree over the marked vertices and
+    notes its last marked out- and in-neighbour, which rules 3 and 4 read, and the builder
+    of ``base`` filters the same out-lists by the marks. It holds d's out-lists, its order,
+    the marks and what it reads of the rules' results, not d.
 
     Returns (reduced, vertices_deleted); reduced is None when the graph collapsed
     to a singleton (trivially YES), and holds ``d`` itself if nothing is deleted; else
     its ``base`` comes from :meth:`Digraph._derived`, the one builder of derived digraphs.
     """
+    n, out_adj = d.n, d.out_adj
     if (pruned := _pruned(d)) is None:
-        keep, out, inc = range(d.n), d.out_adj, d.in_adj
+        keep, on = range(n), b"\1" * n
     else:
         keep, on = pruned
-        out, inc = ({v: a if all(map(on.__getitem__, a)) else [x for x in a if on[x]]
-                     for v, a in zip(keep, map(adj.__getitem__, keep))}
-                    for adj in (d.out_adj, d.in_adj))
+    # each vertex's degrees over the marked vertices, and its last marked out- and
+    # in-neighbour: its only one where that degree is 1
+    outdeg, indeg, succ, pred = [0] * n, [0] * n, [0] * n, [0] * n
+    for u in keep:
+        for v in out_adj[u]:
+            if on[v]:
+                outdeg[u] += 1
+                indeg[v] += 1
+                succ[u], pred[v] = v, u
     s, t, gone = d.s, d.t, set()
-    while s != t and len(out[s]) == 1:
+    while s != t and outdeg[s] == 1:
         gone.add(s)
-        s = out[s][0]
-    while t != s and len(inc[t]) == 1:
+        s = succ[s]
+    while t != s and indeg[t] == 1:
         gone.add(t)
-        t = inc[t][0]
+        t = pred[t]
     if s == t:
-        return None, d.n - 1
+        return None, n - 1
 
     live = [v for v in keep if v not in gone] if gone else keep
-    inner = {v for v in live if len(inc[v]) == 1 == len(out[v])}
+    inner = {v for v in live if indeg[v] == 1 == outdeg[v]}
     least: dict[int, int] = {}  # the members of chains of two or more, to their least id
     for head in inner:  # a chain's head is the member whose in-neighbour is no member
-        if inc[head][0] not in inner and (z := out[head][0]) in inner:
+        if pred[head] not in inner and (z := succ[head]) in inner:
             chain = [head, z]
-            while (z := out[z][0]) in inner:
+            while (z := succ[z]) in inner:
                 chain.append(z)
             least.update(dict.fromkeys(chain, min(chain)))
     kept = [v for v in live if least.get(v, v) == v] if least else live
-    if pruned is None and len(kept) == d.n:
-        return ReducedDag(d.n, VertexRelabeling(range(d.n)), lambda: d), 0
+    if pruned is None and len(kept) == n:
+        return ReducedDag(n, VertexRelabeling(range(n)), lambda: d), 0
     relab, order = VertexRelabeling(kept), d._order
 
     def build() -> Digraph:
         us, vs = [], []
         for u in live:
             a = least.get(u, u)
-            for v in out[u]:
-                if v not in gone and (b := least.get(v, v)) != a:
+            for v in out_adj[u]:
+                if on[v] and v not in gone and (b := least.get(v, v)) != a:
                     us.append(a)
                     vs.append(b)
         reduced = Digraph._derived(relab, us, vs, s, t, order)
         # each chain's kept id, kept[i], is vertex i of the result: one arc in, one out
         bad = [x for i, x in enumerate(kept)
-               if x in inner and not len(reduced.in_adj[i]) == 1 == len(reduced.out_adj[i])]
+               if x in inner and not reduced.indeg[i] == 1 == len(reduced.out_adj[i])]
         if bad:
             raise InternalError(f"rule 4 left chain vertices {bad} off a single in- and out-arc")
         return reduced
@@ -188,17 +205,23 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
 
 
 def count_paths(d: Digraph, cap: int | None = None) -> int:
-    """The s-t path count by topological DP: exact up to ``cap``, else ``cap + 1``."""
-    counts = [0] * d.n
+    """The s-t path count by topological DP: exact up to ``cap``, else ``cap + 1``.
+
+    Each vertex's count is freed once it has been pushed along its out-arcs, so the pass
+    holds only the counts that wait to be pushed; t's count is final when the order
+    reaches t, which ends the pass."""
+    counts, out_adj, t = [0] * d.n, d.out_adj, d.t
     counts[d.s] = 1
     for u in topological_order(d):
-        if counts[u] == 0:
-            continue
-        for v in d.out_adj[u]:
-            counts[v] += counts[u]
-            if cap is not None and counts[v] > cap:
-                counts[v] = cap + 1
-    return counts[d.t]
+        if u == t:
+            break
+        c, counts[u] = counts[u], 0
+        if c:
+            for v in out_adj[u]:
+                counts[v] += c
+                if cap is not None and counts[v] > cap:
+                    counts[v] = cap + 1
+    return counts[t]
 
 
 def verify_tracking_condition(d: Digraph, trackers: frozenset[int]) -> bool:
@@ -257,8 +280,10 @@ def _pair_through(d: Digraph, counts: list[int], trackers: frozenset[int],
                   u: int, v: int) -> tuple[list[int], ...]:
     """Two s-t paths with a shared s-u prefix and v-t suffix whose u-v parts
     differ and avoid the trackers inside, from a pass out of u that gave v two."""
+    in_adj = d.in_adj
+
     def carriers(x):  # in-neighbours that passed u-paths on to x
-        return [w for w in d.in_adj[x] if counts[w] and (w == u or w not in trackers)]
+        return [w for w in in_adj[x] if counts[w] and (w == u or w not in trackers)]
 
     def walk(path, step, stop):
         while path[-1] != stop:
@@ -271,7 +296,7 @@ def _pair_through(d: Digraph, counts: list[int], trackers: frozenset[int],
     while len(branch := carriers(join[-1])) == 1:
         join.append(branch[0])
     # in a pruned DAG any in-arc leads back to s and any out-arc on to t
-    head = walk([u], lambda x: d.in_adj[x][0], d.s)[:0:-1]
+    head = walk([u], lambda x: in_adj[x][0], d.s)[:0:-1]
     tail = walk(join[::-1], lambda x: d.out_adj[x][0], d.t)
     return tuple(head + walk([w], lambda x: carriers(x)[0], u)[::-1] + tail
                  for w in branch[:2])
@@ -283,10 +308,10 @@ def path_masks(d: Digraph, s: int, inner: Sequence[int], last: Iterable[int],
     every in-neighbour but s of its members, to a vertex of ``last`` (in ``inner`` + s),
     each as the mask with bit ``bit[v]`` for each of its vertices v in ``inner``: for a
     block from s to t and ``last`` its in-neighbours of t, its s-t paths but s and t."""
-    ends = {s: [0]}
+    ends, in_adj = {s: [0]}, d.in_adj
     for v in inner:
         b = 1 << bit[v]
-        ends[v] = [m | b for u in d.in_adj[v] for m in ends[u]]
+        ends[v] = [m | b for u in in_adj[v] for m in ends[u]]
     return [m for u in last for m in ends[u]]
 
 
@@ -336,16 +361,19 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
     is over k: leaves need no cap. A series part has no cut vertex and a parallel part is
     connected, so each tests the other split alone. An explicit stack holds the blocks, so
     nesting is not bounded by the recursion limit."""
-    n, in_adj, out_adj = d.n, d.in_adj, d.out_adj
+    n, out_adj = d.n, d.out_adj
     order = topological_order(d)
     fwd, bwd, up = [0] * n, [0] * n, list(range(n))
-    # s alone has no in-arc and t alone no out-arc: their counts are 1. Plain loops, as a
-    # sum over a map costs more at these degrees
-    for count, adj, walk in ((fwd, in_adj, order), (bwd, out_adj, reversed(order))):
-        for v in walk:
-            for u in adj[v]:
-                count[v] += count[u]
-            count[v] = count[v] or 1
+    # s alone has no in-arc and t alone no out-arc: their counts are 1. Both passes read
+    # the out-lists, fwd pushing along them and bwd pulling; plain loops, as a sum over a
+    # map costs more at these degrees
+    fwd[d.s] = bwd[d.t] = 1
+    for u in order:
+        for v in out_adj[u]:
+            fwd[v] += fwd[u]
+    for v in reversed(order):
+        for u in out_adj[v]:
+            bwd[v] += bwd[u]
 
     def root(x: int) -> int:  # union-find with path halving
         while up[x] != x:

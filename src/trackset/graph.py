@@ -2,9 +2,11 @@
 
 Vertices are dense integer ids 0..n-1. The constructors fill each adjacency
 list from the two id columns of the pairs, which they do not keep, and sort it
-in place; no route mutates a list after that. ``edges`` and ``arcs`` are
-rebuilt from the lists on each read. All operations here are pure, except that
-:func:`topological_order` keeps the order it finds on the digraph.
+in place; no route mutates a list after that. A graph keeps one list per
+vertex, a digraph its out-list and in-degree, and builds its in-lists on their
+first read. ``edges`` and ``arcs`` are rebuilt from the lists on each read. All
+operations here are pure, except that :func:`topological_order` keeps the
+order it finds on the digraph, and a digraph the in-lists it builds.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ class _Checked:
                 self._fill(n, us, vs, s, t)
             except ValueError as exc:  # s or t
                 raise _pair_error(n, us, vs, undirected) or exc from None
-            lists = self.adj if undirected else self.out_adj
-            good = sum(map(len, map(set, lists))) == len(us) << undirected
+            # a list of fewer than two ids holds no repeat; skipping them pays where most
+            # lists are that short, as a DAG's out-lists are, but not a graph's
+            lists = self.adj if undirected else [a for a in self.out_adj if len(a) > 1]
+            good = sum(map(len, map(set, lists))) == sum(map(len, lists))
         if not good:
             raise _pair_error(n, us, vs, undirected) or InternalError(
                 "the bulk edge check rejected pairs that the per-pair loop accepts")
@@ -112,14 +116,16 @@ class Graph(_Checked):
 
 
 class Digraph(_Checked):
-    """Simple directed s-t graph with in/out adjacency, validated as Graph is.
+    """Simple directed s-t graph, validated as Graph is.
 
-    Acyclicity is not enforced here; use :func:`topological_order`, which
-    reports a cycle, so that parsers can reject cyclic input explicitly, and
-    keeps the order it finds in ``_order`` for later calls.
+    It holds its out-lists ``out_adj`` and in-degrees ``indeg``; ``in_adj``, read by
+    few routes, is built from the out-lists on first read. Acyclicity is not
+    enforced here; use :func:`topological_order`, which reports a cycle, so that
+    parsers can reject cyclic input explicitly, and keeps the order it finds in
+    ``_order`` for later calls.
     """
 
-    __slots__ = ("n", "s", "t", "out_adj", "in_adj", "_order")
+    __slots__ = ("n", "s", "t", "out_adj", "indeg", "_in_adj", "_order")
 
     @classmethod
     def _derived(cls, relab: VertexRelabeling, us: Iterable[int], vs: Iterable[int], s: int,
@@ -142,13 +148,23 @@ class Digraph(_Checked):
         _check_ends(n, s, t)
         self.n, self.s, self.t = n, s, t
         self.out_adj = out_adj = [[] for _ in range(n)]
-        self.in_adj = in_adj = [[] for _ in range(n)]
+        self.indeg = indeg = [0] * n
         for u, v in zip(us, vs):
             out_adj[u].append(v)
-            in_adj[v].append(u)
-        any(map(list.sort, out_adj))  # each sort returns None: one C-level pass each
-        any(map(list.sort, in_adj))
-        self._order = order
+            indeg[v] += 1
+        any(map(list.sort, out_adj))  # each sort returns None: one C-level pass sorts them all
+        self._in_adj, self._order = None, order
+
+    @property
+    def in_adj(self) -> list[list[int]]:
+        """The in-lists, built on first read by one pass over the out-lists by ascending
+        tail, so each comes out ascending, and kept."""
+        if self._in_adj is None:
+            self._in_adj = in_adj = [[] for _ in range(self.n)]
+            for u, a in enumerate(self.out_adj):
+                for v in a:
+                    in_adj[v].append(u)
+        return self._in_adj
 
     @property
     def arcs(self) -> tuple:
@@ -212,7 +228,7 @@ def topological_order(d: Digraph) -> list[int]:
 
 
 def _kahn(d: Digraph) -> list[int]:
-    indeg = list(map(len, d.in_adj))
+    indeg = d.indeg.copy()
     order = [v for v in range(d.n) if not indeg[v]]
     out_adj = d.out_adj
     for u in order:  # order grows while it is read, as Kahn's FIFO queue

@@ -19,8 +19,9 @@ from .setsystem import SetSystem
 Instance = Graph | Digraph | SetSystem
 
 # Largest n a header may name: whatever its edge count, a graph keeps one list per
-# vertex and a DAG two and its order (measured: 64 and 168 bytes a vertex, 64 and 176
-# at the parse's peak, on 64-bit CPython), so a one-line file could ask for gigabytes.
+# vertex and a DAG its out-list, an in-degree slot and its order (measured: 64 and 112
+# bytes a vertex, 64 and 120 at the parse's peak, on 64-bit CPython; a DAG's in-lists,
+# built on first read, add 64 more), so a one-line file could ask for gigabytes.
 MAX_IDS = 10**6
 
 

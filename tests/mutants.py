@@ -34,19 +34,32 @@ MUTANTS = [
      "map(index.__getitem__, vs), map(index.__getitem__, us),",
      "the one builder of derived digraphs turns every arc it renumbers around"),
     ("src/trackset/graph.py",
-     "good = sum(map(len, map(set, lists))) == len(us) << undirected",
+     "good = sum(map(len, map(set, lists))) == sum(map(len, lists))",
      "good = True",
      "the check after the fill is dropped: a repeated pair, or a graph's pair and its "
      "reverse, is accepted"),
+    ("src/trackset/graph.py",
+     "[a for a in self.out_adj if len(a) > 1]",
+     "[a for a in self.out_adj if len(a) > 2]",
+     "the repeat check skips out-lists of two ids, so an arc repeated out of a vertex "
+     "with no other is accepted"),
     ("src/trackset/graph.py",
      "e = (v, u) if undirected and v < u else (u, v)",
      "e = (u, v)",
      "the per-pair loop takes a graph's pair and its reverse for two edges, so it names "
      "no pair where the check after the fill found that reverse"),
     ("src/trackset/graph.py",
-     "any(map(list.sort, in_adj))",
+     "any(map(list.sort, out_adj))",
      "None",
-     "a digraph's in-lists are left in fill order, unsorted"),
+     "a digraph's out-lists are left in fill order, unsorted"),
+    ("src/trackset/graph.py",
+     "for u, a in enumerate(self.out_adj):",
+     "for u, a in reversed(list(enumerate(self.out_adj))):",
+     "a digraph's in-lists are built by descending tail, so each comes out descending"),
+    ("src/trackset/graph.py",
+     "self.indeg = indeg = [0] * n",
+     "self.indeg = indeg = [0] * (n - 1) + [-1]",
+     "a digraph's fill leaves one arc into its last vertex out of the in-degrees"),
     ("src/trackset/instance_io.py",
      "\\x1e\\x85\\u2028",
      "\\x1e\\u2028",
@@ -66,7 +79,7 @@ MUTANTS = [
     ("src/trackset/graph.py",
      "in_adj[v].append(u)",
      "in_adj[v].append(v)",
-     "a digraph's fill appends each arc's head, not its tail, to the head's in-list"),
+     "a digraph's in-list builder appends each arc's head, not its tail, to its in-list"),
     ("src/trackset/graph.py",
      "enumerate(self.out_adj) for v in a]",
      "enumerate(self.out_adj) for v in reversed(a)]",
@@ -76,13 +89,18 @@ MUTANTS = [
      "for v in a]",
      "a graph's edges come back twice, once from each end's list"),
     ("src/trackset/dagtrack.py",
-     "if d.in_adj.count([]) == 1 == d.out_adj.count([])",
-     "if d.in_adj.count(()) == 1 == d.out_adj.count(())",
-     "rule 2's degree test counts empty tuples among lists, so it never fires"),
+     "if d.indeg.count(0) == 1 == out_adj.count([])",
+     "if d.indeg.count(()) == 1 == out_adj.count([])",
+     "rule 2's degree test counts empty tuples among in-degrees, so it never fires"),
     ("src/trackset/dagtrack.py",
-     "a if all(map(on.__getitem__, a)) else",
-     "a if any(map(on.__getitem__, a)) else",
-     "rule 2 reuses a list that still holds a vertex on no s-t path"),
+     "seen[s] = seen[t] = on[t] = 1",
+     "seen[s] = seen[t] = on[s] = on[t] = 1",
+     "rule 2's walk takes s as marked while it runs, so it keeps a vertex that reaches t "
+     "only through s"),
+    ("src/trackset/dagtrack.py",
+     "if on[v] and v not in gone and (b := least.get(v, v)) != a:",
+     "if v not in gone and (b := least.get(v, v)) != a:",
+     "the build of rules 2-4 keeps an arc to a vertex on no s-t path"),
     ("src/trackset/dagtrack.py",
      "if on[v] and v != s:",
      "if on[v]:",
@@ -132,8 +150,8 @@ MUTANTS = [
      "[masks, masks]",
      "a rigid block's hit is its tr: the empty mask is not added"),
     ("src/trackset/dagtrack.py",
-     "for u in d.in_adj[v] for m in ends[u]]",
-     "for u in d.in_adj[v][1:] for m in ends[u]]",
+     "for u in in_adj[v] for m in ends[u]]",
+     "for u in in_adj[v][1:] for m in ends[u]]",
      "the path lister skips each vertex's least in-neighbour"),
     ("src/trackset/dagtrack.py",
      "(p := q // (fwd[s] * bwd[t]))",
@@ -148,12 +166,12 @@ MUTANTS = [
      "for j, v in enumerate(inner) if found >> j & 1",
      "a rigid block maps the core's bits back through its topological inner list"),
     ("src/trackset/dagtrack.py",
-     "if inc[head][0] not in inner and (z := out[head][0]) in inner:",
-     "if inc[head][0] not in inner and False:",
+     "if pred[head] not in inner and (z := succ[head]) in inner:",
+     "if pred[head] not in inner and False:",
      "rule 4 merges no chain, as if every chain head were alone"),
     ("src/trackset/dagtrack.py",
-     "if x in inner and not len(reduced.in_adj[i])",
-     "if x in least and not len(reduced.in_adj[i])",
+     "if x in inner and not reduced.indeg[i]",
+     "if x in least and not reduced.indeg[i]",
      "rule 4's check skips the one-vertex chains, which have no map entry"),
     ("src/trackset/dagtrack.py",
      "(keep if on[s] else sorted((s, t)))",
@@ -212,12 +230,12 @@ MUTANTS = [
      "diffs = sorted(set(starmap(xor, combinations([to_mask(s) for s in sys.family], 2))))",
      "the reduction to hitting set keeps every difference, not just the minimal ones"),
     ("src/trackset/dagtrack.py",
-     "while s != t and len(out[s]) == 1:",
-     "if s != t and len(out[s]) == 1:",
+     "while s != t and outdeg[s] == 1:",
+     "if s != t and outdeg[s] == 1:",
      "rule 3 walks s forward one step at most"),
     ("src/trackset/dagtrack.py",
-     "while t != s and len(inc[t]) == 1:",
-     "while t != s and len(inc[t]) == 1 and len(out[s]) != 1:",
+     "while t != s and indeg[t] == 1:",
+     "while t != s and indeg[t] == 1 and outdeg[s] != 1:",
      "rule 3's second walk also requires s's out-degree to differ from 1",
      "the first walk stops at s == t or at an out-degree other than 1, and the second "
      "walk moves only t"),
@@ -225,6 +243,14 @@ MUTANTS = [
      "least.update(dict.fromkeys(chain, min(chain)))",
      "least.update(dict.fromkeys(chain, max(chain)))",
      "rule 4 maps each chain to its greatest id"),
+    ("src/trackset/dagtrack.py",
+     "if u == t:\n            break",
+     "if False:\n            break",
+     "count_paths pushes t's count on and frees it, so it answers 0"),
+    ("src/trackset/dagtrack.py",
+     "fwd[d.s] = bwd[d.t] = 1",
+     "fwd[d.s] = 1",
+     "the split's counts back to t start at 0, as if no block had a path"),
     ("src/trackset/dagtrack.py",
      "for u in sorted(trackers | {d.s}):",
      "for u in sorted(trackers):",

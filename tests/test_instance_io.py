@@ -67,8 +67,10 @@ def test_limit_is_inclusive():
 
 # tracemalloc peak of a parse per header vertex, on 64-bit CPython: a graph keeps one
 # list per vertex (56 bytes, and 8 for its slot in ``adj``), about 64 in all; a DAG
-# keeps two, and its parse's topological order adds some 8-byte slots, about 176
-PEAK_PER_VERTEX = {"graph": 80, "dag": 200}
+# keeps its out-list and an in-degree slot, and its parse's topological order adds some
+# 8-byte slots: about 176 while a DAG also kept its in-lists, 120 once they are built
+# on first read
+PEAK_PER_VERTEX = {"graph": 80, "dag": 150}
 
 
 @pytest.mark.parametrize("kind", ["graph", "dag"])
@@ -96,10 +98,14 @@ def test_memory_per_header_vertex(kind):
 # no list of lines and filled the lists from its id columns, with no keys:
 #   dag:   parse 264 -> 236, retained 235 -> 227, count 321 -> 313, reduce 305 -> 297
 #   graph: parse 192 -> 159, retained 151 -> 143, count 299 -> 266, reduce 295 -> 245
-# Each bound lies between the first and the last figure. A count's peak also holds the
-# exact path counts along the backbone, ints of up to 445 digits.
-PEAK_PER_ARC = {("dag", "parse"): 350, ("dag", "retained"): 255, ("dag", "count"): 380,
-                ("dag", "reduce"): 430, ("graph", "parse"): 265, ("graph", "retained"): 170,
+# and before and after a DAG kept only its out-lists and in-degrees, building its
+# in-lists on first read, and ``count`` freed each path count once it was pushed on:
+#   dag:   parse 236 -> 160, retained 228 -> 127, count 313 -> 170, reduce 297 -> 205
+#   graph: parse 159 -> 159, retained 143 -> 143, count 265 -> 219, reduce 245 -> 219
+# Each bound lies between the first and the last figure, and each DAG bound between the
+# last two.
+PEAK_PER_ARC = {("dag", "parse"): 200, ("dag", "retained"): 175, ("dag", "count"): 240,
+                ("dag", "reduce"): 250, ("graph", "parse"): 265, ("graph", "retained"): 170,
                 ("graph", "count"): 330, ("graph", "reduce"): 350}
 
 
@@ -127,6 +133,34 @@ def test_memory_per_arc(tmp_path, capsys, kind, route):
     assert peak / arcs < PEAK_PER_ARC[kind, route]
     if route == "parse":
         assert inst.n == 12_000 and retained / arcs < PEAK_PER_ARC[kind, "retained"]
+
+
+# tracemalloc peak of ``count`` per arc on d serial diamonds (4d arcs, 2^d paths), on
+# 64-bit CPython 3.11: 340 bytes at d = 2,000 and 640 at d = 8,000 while every vertex's
+# exact count, of up to d bits, was kept to the end; 161 and 163 once each count is
+# freed after its push, which leaves the counts of one diamond alive
+COUNT_PEAK_PER_ARC = 240
+
+
+@pytest.mark.parametrize("d", [2_000, 8_000])
+def test_count_memory_on_serial_diamonds(tmp_path, capsys, d):
+    """``count`` holds only the path counts not yet pushed on, so its peak per arc stays
+    under one bound at both sizes, though the counts grow to d bits."""
+    lines = [f"dag {3 * d + 1} 0 {3 * d}"]
+    for i in range(d):
+        for m in (3 * i + 1, 3 * i + 2):
+            lines += [f"{3 * i} {m}", f"{m} {3 * i + 3}"]
+    path = tmp_path / "diamonds.dag"
+    path.write_text("\n".join(lines) + "\n")
+    build_parser()  # built on a process's first call, and kept: not this route's cost
+    tracemalloc.start()
+    try:
+        assert main(["count", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"{2 ** d}\n"
+    assert peak / (4 * d) < COUNT_PEAK_PER_ARC
 
 
 def test_header_sized_allocation_exits_2(tmp_path):

@@ -31,6 +31,7 @@ from trackset import setsystem
 from trackset.cli import main
 from trackset.dagtrack import (_pair_through, _pruned, count_paths, reduce_dag, reduce_rule_2,
                                solve_dag, violating_pair)
+from trackset.errors import CycleError
 from trackset.graph import Digraph, Graph, VertexRelabeling, topological_order
 from trackset.instance_io import format_digraph, format_graph, format_setsystem
 from trackset.oracle import (brute_is_tracking, brute_min_tracking, enumerate_all_paths,
@@ -383,6 +384,111 @@ def test_derived_dags_count_with_their_inherited_order(d):
     at = {v: i for i, v in enumerate(order)}
     assert all(at[u] < at[v] for u, v in d.arcs)
     assert counts == [count_paths(fresh, cap) for cap in (None, 0, 1, 2)]
+
+
+@st.composite
+def cycles_through_s(draw):
+    """A DAG with arcs into s added, so that every cycle passes through s."""
+    d = draw(any_dags())
+    tails = draw(st.sets(st.sampled_from([v for v in range(d.n) if v != d.s]), min_size=1))
+    return Digraph(d.n, sorted(set(d.arcs) | {(v, d.s) for v in tails}), d.s, d.t)
+
+
+def in_lists(d):
+    """The ascending in-lists of ``d``, rebuilt from its arcs."""
+    return [sorted(u for u, v in d.arcs if v == x) for x in range(d.n)]
+
+
+def _reach_both_ways(adj, src, stop, allowed):
+    seen = bytearray(len(adj))
+    seen[src] = 1
+    stack = [src]
+    while stack:
+        for x in adj[stack.pop()]:
+            if allowed[x] and not seen[x]:
+                seen[x] = 1
+                if x != stop:
+                    stack.append(x)
+    return seen
+
+
+def rules_on_two_lists(d):
+    """Rules 2-4 as they ran while a digraph kept two lists per vertex: rule 2 as a
+    search forward from s and one back from t, rules 3 and 4 on dicts of copied in- and
+    out-lists. Returns (rule 2's kept ids and arcs, rules 2-4's kept ids, arcs, s and t
+    or None for a singleton, and the vertices they deleted), all in d's ids."""
+    n, s, t, arcs = d.n, d.s, d.t, set(d.arcs)
+    out_adj = [sorted(v for u, v in arcs if u == x) for x in range(n)]
+    in_adj = [sorted(u for u, v in arcs if v == x) for x in range(n)]
+    whole = in_adj.count([]) == 1 == out_adj.count([]) and not (in_adj[s] or out_adj[t])
+    if whole:
+        keep, out, inc = list(range(n)), out_adj, in_adj
+        rule_2 = (keep, arcs)
+    else:
+        on = _reach_both_ways(in_adj, t, s,
+                              _reach_both_ways(out_adj, s, t, bytearray(b"\1") * n))
+        keep = [v for v in range(n) if on[v]] if on[s] else sorted((s, t))
+        rule_2 = (keep, {(u, v) for u in keep if u != t for v in out_adj[u]
+                         if on[v] and v != s})
+        out, inc = ({v: [x for x in adj[v] if on[x]] for v in keep} for adj in (out_adj, in_adj))
+    gone = set()
+    while s != t and len(out[s]) == 1:
+        gone.add(s)
+        s = out[s][0]
+    while t != s and len(inc[t]) == 1:
+        gone.add(t)
+        t = inc[t][0]
+    if s == t:
+        return rule_2, None, n - 1
+    live = [v for v in keep if v not in gone]
+    inner = {v for v in live if len(inc[v]) == 1 == len(out[v])}
+    least = {}
+    for head in inner:
+        if inc[head][0] not in inner and (z := out[head][0]) in inner:
+            chain = [head, z]
+            while (z := out[z][0]) in inner:
+                chain.append(z)
+            least.update(dict.fromkeys(chain, min(chain)))
+    kept = [v for v in live if least.get(v, v) == v]
+    if whole and len(kept) == n:
+        return rule_2, (kept, arcs, d.s, d.t), 0
+    merged = {(least.get(u, u), least.get(v, v)) for u in live for v in out[u] if v not in gone}
+    return rule_2, (kept, {(a, b) for a, b in merged if a != b}, s, t), n - len(kept)
+
+
+@SETTINGS
+@given(st.one_of(any_dags(), cycles_through_s()), st.integers(0, 3))
+@example(Digraph(3, [(0, 1), (1, 0), (0, 2)], 0, 2), 0)
+@example(Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 0)], 0, 3), 3)
+def test_in_lists_built_on_read_and_rules_on_out_lists(d, read_at):
+    """A digraph keeps its out-lists and in-degrees, and builds its in-lists on first
+    read: they are the ascending in-lists of its arcs whether read before or after a
+    topological order, rule 2 or rules 2-4 ran on it, and so are those of the digraphs
+    the rules derive. Rules 2-4, which read out-lists only, keep the ids, arcs, ends and
+    deleted count that they kept on two lists per vertex, also on a digraph whose every
+    cycle passes through s (where rule 2 is still exact)."""
+    want = in_lists(d)
+    assert d.indeg == list(map(len, want))
+    if read_at == 0:
+        assert d.in_adj == want
+    with contextlib.suppress(CycleError):
+        topological_order(d)
+    if read_at == 1:
+        assert d.in_adj == want
+    out, relab = reduce_rule_2(d)
+    if read_at == 2:
+        assert d.in_adj == want
+    reduced, deleted = reduce_dag(d)
+    assert d.in_adj == want
+    to = relab.to_original
+    assert out.in_adj == in_lists(out) and out.indeg == list(map(len, out.in_adj))
+    got = None
+    if reduced is not None:
+        base, new = reduced.base, reduced.relabeling.to_original
+        assert base.in_adj == in_lists(base) and base.indeg == list(map(len, base.in_adj))
+        got = (list(new), {(new[u], new[v]) for u, v in base.arcs}, new[base.s], new[base.t])
+    assert ((list(to), {(to[u], to[v]) for u, v in out.arcs}), got, deleted) == \
+        rules_on_two_lists(d)
 
 
 @SETTINGS

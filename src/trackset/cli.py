@@ -6,8 +6,10 @@ decision, 4 = internal error (a failed self-check or an unexpected exception,
 a ValueError from a route among them; never a decision). Output is
 deterministic for identical inputs and flags, regardless of --threads.
 
-Plain argv is read in one pass from the parser's own actions; help, errors,
-abbreviations and ``=`` forms go through argparse, so their output is argparse's.
+Plain argv is read in one pass from a flat table of the parser's own actions; help,
+errors, abbreviations and ``=`` forms go through argparse, so their output is argparse's.
+An instance file is read as bytes and decoded once, in the encoding that text mode
+would use; the parser itself reads every line break, so no newline translation is needed.
 
 Start-up: importing this module loads every module that solve, count, reduce
 and verify run, so none waits for a first call, and no module they do not use.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import locale
 import sys as _sys
 
 from . import dagtrack, oracle, setsystem, shortest
@@ -32,8 +35,9 @@ DEFAULT_MODE = {"graph": "shortest", "dag": "dag", "setsystem": "setsystem"}
 
 
 def _load(path: str):
-    with open(path) as f:
-        return parse_instance(f.read())
+    with open(path, "rb", buffering=0) as f:  # read to EOF, a FIFO's too
+        text = f.read().decode(locale.getpreferredencoding(False))
+    return parse_instance(text)
 
 
 def _unlimited(format_, *args) -> str:
@@ -82,17 +86,18 @@ def _cmd_solve(args) -> int:
     kind, inst = _load(args.input)
     mode = args.mode or DEFAULT_MODE[kind]
     # looked up per call, so a solver replaced on its module is the one called
-    solvers = {
-        ("shortest", "graph"): lambda: shortest.solve_shortest_paths(inst, args.k),
-        ("dag", "dag"): lambda: dagtrack.solve_dag(inst, args.k),
-        ("setsystem", "graph"): lambda: shortest.solve_via_set_system(inst, args.k, args.cap),
-        ("setsystem", "setsystem"): lambda: setsystem.solve_set_system(inst, args.k),
-    }
-    if (mode, kind) not in solvers:
+    if mode == "shortest" and kind == "graph":
+        report = shortest.solve_shortest_paths(inst, args.k)
+    elif mode == "dag" and kind == "dag":
+        report = dagtrack.solve_dag(inst, args.k)
+    elif mode == "setsystem" and kind == "graph":
+        report = shortest.solve_via_set_system(inst, args.k, args.cap)
+    elif mode == "setsystem" and kind == "setsystem":
+        report = setsystem.solve_set_system(inst, args.k)
+    else:
         needs = {"shortest": "a graph", "dag": "a dag", "setsystem": "a setsystem or graph"}
         print(f"mode {mode} requires {needs[mode]} instance", file=_sys.stderr)
         return 2
-    report = solvers[mode, kind]()
     code = _emit(report, args.json)
     if args.oracle:
         _oracle_check(report, kind, inst, args.k, args.cap)
@@ -163,10 +168,10 @@ def _cmd_verify(args) -> int:
     kind, inst = _load(args.input)
     trackers = frozenset(args.trackers)
     universe = inst.universe_size if kind == "setsystem" else inst.n
-    for v in trackers:
-        if not (0 <= v < universe):
-            print(f"tracker id out of range: {v}", file=_sys.stderr)
-            return 2
+    if trackers and not (min(trackers) >= 0 and max(trackers) < universe):
+        bad = next(v for v in trackers if not 0 <= v < universe)
+        print(f"tracker id out of range: {bad}", file=_sys.stderr)
+        return 2
     if kind == "setsystem":
         pair = setsystem.violating_sets(inst.family, trackers)
         shown = [f"violating sets: {pair[0]} {pair[1]}"] if pair else []
@@ -178,9 +183,7 @@ def _cmd_verify(args) -> int:
         if oracle.brute_is_tracking(_oracle_family(kind, inst, args.cap), trackers) != ok:
             raise InternalError("oracle disagrees with the verifier")
         print("oracle: agree")
-    print(f"tracking: {'true' if ok else 'false'}")
-    for line in shown:
-        print(line)
+    _sys.stdout.write("\n".join([f"tracking: {'true' if ok else 'false'}", *shown, ""]))
     return 0 if ok else 1
 
 
@@ -258,13 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=None)
 def _argv_tables(parser: argparse.ArgumentParser) -> dict:
-    """Per command, read once and shared by every call, so never mutated: the positionals (each
-    takes one token, or None where declined), required dests, defaults, option table, function."""
+    """Per command, read once and shared by every call, so never mutated: one
+    ``(dest, nargs, type, choices, const)`` entry per positional and per option string,
+    None for an action that argparse must read (help, an option taking other than 0, 1 or
+    ``*`` tokens, a positional taking other than one), the required options' dests, and
+    the defaults with ``command`` and ``func``. ``type`` is ``str`` where argparse keeps
+    the token as it is."""
+    def entry(a: argparse.Action, plain: tuple):
+        if a.nargs not in plain or a.default is argparse.SUPPRESS:
+            return None
+        return a.dest, a.nargs, a.type or str, a.choices, a.const
+
     commands = next(a for a in parser._actions if a.nargs == argparse.PARSER).choices
-    return {name: ([a if a.nargs is None else None for a in sub._actions if not a.option_strings],
-                   [a.dest for a in sub._actions if a.required or not a.option_strings],
-                   {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS},
-                   sub._option_string_actions, sub.get_default("func"))
+    return {name: ([entry(a, (None,)) for a in sub._actions if not a.option_strings],
+                   {o: entry(a, (0, None, "*")) for a in sub._actions for o in a.option_strings},
+                   [a.dest for a in sub._actions if a.required and a.option_strings],
+                   {**{a.dest: a.default for a in sub._actions
+                       if a.default is not argparse.SUPPRESS},
+                    "command": name, "func": sub.get_default("func")})
             for name, sub in commands.items()}
 
 
@@ -275,28 +289,40 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]
     and values starting with "-". ``*`` takes the tokens up to the next "-" one."""
     if not argv or (table := _argv_tables(parser).get(argv[0])) is None:
         return None
-    positionals, required, defaults, options, func = table
-    positionals, seen, i = iter(positionals), {}, 1
-    dash = [token.startswith("-") for token in argv] + [True]  # True ends every run
-    while i < len(argv):
-        if dash[i]:
-            act, run, i = options.get(argv[i]), dash.index(True, i + 1) - i - 1, i + 1
+    positionals, options, required, defaults = table
+    seen, i, end, p = {}, 1, len(argv), 0
+    while i < end:
+        if argv[i][:1] == "-":
+            entry, i = options.get(argv[i]), i + 1
+        elif p < len(positionals):
+            entry, p = positionals[p], p + 1
         else:
-            act, run = next(positionals, None), 1
-        take = act and {0: 0, None: 1, "*": run}.get(act.nargs)
-        if take is None or take > run or act.dest in seen or act.default is argparse.SUPPRESS:
             return None
+        if entry is None or entry[0] in seen:
+            return None
+        dest, nargs, type_, choices, const = entry
+        if nargs == 0:
+            seen[dest] = const
+            continue
+        if nargs is None:  # one token, which must not start with "-"
+            if i == end or argv[i][:1] == "-":
+                return None
+            j = i + 1
+        else:  # "*": the tokens up to the next "-" one
+            j = i
+            while j < end and argv[j][:1] != "-":
+                j += 1
         try:
-            values = list(map(act.type, argv[i:i + take])) if act.type else argv[i:i + take]
+            values = list(map(type_, argv[i:j]))
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if act.choices is not None and any(v not in act.choices for v in values):
+        if choices is not None and any(v not in choices for v in values):
             return None
-        seen[act.dest], i = values if act.nargs == "*" else (values or [act.const])[0], i + take
-    if any(dest not in seen for dest in required):
+        seen[dest], i = values if nargs else values[0], j
+    if p < len(positionals) or any(dest not in seen for dest in required):
         return None
     args = argparse.Namespace()  # filled by one update, not one setattr per dest
-    vars(args).update(defaults, **seen, command=argv[0], func=func)
+    vars(args).update(defaults, **seen)
     return args
 
 

@@ -16,7 +16,7 @@ from itertools import compress
 from operator import or_
 
 from .errors import InternalError
-from .graph import Digraph, VertexRelabeling, topological_order
+from .graph import Digraph, VertexRelabeling
 from .report import NO_PATH_REASON, SEARCH_EXHAUSTED, SolveReport
 from .setsystem import from_mask, to_mask, tracking_search
 
@@ -98,7 +98,7 @@ def reduce_rule_2(d: Digraph) -> tuple[Digraph, VertexRelabeling]:
     but an arc into s or out of t, which only a cycle puts on marked ends, is dropped.
     """
     if (pruned := _pruned(d)) is None:
-        return d, VertexRelabeling(range(d.n))
+        return d, VertexRelabeling.identity(d.n)
     keep, on = pruned
     relab, s, t, us, vs = VertexRelabeling(keep), d.s, d.t, [], []
     for u in keep:
@@ -182,7 +182,7 @@ def reduce_dag(d: Digraph) -> tuple[ReducedDag | None, int]:
             least.update(dict.fromkeys(chain, min(chain)))
     kept = [v for v in live if least.get(v, v) == v] if least else live
     if pruned is None and len(kept) == n:
-        return ReducedDag(n, VertexRelabeling(range(n)), lambda: d), 0
+        return ReducedDag(n, VertexRelabeling.identity(n), lambda: d), 0
     relab, order = VertexRelabeling(kept), d._order
 
     def build() -> Digraph:
@@ -212,7 +212,7 @@ def count_paths(d: Digraph, cap: int | None = None) -> int:
     reaches t, which ends the pass."""
     counts, out_adj, t = [0] * d.n, d.out_adj, d.t
     counts[d.s] = 1
-    for u in topological_order(d):
+    for u in d.order:
         if u == t:
             break
         c, counts[u] = counts[u], 0
@@ -263,7 +263,7 @@ def violating_pair(d: Digraph, trackers: frozenset[int]
             continue
         counts = [0] * d.n
         counts[u] = 1
-        for w in topological_order(d):
+        for w in d.order:
             if counts[w] and (w == u or w not in trackers):
                 for x in out_adj[w]:
                     counts[x] = min(2, counts[x] + counts[w])
@@ -362,7 +362,7 @@ def _series_parallel(d: Digraph, k: int) -> tuple[int | None, int]:
     connected, so each tests the other split alone. An explicit stack holds the blocks, so
     nesting is not bounded by the recursion limit."""
     n, out_adj = d.n, d.out_adj
-    order = topological_order(d)
+    order = d.order
     fwd, bwd, up = [0] * n, [0] * n, list(range(n))
     # s alone has no in-arc and t alone no out-arc: their counts are 1. Both passes read
     # the out-lists, fwd pushing along them and bwd pulling; plain loops, as a sum over a

@@ -5,8 +5,8 @@ list from the two id columns of the pairs, which they do not keep, and sort it
 in place; no route mutates a list after that. A graph keeps one list per
 vertex, a digraph its out-list and in-degree, and builds its in-lists on their
 first read. ``edges`` and ``arcs`` are rebuilt from the lists on each read. All
-operations here are pure, except that :func:`topological_order` keeps the
-order it finds on the digraph, and a digraph the in-lists it builds.
+operations here are pure, except that a digraph keeps the topological order
+and the in-lists it builds on their first read.
 """
 
 from __future__ import annotations
@@ -120,9 +120,8 @@ class Digraph(_Checked):
 
     It holds its out-lists ``out_adj`` and in-degrees ``indeg``; ``in_adj``, read by
     few routes, is built from the out-lists on first read. Acyclicity is not
-    enforced here; use :func:`topological_order`, which reports a cycle, so that
-    parsers can reject cyclic input explicitly, and keeps the order it finds in
-    ``_order`` for later calls.
+    enforced here; read ``order``, which reports a cycle, so that parsers can
+    reject cyclic input explicitly, and keeps the order it finds for later reads.
     """
 
     __slots__ = ("n", "s", "t", "out_adj", "indeg", "_in_adj", "_order")
@@ -134,7 +133,7 @@ class Digraph(_Checked):
         (us[i], vs[i]), s, t and ``order`` in the parent's ids, renumbered through
         ``relab.index``, not checked. ``order``, unless None, is the parent's topological
         order, which restricted to the kept ids must be one of the result's; it is kept as
-        :func:`topological_order` keeps one."""
+        the result's ``order``."""
         index = relab.index
         if order is not None:
             order = tuple(filter(partial(is_not, None), map(index.get, order)))
@@ -167,6 +166,14 @@ class Digraph(_Checked):
         return self._in_adj
 
     @property
+    def order(self) -> tuple:
+        """A topological order by Kahn's algorithm, found on first read and kept; raises
+        CycleError, and keeps none, if the digraph is not a DAG."""
+        if self._order is None:
+            self._order = tuple(_kahn(self))
+        return self._order
+
+    @property
     def arcs(self) -> tuple:
         """The arcs (u, v), ascending, rebuilt from the ascending out-lists."""
         return tuple([(u, v) for u, a in enumerate(self.out_adj) for v in a])
@@ -177,22 +184,47 @@ class Digraph(_Checked):
 
 class VertexRelabeling:
     """Injective map from reduced-graph vertex ids back to original ids, and its inverse
-    ``index``, built once; rules 1, 2 and 4 hand theirs to :meth:`Digraph._derived`."""
+    ``index``, built once; rules 1, 2 and 4 hand theirs to :meth:`Digraph._derived`. The
+    identity on n ids, from :meth:`identity`, builds neither until one is read, and maps
+    ids as they are."""
 
-    __slots__ = ("to_original", "index")
+    __slots__ = ("_to_original", "_index", "_n")  # _n: an identity's id count, else None
 
     def __init__(self, to_original: Sequence[int]):
-        self.to_original = tuple(to_original)
-        self.index = dict(zip(self.to_original, range(len(self.to_original))))
-        if len(self.index) != len(self.to_original):
+        self._to_original = tuple(to_original)
+        self._index = dict(zip(self._to_original, range(len(self._to_original))))
+        self._n = None
+        if len(self._index) != len(self._to_original):
             raise ValueError("relabeling must be injective")
 
+    @classmethod
+    def identity(cls, n: int) -> VertexRelabeling:
+        x = cls.__new__(cls)
+        x._to_original, x._index, x._n = None, None, n
+        return x
+
+    @property
+    def to_original(self) -> tuple:
+        if self._to_original is None:
+            self._to_original = tuple(range(self._n))
+        return self._to_original
+
+    @property
+    def index(self) -> dict:
+        if self._index is None:
+            self._index = dict(zip(self.to_original, self.to_original))
+        return self._index
+
     def map_set(self, vertices: Iterable[int]) -> frozenset:
-        return frozenset(self.to_original[v] for v in vertices)
+        if self._n is not None:
+            return frozenset(vertices)
+        return frozenset(self._to_original[v] for v in vertices)
 
     def from_original(self, vertices: Iterable[int]) -> frozenset:
         """The reduced ids of those original ``vertices`` that the reduction kept."""
-        return frozenset(filter(partial(is_not, None), map(self.index.get, vertices)))
+        if self._n is not None:
+            return frozenset(filter(range(self._n).__contains__, vertices))
+        return frozenset(filter(partial(is_not, None), map(self._index.get, vertices)))
 
     def __repr__(self):
         return f"VertexRelabeling({list(self.to_original)})"
@@ -216,15 +248,13 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
 
 
 def topological_order(d: Digraph) -> list[int]:
-    """Kahn's algorithm; raises CycleError if the digraph is not a DAG.
+    """A copy of ``d.order``: Kahn's algorithm; raises CycleError if the digraph is not a DAG.
 
     The order is kept on ``d``, so a parse's cycle check pays for the order
     that a later path count reads; a cyclic digraph keeps none and raises on
     every call.
     """
-    if d._order is None:
-        d._order = tuple(_kahn(d))
-    return list(d._order)
+    return list(d.order)
 
 
 def _kahn(d: Digraph) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import oracle
 from .dagtrack import count_paths, path_masks, solve_dag
 from .errors import CapExceeded
-from .graph import Digraph, Graph, VertexRelabeling, bfs_distances, topological_order
+from .graph import Digraph, Graph, VertexRelabeling, bfs_distances
 from .report import NO_PATH_REASON, SolveReport
 from .setsystem import SetSystem, solve_masks
 
@@ -112,7 +112,7 @@ def solve_via_set_system(g: Graph, k: int, cap: int | None = None) -> SolveRepor
         return SolveReport("NO", paths=paths, paths_saturated=True,
                            reason=f"more than 2^{clamped} shortest paths need more "
                                   f"than {clamped} trackers")
-    inner = [v for v in topological_order(d) if v != d.s and v != d.t]
+    inner = [v for v in d.order if v != d.s and v != d.t]
     report = solve_masks(path_masks(d, d.s, inner, d.in_adj[d.t], range(d.n)), k)
     report.relabel(relab)
     return report

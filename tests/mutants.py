@@ -69,11 +69,11 @@ MUTANTS = [
      "order = tuple(map(index.get, order))",
      "a derived digraph's inherited order keeps the ids its rule deleted, as None"),
     ("src/trackset/graph.py",
-     "return frozenset(filter(partial(is_not, None), map(self.index.get, vertices)))",
-     "return frozenset(map(self.index.get, vertices))",
+     "return frozenset(filter(partial(is_not, None), map(self._index.get, vertices)))",
+     "return frozenset(map(self._index.get, vertices))",
      "from_original keeps the ids that the reduction did not keep, as None"),
     ("src/trackset/graph.py",
-     "if len(self.index) != len(self.to_original):",
+     "if len(self._index) != len(self._to_original):",
      "if False:",
      "a relabeling that maps two reduced ids to one original id is accepted"),
     ("src/trackset/graph.py",
@@ -267,6 +267,22 @@ MUTANTS = [
      "Digraph._derived(relab, us, vs,",
      "Digraph._derived(relab, vs, us,",
      "rule 1 orients every arc towards s"),
+    ("src/trackset/graph.py",
+     "return frozenset(filter(range(self._n).__contains__, vertices))",
+     "return frozenset(filter(range(self._n - 1).__contains__, vertices))",
+     "the identity relabeling's from_original drops the last id, so a tracker there is lost"),
+    ("src/trackset/cli.py",
+     "while j < end and argv[j][:1] != \"-\":",
+     "while j < end - 1 and argv[j][:1] != \"-\":",
+     "a * option that runs to the end of argv stops one token early"),
+    ("src/trackset/cli.py",
+     "if i == end or argv[i][:1] == \"-\":",
+     "if i == end:",
+     "a one-value option takes the token after it though that starts with \"-\""),
+    ("src/trackset/cli.py",
+     "text = f.read().decode(locale.getpreferredencoding(False))",
+     "text = f.read()",
+     "the file's bytes reach the parser undecoded"),
     ("src/trackset/cli.py",
      "traceback.print_exc(file=_sys.stderr)\n            return 4",
      "traceback.print_exc(file=_sys.stderr)\n            return 1",

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -17,6 +18,7 @@ import trackset
 from trackset import cli
 from trackset.cli import _plain_args, build_parser, main
 from trackset.dagtrack import reduce_rule_2
+from trackset.graph import Digraph
 from trackset.instance_io import format_digraph, format_graph, parse_instance
 from trackset.report import SolveReport
 
@@ -315,6 +317,13 @@ class TestCountVerify:
         code, out, _ = run(capsys, "verify", path, "--trackers", "1")
         assert code == 0 and "tracking: true" in out
 
+    @pytest.mark.parametrize("trackers,code", [(["3"], 0), (["2"], 0), ([], 1)])
+    def test_verify_tracker_at_the_last_id_of_a_pruned_dag(self, tmp_path, capsys,
+                                                           trackers, code):
+        # rule 2 deletes nothing, so the trackers reach the check through the identity
+        path = write(tmp_path, "d.dag", "dag 4 0 1\n0 2\n0 3\n2 1\n3 1\n")
+        assert run(capsys, "verify", path, "--trackers", *trackers)[0] == code
+
     def test_verify_false_shows_paths(self, tmp_path, capsys):
         path = write(tmp_path, "d.graph", DIAMOND)
         code, out, _ = run(capsys, "verify", path, "--trackers")
@@ -400,7 +409,14 @@ class TestCountVerify:
         monkeypatch.setattr("trackset.oracle.enumerate_all_paths", refuse)
         monkeypatch.setattr("trackset.oracle.enumerate_shortest_paths", refuse)
         if not code:  # a true answer needs no topological order to count paths along
-            monkeypatch.setattr("trackset.dagtrack.topological_order", refuse)
+            load = cli._load
+
+            def load_then_refuse(path):  # the parse's cycle check reads the order first
+                loaded = load(path)
+                monkeypatch.setattr(Digraph, "order", property(refuse))
+                return loaded
+
+            monkeypatch.setattr(cli, "_load", load_then_refuse)
         path = write(tmp_path, "x.txt", text)
         got, out, _ = run(capsys, "verify", path, "--trackers", *trackers)
         assert got == code
@@ -774,7 +790,7 @@ DECLINED = [[], ["bogus", "in.txt"], ["solve", "in.txt", "--k", "1", "-h"],
             ["solve", "--k", "2", "--", "in.txt"], ["count", "in.txt", "--cap", "-1"],
             ["solve", "in.txt", "--k", "1", "--k", "2"], ["solve", "in.txt", "--k", "two"],
             ["solve", "in.txt", "--k", "1", "--mode", "fast"], ["count"],
-            ["count", "in.txt", "extra"]]
+            ["count", "in.txt", "extra"], ["solve", "in.txt", "--k"]]
 BENCH_SHAPES = [["solve", "in.txt", "--k", "3", "--mode", "dag"], ["solve", "in.txt", "--k", "3"],
                 ["count", "in.txt"], ["reduce", "in.txt"], ["verify", "in.txt", "--trackers"],
                 ["verify", "in.txt", "--trackers", *map(str, range(80))]]
@@ -803,6 +819,7 @@ def _argparse_reads(argv):
 @example(DECLINED[9]).via("choices reject")
 @example(DECLINED[10]).via("missing positional")
 @example(DECLINED[11]).via("extra positional")
+@example(DECLINED[12]).via("option without its value")
 def test_plain_reader_matches_argparse(argv):
     got = _plain_args(build_parser(), argv)
     assert got is None or vars(got) == _argparse_reads(argv)
@@ -847,3 +864,64 @@ def test_argparse_spellings_read_as_before(tmp_path, capsys, argv, plain):
         assert got == (2, "", f"{name} must be nonnegative\n")
     else:
         assert got == run(capsys, command, path, *plain) and got[0] in (0, 1)
+
+
+def _text_mode_load(path):
+    """``cli._load`` as a text-mode read: newlines translated, the locale's encoding."""
+    with open(path) as f:
+        return parse_instance(f.read())
+
+
+# file contents that the byte read and a text-mode read must hand on alike; None is a
+# directory at the path, and a missing key no file at all
+LOADED = {
+    "crlf": DIAMOND_DAG.replace("\n", "\r\n").encode(),
+    "lone-cr": TWO_DIAMONDS.replace("\n", "\r").encode(),
+    "crlf-error": b"dag 4 0 3\r\n0 1\r\n\r\n0 x\r\n",
+    "vt-ff-ls": "graph 4 0 3\v0 1\f0 2\u20281 3\n2 3\n".encode(),
+    "utf8-comment": "# the diamond, über ∅\n".encode() + DIAMOND.encode(),
+    "unended": FIVE_SETS.rstrip("\n").encode(),
+    "empty": b"",
+    "undecodable": b"dag 2 0 1\n0 1\n# \xff\n",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("argv", [["solve", "--k", "1"], ["reduce"]], ids=["solve", "reduce"])
+@pytest.mark.parametrize("name", [*LOADED, "missing"])
+def test_byte_read_matches_a_text_mode_read(tmp_path, capsys, monkeypatch, name, argv):
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif name in LOADED:
+        path.write_bytes(LOADED[name])
+    argv = [argv[0], str(path), *argv[1:]]
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_load", _text_mode_load)
+    assert got == run(capsys, *argv)
+    if name in ("undecodable", "directory", "missing"):
+        assert got[:2] == (2, "") and got[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_fifo_is_read_to_eof(tmp_path, capsys):
+    d = 3_000  # about 80 KB, more than a pipe holds, written in two parts
+    text = f"dag {3 * d + 1} 0 {3 * d}\n" + "".join(
+        f"{3 * i} {m}\n{m} {3 * i + 3}\n" for i in range(d) for m in (3 * i + 1, 3 * i + 2))
+    path = tmp_path / "in.fifo"
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "w") as f:
+            f.write(text[:len(text) // 2])
+            f.flush()
+            time.sleep(0.05)
+            f.write(text[len(text) // 2:])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = run(capsys, "count", str(path))
+    finally:
+        writer.join(timeout=30)
+    assert got == (0, f"{2 ** d}\n", "")

@@ -149,6 +149,13 @@ def test_relabeling_injective_and_map_set():
         VertexRelabeling([1, 1])
 
 
+def test_identity_relabeling_maps_ids_as_they_are():
+    same = VertexRelabeling.identity(3)
+    assert same.map_set([0, 2]) == {0, 2}
+    assert same.from_original([-1, 0, 2, 3]) == {0, 2}  # only 0..2 are ids of it
+    assert same.to_original == (0, 1, 2) and same.index == {0: 0, 1: 1, 2: 2}
+
+
 @st.composite
 def connected_graphs(draw):
     n = draw(st.integers(3, 9))
